@@ -346,7 +346,7 @@ ablationMlt()
 int
 main()
 {
-    std::printf("Hermes design-choice ablations (DESIGN.md section 4)\n");
+    std::printf("Hermes design-choice ablations (paper §3.1 and §3.3)\n");
     ablationO1();
     ablationO2();
     ablationO3();

@@ -11,8 +11,11 @@
  * microseconds; steady-state throughput recovers slightly below the
  * pre-failure level (one replica fewer).
  *
- * The cost model is scaled up ~100x here so that 400ms of simulated time
- * stays cheap to simulate; shapes are unaffected (see DESIGN.md §5-6).
+ * The four CPU-side costs are scaled up ~100x here so that 400ms of
+ * simulated time stays cheap to simulate (~100x fewer ops). The shape
+ * this figure reproduces — the collapse at the crash, recovery after the
+ * RM timeout, a slightly lower post-failure level — is set by the
+ * timeouts and by relative per-node work, not by the absolute op rate.
  */
 
 #include "bench_util.hh"

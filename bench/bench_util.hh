@@ -3,10 +3,11 @@
  * Shared plumbing of the figure/table benchmarks: the calibrated cost
  * model, standard cluster/driver builders, and paper-style table output.
  *
- * Absolute magnitudes depend on the cost model (see DESIGN.md §5); what
- * these harnesses are built to reproduce is the *shape* of each figure:
- * protocol ordering, relative factors, crossover points. EXPERIMENTS.md
- * records paper-vs-measured per figure.
+ * Absolute magnitudes are predictions of the hand-set cost model
+ * (paperCostModel below), not measurements; what these harnesses are
+ * built to reproduce is the *shape* of each figure: protocol ordering,
+ * relative factors, crossover points. Each binary's header states the
+ * paper shape it targets.
  */
 
 #ifndef HERMES_BENCH_BENCH_UTIL_HH

@@ -898,269 +898,40 @@ ShardedTcpDeployment::removeShard()
 // ---------------------------------------------------------------------
 
 KvClient::KvClient(uint16_t seed_port, size_t num_shards)
-    : seedPort_(seed_port),
-      seed_(std::make_unique<net::TcpClient>(seed_port)),
-      numShards_(num_shards)
+    : session_(seed_port, /*credits=*/0, num_shards)
 {
-    net::registerClientCodecs();
-    if (num_shards == 0) {
-        // HELLO negotiation: adopt the deployment's map up front. A
-        // service that never answers leaves us with the unsharded
-        // default (and WrongShard replies will teach us later).
-        numShards_ = 1;
-        resolveMapFromSeed();
-    }
+    // HELLO negotiation: adopt the deployment's map before the first op.
+    // A service that never answers leaves the unsharded default, and
+    // WrongShard replies teach the map later.
+    if (num_shards == 0)
+        session_.awaitHello();
 }
 
-bool
-KvClient::connected() const
+std::optional<KvSessionClient::OpResult>
+KvClient::finish(uint64_t token)
 {
-    return seed_ && seed_->connected();
-}
-
-void
-KvClient::resolveMapFromSeed()
-{
-    if (!connected())
-        return;
-    ClientRequestMsg hello;
-    hello.op = ClientRequestMsg::Op::Hello;
-    hello.numShards = static_cast<uint32_t>(numShards_);
-    auto reply = callOn(*seed_, hello, 2_s);
-    if (reply)
-        adoptMap(static_cast<ClientReplyMsg &>(*reply), /*via_seed=*/true);
-}
-
-uint32_t
-KvClient::routeShard(Key key) const
-{
-    // Slot-indirection routing: once a reply has taught us the owners
-    // table we index it; before that (bootstrap against an old service)
-    // fall back to the legacy uniform hash.
-    if (slotOwners_.size() == kNumSlots)
-        return slotOwners_[slotOfKey(key)];
-    return shardOfKey(key, numShards_ ? numShards_ : 1);
-}
-
-bool
-KvClient::adoptMap(const ClientReplyMsg &reply, bool via_seed)
-{
-    if (reply.mapShards == 0)
-        return false; // a service that advertises nothing teaches nothing
-    // Strict epoch adoption: a reply stamped with a map OLDER than the
-    // one we already hold is a laggard (e.g. a replica answering just
-    // before it installs a cutover). Believing it would re-route ops to
-    // the migration source and ping-pong. Equal epochs still teach —
-    // independent deployments both sit at epoch 1 and differ only in
-    // shard count / addresses.
-    if (reply.mapEpoch < mapEpoch_)
-        return false;
-    bool learned = false;
-    if (reply.mapEpoch > mapEpoch_) {
-        mapEpoch_ = reply.mapEpoch;
-        learned = true;
-    }
-    if (!reply.slotOwners.empty()
-            && reply.slotOwners.size() == kNumSlots
-            && reply.slotOwners != slotOwners_) {
-        slotOwners_ = reply.slotOwners;
-        learned = true;
-    }
-    if (reply.mapShards != numShards_) {
-        numShards_ = reply.mapShards;
-        if (reply.slotOwners.size() != kNumSlots) {
-            // The shard count changed but this reply carried no owners
-            // table: any cached one indexes the OLD generation and may
-            // name shards that no longer exist. Drop back to hash
-            // routing until a full advertisement arrives.
-            slotOwners_.clear();
-        }
-        // Cached per-shard connections were routed by the old map; a
-        // shard id means something different now. That includes the
-        // seed's remembered shard id: under the new count "shard
-        // seedShard_" names a different slice of the key space, so
-        // keeping it would route that slice to the seed no matter who
-        // owns it. Invalidate and re-learn (the via_seed branch below
-        // re-learns it immediately when the teaching reply came from
-        // the seed itself).
-        conns_.clear();
-        seedShardKnown_ = false;
-        learned = true;
-    }
-    if (via_seed && (!seedShardKnown_ || seedShard_ != reply.mapShard)) {
-        seedShardKnown_ = true;
-        seedShard_ = reply.mapShard;
-        learned = true;
-    }
-    if (!reply.mapPorts.empty()) {
-        if (addrs_.size() != reply.mapPorts.size()) {
-            addrs_.resize(reply.mapPorts.size());
-            learned = true;
-        }
-        for (size_t s = 0; s < reply.mapPorts.size(); ++s) {
-            // Merge: a standalone group advertises only its own entry;
-            // keep addresses other replies taught us.
-            if (!reply.mapPorts[s].empty()
-                    && reply.mapPorts[s] != addrs_[s]) {
-                addrs_[s] = reply.mapPorts[s];
-                learned = true;
-            }
-        }
-    }
-    return learned;
-}
-
-net::TcpClient *
-KvClient::connectionFor(uint32_t shard, TimeNs deadline)
-{
-    if (seedShardKnown_ && shard == seedShard_ && connected())
-        return seed_.get();
-    auto it = conns_.find(shard);
-    if (it != conns_.end() && it->second->connected())
-        return it->second.get();
-    conns_.erase(shard);
-    if (shard < addrs_.size()) {
-        for (uint16_t port : addrs_[shard]) {
-            if (port == seedPort_ && connected()) {
-                // The seed turns out to be a replica of this shard.
-                seedShardKnown_ = true;
-                seedShard_ = shard;
-                return seed_.get();
-            }
-            // Few dial attempts: the deployment is already up when a
-            // map advertises it, so a refusing port means a dead
-            // replica — fail over to the next one fast. Failed attempts
-            // sleep on the jittered exponential backoff (~5/10/20 ms
-            // gaps at this depth), so size the retry count to the op's
-            // remaining budget and stop dialing entirely once it is
-            // spent — the seed fallback below still answers (with
-            // WrongShard) within whatever time is left.
-            TimeNs remaining = deadline - steadyNowNs();
-            if (remaining <= 0)
-                break;
-            int attempts = static_cast<int>(
-                std::min<TimeNs>(3, remaining / 20_ms + 1));
-            auto conn = std::make_unique<net::TcpClient>(port, attempts);
-            if (conn->connected()) {
-                net::TcpClient *raw = conn.get();
-                conns_[shard] = std::move(conn);
-                return raw;
-            }
-        }
-    }
-    // No (live) address for the shard: fall back to the seed, whose
-    // WrongShard rejection carries the map that teaches us the route.
-    return connected() ? seed_.get() : nullptr;
-}
-
-std::shared_ptr<net::Message>
-KvClient::callOn(net::TcpClient &conn, ClientRequestMsg &request,
-                 DurationNs timeout)
-{
-    request.reqId = nextReqId_++;
-    auto reply = conn.call(request, timeout, request.reqId);
-    if (!reply || reply->type() != net::MsgType::ClientReply)
-        return nullptr;
-    return reply;
-}
-
-std::shared_ptr<net::Message>
-KvClient::callRerouting(ClientRequestMsg &request, DurationNs timeout)
-{
-    lastStatus_ = ClientReplyMsg::Status::Ok;
-    std::shared_ptr<net::Message> reply;
-    // ONE deadline for the whole op, not one per attempt: redials and
-    // reroute rounds all burn the same budget, so an op bounded at
-    // `timeout` cannot take kMaxRouteAttempts × timeout wall time when
-    // the deployment keeps redirecting it.
-    const TimeNs deadline = steadyNowNs() + timeout;
-    for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
-        TimeNs remaining = deadline - steadyNowNs();
-        if (remaining <= 0)
-            return nullptr; // op budget spent mid-reroute
-        size_t shards = numShards_ ? numShards_ : 1;
-        uint32_t shard = routeShard(request.key);
-        request.shard = shard;
-        request.numShards = static_cast<uint32_t>(shards);
-        request.mapEpoch = mapEpoch_;
-        net::TcpClient *conn = connectionFor(shard, deadline);
-        if (!conn)
-            return nullptr; // no route anywhere (seed gone too)
-        remaining = deadline - steadyNowNs();
-        if (remaining <= 0)
-            return nullptr; // dialing consumed the budget
-        bool via_seed = conn == seed_.get();
-        reply = callOn(*conn, request, remaining);
-        if (!reply) {
-            // Timeout or disconnect. Drop a per-shard connection so the
-            // next op re-dials (maybe a different replica); the seed is
-            // kept — it is the bootstrap of last resort.
-            if (!via_seed)
-                conns_.erase(shard);
-            return nullptr;
-        }
-        auto &r = static_cast<ClientReplyMsg &>(*reply);
-        bool learned = adoptMap(r, via_seed);
-        if (r.status != ClientReplyMsg::Status::WrongShard) {
-            lastStatus_ = r.status;
-            return reply;
-        }
-        if (r.mapEpoch < mapEpoch_) {
-            // The rejecting service is BEHIND the map we already
-            // adopted: a cutover installs the successor group by group,
-            // and this group just has not received it yet. That is lag,
-            // not a routing dead end — brief backoff and retry without
-            // burning an attempt (the op deadline still bounds us).
-            --attempt;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            continue;
-        }
-        // WrongShard: re-resolve under the freshly adopted map and only
-        // loop when that yields a usable route we have not just tried —
-        // the reroute targets the owning shard's actual address, it is
-        // not a blind same-socket retry.
-        uint32_t new_shard = routeShard(request.key);
-        bool reachable =
-            (seedShardKnown_ && new_shard == seedShard_)
-            || (new_shard < addrs_.size() && !addrs_[new_shard].empty());
-        if (!reachable) {
-            // Dead end by the service's own map: no address to go to.
-            lastStatus_ = ClientReplyMsg::Status::WrongShard;
-            return reply;
-        }
-        if (!learned && new_shard == shard) {
-            // Nothing new adopted and the same route re-resolved: the
-            // reachable owner keeps rejecting us (disagreeing services);
-            // retrying the identical request cannot converge.
-            lastStatus_ = ClientReplyMsg::Status::WrongShard;
-            return reply;
-        }
-    }
-    lastStatus_ = ClientReplyMsg::Status::RetriesExhausted;
-    return reply;
+    auto result = session_.wait(token);
+    lastStatus_ = result ? result->status : ClientReplyMsg::Status::Ok;
+    if (!result || !result->completed
+            || result->status != ClientReplyMsg::Status::Ok)
+        return std::nullopt;
+    return result;
 }
 
 std::optional<Value>
 KvClient::read(Key key, DurationNs timeout)
 {
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Read;
-    request.key = key;
-    auto reply = callRerouting(request, timeout);
-    if (!reply || lastStatus_ != ClientReplyMsg::Status::Ok)
+    auto result = finish(session_.readAsync(key, timeout));
+    if (!result)
         return std::nullopt;
-    return static_cast<ClientReplyMsg &>(*reply).value.str();
+    return std::move(result->value);
 }
 
 bool
 KvClient::write(Key key, Value value, DurationNs timeout)
 {
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Write;
-    request.key = key;
-    request.value = std::move(value);
-    auto reply = callRerouting(request, timeout);
-    return reply && lastStatus_ == ClientReplyMsg::Status::Ok;
+    return finish(session_.writeAsync(key, std::move(value), timeout))
+        .has_value();
 }
 
 std::optional<bool>
@@ -1177,16 +948,11 @@ std::optional<std::pair<bool, Value>>
 KvClient::casObserve(Key key, Value expected, Value desired,
                      DurationNs timeout)
 {
-    ClientRequestMsg request;
-    request.op = ClientRequestMsg::Op::Cas;
-    request.key = key;
-    request.value = std::move(desired);
-    request.expected = std::move(expected);
-    auto reply = callRerouting(request, timeout);
-    if (!reply || lastStatus_ != ClientReplyMsg::Status::Ok)
+    auto result = finish(session_.casAsync(key, std::move(expected),
+                                           std::move(desired), timeout));
+    if (!result)
         return std::nullopt;
-    auto &r = static_cast<ClientReplyMsg &>(*reply);
-    return std::make_pair(r.ok, r.value.str());
+    return std::make_pair(result->casApplied, std::move(result->value));
 }
 
 // ---------------------------------------------------------------------
@@ -1195,7 +961,7 @@ KvClient::casObserve(Key key, Value expected, Value desired,
 
 KvSessionClient::KvSessionClient(uint16_t seed_port, uint32_t credits,
                                  size_t num_shards)
-    : seedPort_(seed_port), requestedCredits_(credits)
+    : requestedCredits_(credits)
 {
     net::registerClientCodecs();
     if (num_shards > 0)
@@ -1218,6 +984,17 @@ bool
 KvSessionClient::connected() const
 {
     return seed_ && seed_->alive;
+}
+
+void
+KvSessionClient::awaitHello(DurationNs timeout)
+{
+    const TimeNs deadline = steadyNowNs() + timeout;
+    while (connected() && ops_.count(seed_->helloToken)
+           && steadyNowNs() < deadline) {
+        block(1);
+        progress();
+    }
 }
 
 KvSessionClient::ConnPtr
@@ -1257,7 +1034,7 @@ KvSessionClient::dial(uint16_t port, int connect_attempts)
         leStore32(hello, net::kHelloMagic);
         leStore32(hello + 4, net::kHelloClient);
         leStore32(hello + 8, requestedCredits_);
-        ok = write(fd, hello, sizeof(hello))
+        ok = send(fd, hello, sizeof(hello), MSG_NOSIGNAL)
              == static_cast<ssize_t>(sizeof(hello));
     }
     if (!ok) {
@@ -1292,12 +1069,13 @@ KvSessionClient::sendHello(const ConnPtr &conn)
     hello.deadline = steadyNowNs() + 5_s;
     hello.conn = conn;
     uint64_t token = nextReqId_++;
+    conn->helloToken = token;
     ops_.emplace(token, std::move(hello));
     enqueue(token, conn);
 }
 
 KvSessionClient::ConnPtr
-KvSessionClient::connFor(uint32_t shard)
+KvSessionClient::connFor(uint32_t shard, TimeNs deadline)
 {
     auto it = route_.find(shard);
     if (it != route_.end() && it->second->alive)
@@ -1314,9 +1092,18 @@ KvSessionClient::connFor(uint32_t shard)
                     return conn;
                 }
             }
-            // Few dial attempts: an advertised address that refuses is
-            // a dead replica — fail over to the next one fast.
-            if (ConnPtr conn = dial(port, 3)) {
+            // Few dial attempts: the deployment is already up when a map
+            // advertises it, so a refusing port is a dead replica — fail
+            // over to the next one fast. Failed attempts sleep on the
+            // backoff (~5/10/20 ms gaps at this depth), so size the count
+            // to the op's remaining budget, and dial no more once it is
+            // spent: the seed fallback below still answers in time.
+            TimeNs remaining = deadline - steadyNowNs();
+            if (remaining <= 0)
+                continue;
+            int attempts = static_cast<int>(
+                std::min<TimeNs>(3, remaining / 20_ms + 1));
+            if (ConnPtr conn = dial(port, attempts)) {
                 route_[shard] = conn;
                 return conn;
             }
@@ -1365,8 +1152,7 @@ uint64_t
 KvSessionClient::issue(PendingOp op)
 {
     uint64_t token = nextReqId_++;
-    uint32_t shard = routeShard(op.key);
-    ConnPtr conn = connFor(shard);
+    ConnPtr conn = connFor(routeShard(op.key), op.deadline);
     op.conn = conn;
     ops_.emplace(token, std::move(op));
     if (!conn) {
@@ -1404,18 +1190,20 @@ KvSessionClient::pumpSendq(const ConnPtr &conn)
 }
 
 void
-KvSessionClient::encodeRequest(uint64_t token, const PendingOp &op,
+KvSessionClient::encodeRequest(uint64_t token, PendingOp &op,
                                SessionConn &conn)
 {
     // Stamp the routing at SEND time, under the map the client believes
     // right now — a reply that proves the stamp stale comes back as
     // WrongShard and reroutes this op individually.
     size_t shards = numShards_ ? numShards_ : 1;
+    op.sentShard = routeShard(op.key);
+    op.sentMapGen = mapGen_;
     ClientRequestMsg msg;
     msg.op = op.op;
     msg.reqId = token;
     msg.key = op.key;
-    msg.shard = routeShard(op.key);
+    msg.shard = op.sentShard;
     msg.numShards = static_cast<uint32_t>(shards);
     msg.mapEpoch = mapEpoch_;
     msg.value = op.value;
@@ -1517,22 +1305,29 @@ KvSessionClient::routeShard(Key key) const
     return shardOfKey(key, numShards_ ? numShards_ : 1);
 }
 
-void
+bool
 KvSessionClient::adoptMap(const ClientReplyMsg &reply)
 {
     if (reply.mapShards == 0)
-        return;
-    // Strict epoch adoption (same rule as KvClient::adoptMap): a reply
-    // stamped with an older map than the one already adopted is a
-    // laggard and teaches nothing; equal or newer epochs merge.
+        return false; // a service that advertises nothing teaches nothing
+    // Strict epoch adoption: a reply stamped with a map OLDER than the
+    // one already adopted is a laggard (e.g. a replica answering just
+    // before it installs a cutover). Believing it would re-route ops to
+    // the migration source and ping-pong. Equal epochs still teach —
+    // independent deployments both sit at epoch 1 and differ only in
+    // shard count / addresses.
     if (reply.mapEpoch < mapEpoch_)
-        return;
-    if (reply.mapEpoch > mapEpoch_)
+        return false;
+    bool learned = false;
+    if (reply.mapEpoch > mapEpoch_) {
         mapEpoch_ = reply.mapEpoch;
-    if (!reply.slotOwners.empty() && reply.slotOwners.size() == kNumSlots
+        learned = true;
+    }
+    if (reply.slotOwners.size() == kNumSlots
             && reply.slotOwners != slotOwners_) {
         slotOwners_ = reply.slotOwners;
         route_.clear(); // ownership moved: re-resolve conns per slot map
+        learned = true;
     }
     if (reply.mapShards != numShards_) {
         numShards_ = reply.mapShards;
@@ -1541,14 +1336,26 @@ KvSessionClient::adoptMap(const ClientReplyMsg &reply)
         // Shard ids mean something different under the new count; the
         // sockets stay up (they multiplex), only the routes re-resolve.
         route_.clear();
+        learned = true;
     }
     if (!reply.mapPorts.empty()) {
-        if (addrs_.size() != reply.mapPorts.size())
+        if (addrs_.size() != reply.mapPorts.size()) {
             addrs_.resize(reply.mapPorts.size());
-        for (size_t s = 0; s < reply.mapPorts.size(); ++s)
-            if (!reply.mapPorts[s].empty())
+            learned = true;
+        }
+        for (size_t s = 0; s < reply.mapPorts.size(); ++s) {
+            // Merge: a standalone group advertises only its own entry;
+            // keep addresses other replies taught us.
+            if (!reply.mapPorts[s].empty()
+                    && reply.mapPorts[s] != addrs_[s]) {
                 addrs_[s] = reply.mapPorts[s];
+                learned = true;
+            }
+        }
     }
+    if (learned)
+        ++mapGen_;
+    return learned;
 }
 
 void
@@ -1573,35 +1380,47 @@ KvSessionClient::handleReply(const ConnPtr &conn,
         ops_.erase(it); // HELLO bookkeeping: no user-visible result
         return;
     }
-    if (reply.status == ClientReplyMsg::Status::WrongShard) {
-        // The synchronous client's reroute loop, unrolled per op: adopt
-        // (done above), re-resolve, re-issue the SAME token toward the
-        // owning shard — bounded by the op's attempt budget and, via
-        // expireOps, its deadline. A rejection stamped OLDER than the
-        // adopted epoch is cutover lag (the group has not installed the
-        // successor map yet), not a mis-route: retry without consuming
-        // an attempt, bounded by the op deadline alone.
-        bool laggard = reply.mapEpoch < mapEpoch_;
-        if (!laggard && ++op.attempts >= kMaxRouteAttempts) {
-            complete(reply.reqId,
-                     OpResult{ClientReplyMsg::Status::RetriesExhausted,
-                              true, false, {}});
-            return;
-        }
-        uint32_t shard = routeShard(op.key);
-        ConnPtr next = connFor(shard);
-        if (!next) {
+    if (reply.status != ClientReplyMsg::Status::WrongShard) {
+        complete(reply.reqId, OpResult{reply.status, true, reply.ok,
+                                       reply.value.str()});
+        return;
+    }
+
+    // WrongShard: adopt (done above), re-resolve, and re-issue the SAME
+    // token toward the owning shard's address — bounded by the op's
+    // attempt budget and, via expireOps, its deadline. A rejection
+    // stamped OLDER than the adopted epoch is cutover lag (the group has
+    // not installed the successor map yet), not a mis-route: retry
+    // without consuming an attempt, bounded by the op deadline alone.
+    uint32_t shard = routeShard(op.key);
+    if (reply.mapEpoch >= mapEpoch_) {
+        bool reachable = shard < addrs_.size() && !addrs_[shard].empty();
+        // Dead end: the map names no address for the owner, or nothing
+        // was learned since the send and the same shard re-resolved —
+        // the owner keeps rejecting us, and an identical retry cannot
+        // converge.
+        if (!reachable
+                || (op.sentMapGen == mapGen_ && shard == op.sentShard)) {
             complete(reply.reqId,
                      OpResult{ClientReplyMsg::Status::WrongShard, true,
                               false, {}});
             return;
         }
-        op.conn = next;
-        enqueue(reply.reqId, next);
+        if (++op.attempts >= kMaxRouteAttempts) {
+            complete(reply.reqId,
+                     OpResult{ClientReplyMsg::Status::RetriesExhausted,
+                              true, false, {}});
+            return;
+        }
+    }
+    ConnPtr next = connFor(shard, op.deadline);
+    if (!next) {
+        complete(reply.reqId, OpResult{ClientReplyMsg::Status::WrongShard,
+                                       true, false, {}});
         return;
     }
-    complete(reply.reqId, OpResult{reply.status, true, reply.ok,
-                                   reply.value.str()});
+    op.conn = next;
+    enqueue(reply.reqId, next);
 }
 
 void

@@ -349,146 +349,29 @@ class ShardedTcpDeployment
 };
 
 /**
- * Synchronous multi-shard KV client for a TCP deployment: read/write/cas
- * with blocking calls, as an application would use the service.
- *
- * Routing: the client keeps one connection per shard and routes each op
- * by the stable shardOfKey hash over its current shard map. The map is
- * negotiated at HELLO (connect time) and *re-resolved from any WrongShard
- * rejection*, whose reply carries the authoritative count and address
- * map: the client adopts the map, reconnects to the shard that actually
- * owns the key, and retries — a bounded loop, so a client constructed
- * with an arbitrarily stale map converges onto the live deployment
- * instead of dead-ending on one socket.
- */
-class KvClient
-{
-  public:
-    /** Reroute attempts per op before surfacing RetriesExhausted. */
-    static constexpr int kMaxRouteAttempts = 4;
-
-    /**
-     * Connect to the deployment via the replica on @p seed_port.
-     *
-     * @param num_shards 0 (default) = negotiate the shard map at HELLO;
-     *        a positive count skips HELLO and trusts the caller's map —
-     *        deliberately stale clients in tests use this.
-     */
-    explicit KvClient(uint16_t seed_port, size_t num_shards = 0);
-
-    bool connected() const;
-
-    /** @return the value, or nullopt on timeout/disconnect. */
-    std::optional<Value> read(Key key, DurationNs timeout = 5_s);
-
-    /** @return true when the write committed. */
-    bool write(Key key, Value value, DurationNs timeout = 5_s);
-
-    /** @return whether the CAS applied, or nullopt on timeout. */
-    std::optional<bool> cas(Key key, Value expected, Value desired,
-                            DurationNs timeout = 5_s);
-
-    /**
-     * CAS also returning the observed register value — what the lin-check
-     * harnesses record (a failed CAS's history entry must carry the value
-     * it observed).
-     */
-    std::optional<std::pair<bool, Value>>
-    casObserve(Key key, Value expected, Value desired,
-               DurationNs timeout = 5_s);
-
-    /**
-     * Status of the last completed call: Ok, WrongShard when no route to
-     * the key's owner is known (the advertised map has no address for
-     * it), or RetriesExhausted when kMaxRouteAttempts re-resolve-and-
-     * reroute rounds never converged.
-     */
-    net::ClientReplyMsg::Status lastStatus() const { return lastStatus_; }
-
-    /** The client's current notion of the deployment's shard count. */
-    size_t numShards() const { return numShards_; }
-
-    /** The client's current shard → address map (HELLO/WrongShard fed). */
-    const ShardAddressMap &addressMap() const { return addrs_; }
-
-    /** Epoch of the slot map the client has adopted (0 = none yet). */
-    uint32_t mapEpoch() const { return mapEpoch_; }
-
-    /** The shard this client would route @p key to right now. */
-    uint32_t routedShard(Key key) const { return routeShard(key); }
-
-    /**
-     * Test hook: feed an advertised map exactly as a reply would.
-     * @return whether anything was adopted — false for a reply whose
-     * epoch is OLDER than the client's (the strict-adoption rule: a
-     * delayed advertisement must never roll routing back).
-     */
-    bool
-    adoptAdvertisedMap(const net::ClientReplyMsg &reply)
-    {
-        return adoptMap(reply, /*via_seed=*/false);
-    }
-
-  private:
-    /** Stamp + send with bounded re-resolve-and-reroute on WrongShard. */
-    std::shared_ptr<net::Message>
-    callRerouting(net::ClientRequestMsg &request, DurationNs timeout);
-
-    /** HELLO: ask the seed for the deployment map and adopt it. */
-    void resolveMapFromSeed();
-
-    /** Adopt count/addresses a reply advertises. @return anything new? */
-    bool adoptMap(const net::ClientReplyMsg &reply, bool via_seed);
-
-    /**
-     * Connection serving @p shard: cached, dialed, or seed fallback.
-     * Dialing is bounded by @p deadline — each failed dial attempt costs
-     * real wall time (20 ms retry sleeps), so a nearly-expired op skips
-     * further replicas rather than blowing through its budget.
-     */
-    net::TcpClient *connectionFor(uint32_t shard, TimeNs deadline);
-
-    /** One request/reply on @p conn with reqId matching. */
-    std::shared_ptr<net::Message> callOn(net::TcpClient &conn,
-                                         net::ClientRequestMsg &request,
-                                         DurationNs timeout);
-
-    /** Route @p key: by adopted slot-owner table when one is held (it
-     *  reflects migrations), else by the uniform shardOfKey hash. */
-    uint32_t routeShard(Key key) const;
-
-    uint16_t seedPort_;
-    std::unique_ptr<net::TcpClient> seed_;
-    bool seedShardKnown_ = false;
-    uint32_t seedShard_ = 0;
-    std::map<uint32_t, std::unique_ptr<net::TcpClient>> conns_;
-    ShardAddressMap addrs_;
-    size_t numShards_ = 1;
-    uint32_t mapEpoch_ = 0;           ///< adopted map version (0 = none)
-    std::vector<uint16_t> slotOwners_; ///< adopted slot → shard table
-    uint64_t nextReqId_ = 1;
-    net::ClientReplyMsg::Status lastStatus_ =
-        net::ClientReplyMsg::Status::Ok;
-};
-
-/**
- * Pipelined multi-shard session client: the massive-client face of the
- * deployment. Where KvClient blocks on one request at a time,
- * KvSessionClient keeps many requests in flight per connection —
- * requests carry per-session sequence numbers (reqIds), replies
- * complete out of the reply stream by reqId, and the client caps its
- * in-flight ops at the credit window the server granted at HELLO (the
- * server enforces the cap by ceasing to read an over-limit session, so
- * a cooperative client never hits raw TCP backpressure).
+ * Pipelined multi-shard session client: the one client of the
+ * deployment. KvSessionClient keeps many requests in flight per
+ * connection — requests carry per-session sequence numbers (reqIds),
+ * replies complete out of the reply stream by reqId, and the client
+ * caps its in-flight ops at the credit window the server granted at
+ * HELLO (the server enforces the cap by ceasing to read an over-limit
+ * session, so a cooperative client never hits raw TCP backpressure).
+ * KvClient is its blocking face.
  *
  * Everything is single-threaded and non-blocking: progress() pumps all
  * sockets without blocking, wait()/waitAll() poll until completion, and
  * an external event loop (the 10-10k session bench) can multiplex
- * thousands of these clients off fds(). The synchronous client's
- * reroute-on-WrongShard logic is preserved *per in-flight op*: a
+ * thousands of these clients off fds().
+ *
+ * Routing: each op goes to the owning shard under the client's current
+ * map — negotiated at HELLO, re-resolved from any WrongShard rejection,
+ * whose reply carries the authoritative count and address map. A
  * rejected op adopts the advertised map and re-issues itself toward the
- * owning shard — concurrently with every other op, within its own
- * deadline and attempt budget.
+ * owning shard's address, concurrently with every other op, within its
+ * own deadline and kMaxRouteAttempts. It completes WrongShard at once
+ * when the map gives no way forward: the new owner has no advertised
+ * address, or nothing was learned since the op was sent and it
+ * re-resolves to the shard that just rejected it.
  */
 class KvSessionClient
 {
@@ -509,14 +392,16 @@ class KvSessionClient
     };
 
     /**
-     * Connect to the deployment via the replica on @p seed_port.
+     * Connect to the deployment via the replica on @p seed_port. The
+     * HELLO is pipelined, never waited on here (see awaitHello()).
      *
      * @param credits    credit window to request at HELLO (0 = accept
      *                   the server default). The grant comes back in
      *                   the HELLO reply and caps this session's
      *                   pipeline depth.
-     * @param num_shards 0 = negotiate the shard map at HELLO; positive
-     *                   = trust the caller's (possibly stale) count,
+     * @param num_shards 0 = learn the shard map from the HELLO reply;
+     *                   positive = route by the caller's (possibly
+     *                   stale) count until a reply teaches otherwise,
      *                   as the deliberately-stale test clients do.
      */
     explicit KvSessionClient(uint16_t seed_port, uint32_t credits = 0,
@@ -527,6 +412,10 @@ class KvSessionClient
     KvSessionClient &operator=(const KvSessionClient &) = delete;
 
     bool connected() const;
+
+    /** Block until the seed's HELLO reply is adopted, the seed dies, or
+     *  @p timeout passes — whichever comes first. */
+    void awaitHello(DurationNs timeout = 2_s);
 
     /** Issue ops without blocking; the token redeems the result. */
     uint64_t readAsync(Key key, DurationNs timeout = 5_s);
@@ -562,11 +451,19 @@ class KvSessionClient
     /** Epoch of the slot map the session has adopted (0 = none yet). */
     uint32_t mapEpoch() const { return mapEpoch_; }
 
-    /** Test hook: feed an advertised map exactly as a reply would (the
-     *  strict-adoption rule discards epochs older than adopted). */
-    void adoptAdvertisedMap(const net::ClientReplyMsg &reply)
+    /** Route @p key: by the adopted slot-owner table when one is held
+     *  (it reflects migrations), else by the uniform shardOfKey hash. */
+    uint32_t routeShard(Key key) const;
+
+    /**
+     * Test hook: feed an advertised map exactly as a reply would.
+     * @return whether anything was adopted — false for a reply whose
+     * epoch is OLDER than the client's (the strict-adoption rule: a
+     * delayed advertisement must never roll routing back).
+     */
+    bool adoptAdvertisedMap(const net::ClientReplyMsg &reply)
     {
-        adoptMap(reply);
+        return adoptMap(reply);
     }
 
     /** Every live socket fd — for an external epoll/poll loop driving
@@ -590,6 +487,7 @@ class KvSessionClient
         std::vector<uint8_t> rx;
         uint32_t window = 0;   ///< believed credit window
         uint32_t inflight = 0; ///< sent, not yet completed/expired
+        uint64_t helloToken = 0; ///< this socket's HELLO op
         std::deque<uint64_t> sendq; ///< tokens awaiting window room
     };
     using ConnPtr = std::shared_ptr<SessionConn>;
@@ -604,30 +502,36 @@ class KvSessionClient
         TimeNs deadline = 0;
         bool internal = false; ///< bookkeeping op (HELLO), not user-visible
         ConnPtr conn;          ///< where sent/queued (null = unroutable)
+        uint32_t sentShard = 0;  ///< shard stamped on the last send
+        uint64_t sentMapGen = 0; ///< mapGen_ at the last send
     };
 
     ConnPtr dial(uint16_t port, int connect_attempts);
-    ConnPtr connFor(uint32_t shard);
+    /**
+     * Connection serving @p shard: cached, an existing socket to one of
+     * its replicas, dialed, or the seed fallback. Dialing is bounded by
+     * @p deadline — failed attempts cost real wall time (backoff
+     * sleeps), so a nearly-expired op dials less, and not at all once
+     * its budget is spent.
+     */
+    ConnPtr connFor(uint32_t shard, TimeNs deadline);
     void sendHello(const ConnPtr &conn);
     uint64_t issue(PendingOp op);
     void enqueue(uint64_t token, const ConnPtr &conn);
     void pumpSendq(const ConnPtr &conn);
-    void encodeRequest(uint64_t token, const PendingOp &op,
-                       SessionConn &conn);
+    void encodeRequest(uint64_t token, PendingOp &op, SessionConn &conn);
     void flushTx(const ConnPtr &conn);
     void readAndParse(const ConnPtr &conn);
     void handleReply(const ConnPtr &conn,
                      const net::ClientReplyMsg &reply);
-    void adoptMap(const net::ClientReplyMsg &reply);
-    /** Route @p key by the adopted slot-owner table, else hash. */
-    uint32_t routeShard(Key key) const;
+    /** Adopt count/addresses a reply advertises. @return anything new? */
+    bool adoptMap(const net::ClientReplyMsg &reply);
     void markDead(const ConnPtr &conn);
     void complete(uint64_t token, OpResult result);
     void expireOps(TimeNs now);
     /** poll() all live sockets for up to @p timeout_ms. */
     void block(int timeout_ms);
 
-    uint16_t seedPort_;
     uint32_t requestedCredits_;
     bool windowOverridden_ = false;
     ConnPtr seed_;
@@ -637,9 +541,96 @@ class KvSessionClient
     size_t numShards_ = 1;
     uint32_t mapEpoch_ = 0;            ///< adopted map version (0 = none)
     std::vector<uint16_t> slotOwners_; ///< adopted slot → shard table
+    uint64_t mapGen_ = 0;    ///< bumped whenever adoptMap learns anything
     uint64_t nextReqId_ = 1; ///< per-session sequence numbers
     std::map<uint64_t, PendingOp> ops_;      ///< in flight or queued
     std::map<uint64_t, OpResult> results_;   ///< completed, not taken
+};
+
+/**
+ * Synchronous multi-shard KV client: read/write/cas as blocking calls,
+ * as an application would use the service. A thin wrapper over one
+ * owned KvSessionClient — each call issues the async op and waits on
+ * its token — so routing, map adoption, dialing and the WrongShard
+ * reroute loop are the session client's, one implementation behind
+ * both faces.
+ */
+class KvClient
+{
+  public:
+    /** Reroute attempts per op before surfacing RetriesExhausted. */
+    static constexpr int kMaxRouteAttempts =
+        KvSessionClient::kMaxRouteAttempts;
+
+    /**
+     * Connect to the deployment via the replica on @p seed_port.
+     *
+     * @param num_shards 0 (default) = wait (up to 2 s) for the seed's
+     *        HELLO reply, so the first op already routes by the
+     *        deployment's map; a positive count skips the wait and
+     *        routes by the caller's count until a reply teaches the
+     *        real one — deliberately stale clients in tests use this.
+     */
+    explicit KvClient(uint16_t seed_port, size_t num_shards = 0);
+
+    bool connected() const { return session_.connected(); }
+
+    /** @return the value, or nullopt on timeout/disconnect. */
+    std::optional<Value> read(Key key, DurationNs timeout = 5_s);
+
+    /** @return true when the write committed. */
+    bool write(Key key, Value value, DurationNs timeout = 5_s);
+
+    /** @return whether the CAS applied, or nullopt on timeout. */
+    std::optional<bool> cas(Key key, Value expected, Value desired,
+                            DurationNs timeout = 5_s);
+
+    /**
+     * CAS also returning the observed register value — what the lin-check
+     * harnesses record (a failed CAS's history entry must carry the value
+     * it observed).
+     */
+    std::optional<std::pair<bool, Value>>
+    casObserve(Key key, Value expected, Value desired,
+               DurationNs timeout = 5_s);
+
+    /**
+     * Status of the last completed call: Ok, WrongShard when no route to
+     * the key's owner is known (the advertised map has no address for
+     * it), or RetriesExhausted when kMaxRouteAttempts re-resolve-and-
+     * reroute rounds never converged.
+     */
+    net::ClientReplyMsg::Status lastStatus() const { return lastStatus_; }
+
+    /** The client's current notion of the deployment's shard count. */
+    size_t numShards() const { return session_.numShards(); }
+
+    /** The client's current shard → address map (HELLO/WrongShard fed). */
+    const ShardAddressMap &addressMap() const
+    {
+        return session_.addressMap();
+    }
+
+    /** Epoch of the slot map the client has adopted (0 = none yet). */
+    uint32_t mapEpoch() const { return session_.mapEpoch(); }
+
+    /** The shard this client would route @p key to right now. */
+    uint32_t routedShard(Key key) const { return session_.routeShard(key); }
+
+    /** Test hook: see KvSessionClient::adoptAdvertisedMap. */
+    bool adoptAdvertisedMap(const net::ClientReplyMsg &reply)
+    {
+        return session_.adoptAdvertisedMap(reply);
+    }
+
+  private:
+    /** Wait for @p token and record its status in lastStatus_.
+     *  @return the result when it completed Ok, else nullopt. */
+    std::optional<KvSessionClient::OpResult> finish(uint64_t token);
+
+    KvSessionClient session_;
+    net::ClientReplyMsg::Status lastStatus_ =
+        net::ClientReplyMsg::Status::Ok;
 };
 
 } // namespace hermes::app

@@ -295,9 +295,9 @@ LockstepReplica::onViewChange(const membership::MembershipView &view)
     if (view.epoch <= view_.epoch)
         return;
     view_ = view;
-    // Simplified view change (see DESIGN.md): undelivered rounds are
-    // dropped; submitters' callbacks for lost entries never fire, as this
-    // baseline is only evaluated failure-free (Figure 8).
+    // Simplified view change: undelivered rounds are dropped and
+    // submitters' callbacks for lost entries never fire. That suffices
+    // because this baseline is only evaluated failure-free (Figure 8).
     rounds_.clear();
     roundInFlight_ = false;
     tryDeliver();

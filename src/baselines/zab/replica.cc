@@ -305,9 +305,9 @@ ZabReplica::onViewChange(const membership::MembershipView &view)
     if (!view_.isLive(env_.self()))
         return;
     if (isLeader() && !was_leader) {
-        // Simplified recovery (the full ZAB synchronization phase is out
-        // of scope, see DESIGN.md): the new leader re-proposes its
-        // unapplied log suffix so in-flight writes still commit.
+        // Simplified recovery: the full ZAB synchronization phase is not
+        // implemented. The new leader re-proposes its unapplied log
+        // suffix so in-flight writes still commit.
         nextZxid_ = std::max(nextZxid_, commitBound_);
         for (auto &[zxid, entry] : log_) {
             if (zxid > lastApplied_) {

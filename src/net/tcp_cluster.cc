@@ -5,13 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -199,6 +195,10 @@ class TcpCluster::NodeLoop
         if (pipe(wakePipe_) != 0)
             fatal("pipe() failed: %s", strerror(errno));
         setNonBlocking(wakePipe_[0]);
+        epollFd_ = epoll_create1(0);
+        if (epollFd_ < 0)
+            fatal("epoll_create1() failed: %s", strerror(errno));
+        watch(wakePipe_[0], EPOLLIN);
     }
 
     ~NodeLoop()
@@ -207,8 +207,7 @@ class TcpCluster::NodeLoop
         close(wakePipe_[1]);
         if (listenFd_ >= 0)
             close(listenFd_);
-        if (epollFd_ >= 0)
-            close(epollFd_);
+        close(epollFd_);
         for (auto &kv : conns_)
             close(kv.second.fd);
     }
@@ -281,6 +280,7 @@ class TcpCluster::NodeLoop
         if (listen(listenFd_, 1024) != 0)
             fatal("listen() failed: %s", strerror(errno));
         setNonBlocking(listenFd_);
+        watch(listenFd_, EPOLLIN);
     }
 
     uint16_t port() const { return config_.basePort + id_; }
@@ -314,11 +314,11 @@ class TcpCluster::NodeLoop
     /**
      * Bring a crashed loop back up. The listener is still bound (run()'s
      * exit path deliberately keeps it) and the epoll instance — with the
-     * wake pipe and listener registrations — survives too, so the new
-     * thread only re-dials the mesh. Timers registered between the join
-     * and this call (the replacement replica's constructor arms its
-     * heartbeats through the loop Env) are kept: stopThread() already
-     * scrubbed everything older.
+     * wake pipe and listener registrations — lives as long as the loop,
+     * so the new thread only re-dials the mesh. Timers registered
+     * between the join and this call (the replacement replica's
+     * constructor arms its heartbeats through the loop Env) are kept:
+     * stopThread() already scrubbed everything older.
      */
     void
     restartThread()
@@ -342,10 +342,7 @@ class TcpCluster::NodeLoop
     {
         if (listenFd_ < 0)
             return;
-#ifdef __linux__
-        if (epollFd_ >= 0)
-            epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
-#endif
+        epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
         close(listenFd_);
         listenFd_ = -1;
     }
@@ -468,39 +465,41 @@ class TcpCluster::NodeLoop
         uint32_t inflight = 0;
         uint32_t sessionCredits = 0;        // granted window (0 = none)
         bool paused = false;                // not reading: over window
-        uint32_t armedEvents = 0;           // epoll: currently-registered
+        uint32_t armedEvents = 0;           // currently-registered events
     };
 
     /** Events this connection should be watched for right now. */
-    uint32_t
-    wantedEvents(const Conn &conn) const
+    static uint32_t
+    wantedEvents(const Conn &conn)
     {
-        uint32_t events = conn.paused ? 0 : POLLIN;
+        uint32_t events = conn.paused ? 0u : EPOLLIN;
         if (!conn.tx.empty())
-            events |= POLLOUT;
+            events |= EPOLLOUT;
         return events;
     }
 
-    /** Re-arm the epoll registration if interest changed (no-op on the
-     *  poll backend, which rebuilds its pollfd set every iteration). */
+    /** Register @p fd with the epoll instance for @p events. */
+    void
+    watch(int fd, uint32_t events)
+    {
+        epoll_event ev{};
+        ev.events = events;
+        ev.data.fd = fd;
+        epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
+    }
+
+    /** Re-arm the epoll registration if interest changed. */
     void
     syncInterest(Conn &conn)
     {
-#ifdef __linux__
-        if (epollFd_ < 0)
-            return;
         uint32_t wanted = wantedEvents(conn);
         if (wanted == conn.armedEvents)
             return;
         epoll_event ev{};
-        ev.events = (wanted & POLLIN ? EPOLLIN : 0u)
-                    | (wanted & POLLOUT ? EPOLLOUT : 0u);
+        ev.events = wanted;
         ev.data.fd = conn.fd;
         epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev);
         conn.armedEvents = wanted;
-#else
-        (void)conn;
-#endif
     }
 
     void
@@ -592,7 +591,7 @@ class TcpCluster::NodeLoop
                 leStore32(hello, kHelloMagic);
                 leStore32(hello + 4, kHelloPeer);
                 leStore32(hello + 8, id_);
-                if (write(fd, hello, sizeof(hello)) !=
+                if (send(fd, hello, sizeof(hello), MSG_NOSIGNAL) !=
                         static_cast<ssize_t>(sizeof(hello))) {
                     close(fd);
                     continue;
@@ -613,18 +612,8 @@ class TcpCluster::NodeLoop
     {
         int fd = conn.fd;
         Conn &slot = conns_[fd] = std::move(conn);
-#ifdef __linux__
-        if (epollFd_ >= 0) {
-            slot.armedEvents = wantedEvents(slot);
-            epoll_event ev{};
-            ev.events = (slot.armedEvents & POLLIN ? EPOLLIN : 0u)
-                        | (slot.armedEvents & POLLOUT ? EPOLLOUT : 0u);
-            ev.data.fd = fd;
-            epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-        }
-#else
-        (void)slot;
-#endif
+        slot.armedEvents = wantedEvents(slot);
+        watch(fd, slot.armedEvents);
     }
 
     void
@@ -807,7 +796,13 @@ class TcpCluster::NodeLoop
             total += 4 + msg_len;
         }
 
-        ssize_t n = writev(conn.fd, iov.data(), static_cast<int>(iov.size()));
+        // sendmsg, not writev: MSG_NOSIGNAL makes a peer that closed
+        // underneath us an EPIPE for the read path to reap, not a
+        // process-killing SIGPIPE.
+        msghdr hdr{};
+        hdr.msg_iov = iov.data();
+        hdr.msg_iovlen = iov.size();
+        ssize_t n = sendmsg(conn.fd, &hdr, MSG_NOSIGNAL);
         if (n < 0) {
             // Keep the frame queued on any failure (EAGAIN, EINTR, ...):
             // poll retries it once writable, and a genuinely broken
@@ -838,11 +833,12 @@ class TcpCluster::NodeLoop
     tryWrite(Conn &conn)
     {
         while (!conn.tx.empty()) {
-            ssize_t n = write(conn.fd, conn.tx.data(), conn.tx.size());
+            ssize_t n = send(conn.fd, conn.tx.data(), conn.tx.size(),
+                             MSG_NOSIGNAL);
             if (n > 0) {
                 conn.tx.erase(conn.tx.begin(), conn.tx.begin() + n);
             } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                break; // poll/epoll will tell us when writable
+                break; // epoll will tell us when writable
             } else {
                 break; // error path: closed on next read
             }
@@ -1047,16 +1043,15 @@ class TcpCluster::NodeLoop
     // ---- main loop ----
 
     /**
-     * epoll backend: one O(ready) wait instead of rebuilding an O(n)
-     * pollfd array per iteration — the difference between serving tens
-     * and thousands of client sessions per replica. Interest is kept in
-     * sync incrementally (registerConn / syncInterest); a paused
-     * session simply has EPOLLIN disarmed.
+     * One O(ready) epoll wait instead of rebuilding an O(n) pollfd array
+     * per iteration — the difference between serving tens and thousands
+     * of client sessions per replica. Interest is kept in sync
+     * incrementally (registerConn / syncInterest); a paused session
+     * simply has EPOLLIN disarmed. @return false on a fatal wait error.
      */
     bool
-    dispatchEpoll()
+    dispatch()
     {
-#ifdef __linux__
         epoll_event events[256];
         int rc = epoll_wait(epollFd_, events, 256, pollTimeoutMs());
         if (rc < 0)
@@ -1078,65 +1073,11 @@ class TcpCluster::NodeLoop
             }
         }
         return true;
-#else
-        return false;
-#endif
-    }
-
-    /** poll() backend: the portability fallback (TcpConfig::useEpoll =
-     *  false, and all non-Linux builds). O(connections) per iteration. */
-    bool
-    dispatchPoll()
-    {
-        std::vector<pollfd> pfds;
-        pfds.push_back({wakePipe_[0], POLLIN, 0});
-        pfds.push_back({listenFd_, POLLIN, 0});
-        std::vector<int> fdOf;
-        for (auto &kv : conns_) {
-            short events = kv.second.paused ? 0 : POLLIN;
-            if (!kv.second.tx.empty())
-                events |= POLLOUT;
-            pfds.push_back({kv.first, events, 0});
-            fdOf.push_back(kv.first);
-        }
-        int rc = poll(pfds.data(), pfds.size(), pollTimeoutMs());
-        if (rc < 0 && errno != EINTR)
-            return false;
-
-        if (pfds[0].revents & POLLIN) {
-            uint8_t drain[256];
-            while (read(wakePipe_[0], drain, sizeof(drain)) > 0) {}
-        }
-        if (pfds[1].revents & POLLIN)
-            acceptNew();
-        for (size_t i = 2; i < pfds.size(); ++i) {
-            int fd = fdOf[i - 2];
-            if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
-                handleReadable(fd);
-            if (conns_.count(fd) && (pfds[i].revents & POLLOUT))
-                tryWrite(conns_[fd]);
-        }
-        return true;
     }
 
     void
     run()
     {
-#ifdef __linux__
-        // On a restart the epoll instance (wake pipe + listener already
-        // registered) survives from the previous life: reuse it.
-        if (config_.useEpoll && epollFd_ < 0) {
-            epollFd_ = epoll_create1(0);
-            if (epollFd_ >= 0) {
-                epoll_event ev{};
-                ev.events = EPOLLIN;
-                ev.data.fd = wakePipe_[0];
-                epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakePipe_[0], &ev);
-                ev.data.fd = listenFd_;
-                epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev);
-            }
-        }
-#endif
         establishMesh();
         if (stop_.load())
             return;
@@ -1146,8 +1087,7 @@ class TcpCluster::NodeLoop
         flushStaged();
 
         while (!stop_.load()) {
-            bool ok = epollFd_ >= 0 ? dispatchEpoll() : dispatchPoll();
-            if (!ok)
+            if (!dispatch())
                 break;
 
             // Injected cross-thread calls.
@@ -1197,7 +1137,7 @@ class TcpCluster::NodeLoop
     LoopEnv env_;
 
     int listenFd_ = -1;
-    int epollFd_ = -1; // -1: poll() backend
+    int epollFd_ = -1;
     int wakePipe_[2] = {-1, -1};
     std::thread thread_;
     std::atomic<bool> stop_{false};
@@ -1417,7 +1357,7 @@ TcpClient::TcpClient(uint16_t port, int connect_attempts,
             leStore32(hello, kHelloMagic);
             leStore32(hello + 4, kHelloClient);
             leStore32(hello + 8, session_credits);
-            if (write(fd, hello, sizeof(hello)) ==
+            if (send(fd, hello, sizeof(hello), MSG_NOSIGNAL) ==
                     static_cast<ssize_t>(sizeof(hello))) {
                 fd_ = fd;
                 return;
@@ -1452,8 +1392,8 @@ TcpClient::call(const Message &request, DurationNs timeout,
     encodeBatchFrame(batch, frame);
     size_t written = 0;
     while (written < frame.size()) {
-        ssize_t n = write(fd_, frame.data() + written,
-                          frame.size() - written);
+        ssize_t n = send(fd_, frame.data() + written,
+                         frame.size() - written, MSG_NOSIGNAL);
         if (n <= 0)
             return nullptr;
         written += n;

@@ -20,8 +20,8 @@
  *    (values above kZeroCopyThreshold are never copied between the
  *    socket and the KVS entry).
  *
- * Each node runs one event-loop thread (poll + timer heap + an injection
- * queue for cross-thread calls). External clients connect to any node's
+ * Each node runs one event-loop thread (epoll + timer heap + an
+ * injection queue for cross-thread calls). External clients connect to any node's
  * port and speak the same framing with a client hello.
  */
 
@@ -113,14 +113,6 @@ struct TcpConfig
      * its partner's window.
      */
     uint32_t creditReturnBatch = 64;
-    /**
-     * Event-loop backend: epoll (Linux) when true, O(n) poll() when
-     * false. poll() is the portability fallback and is what non-Linux
-     * builds always use; epoll is what lets one replica loop multiplex
-     * thousands of client sessions without rebuilding a pollfd array
-     * per iteration.
-     */
-    bool useEpoll = true;
     /**
      * Per-client-session credit window: the most requests a session may
      * have in flight (received and not yet replied to) before the
@@ -262,9 +254,10 @@ class TcpCluster
 };
 
 /**
- * Blocking client for the TCP deployment: connects to one replica and
- * issues reads/writes/RMWs over the ClientRequest/ClientReply framing.
- * Used by the tcp_cluster example and the integration tests.
+ * Raw blocking connection to one replica: sends whatever message it is
+ * handed over the client framing and waits for a reply. No routing and
+ * no request stamping — tests use it to send hand-stamped frames;
+ * applications use app::KvClient / app::KvSessionClient.
  */
 class TcpClient
 {
@@ -274,14 +267,12 @@ class TcpClient
      *
      * @param connect_attempts dial retries (DialBackoff-paced: jittered
      *        exponential, ~5 ms first gap, capped) before giving up.
-     *        The default rides out a service that is still binding;
-     *        re-route dials against an address-map entry use a small
-     *        count so a crashed shard fails fast instead of stalling the
-     *        client for seconds.
+     *        The default rides out a service that is still binding; a
+     *        small count makes a refused port fail fast.
      * @param session_credits credit window requested in the hello
-     *        (0 = accept the server's default). A synchronous client
-     *        has at most one request in flight, so the default is
-     *        always enough; pipelined sessions negotiate for real.
+     *        (0 = accept the server's default). A blocking client has
+     *        at most one request in flight, so the default is always
+     *        enough.
      */
     explicit TcpClient(uint16_t port, int connect_attempts = 100,
                        uint32_t session_credits = 0);

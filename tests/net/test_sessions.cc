@@ -5,8 +5,9 @@
  * per in-flight op) against the epoll-multiplexed replicas, per-session
  * credit windows negotiated at HELLO and ENFORCED server-side (an
  * over-limit session's socket stops being read until replies drain),
- * the poll() portability fallback, the poll-boundary peer-credit flush,
- * and a 1000-session deployment-wide run — mixed ops, one shard crashed
+ * the poll-boundary peer-credit flush, the reroute loop's dead ends
+ * (a drained shard, a key no advertised address owns), and a
+ * 1000-session deployment-wide run — mixed ops, one shard crashed
  * mid-run — whose shard-tagged history passes the linearizability
  * checker.
  */
@@ -115,33 +116,6 @@ TEST(Sessions, PipelinedOpsCompleteByToken)
     EXPECT_EQ(session.inflight(), 0u);
 }
 
-TEST(Sessions, PollFallbackServesSessions)
-{
-    // The same pipelined traffic over the portability backend: epoll
-    // off, the O(n) poll() loop must honor pause/resume identically.
-    net::TcpConfig config;
-    config.basePort = kBasePort + 16;
-    config.useEpoll = false;
-    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
-    service.start();
-
-    KvSessionClient session(service.portOf(1));
-    ASSERT_TRUE(session.connected());
-    std::vector<uint64_t> tokens;
-    for (int i = 0; i < 200; ++i)
-        tokens.push_back(session.writeAsync(1 + i % 7,
-                                            "p" + std::to_string(i)));
-    for (uint64_t token : tokens) {
-        auto result = session.wait(token);
-        ASSERT_TRUE(result.has_value());
-        EXPECT_TRUE(result->completed);
-        EXPECT_EQ(result->status, net::ClientReplyMsg::Status::Ok);
-    }
-    auto got = session.wait(session.readAsync(3));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->value, "p198");
-}
-
 TEST(Sessions, ServerStopsReadingOverLimitSession)
 {
     // Credit enforcement is the SERVER's: grant a tiny window (8), then
@@ -204,6 +178,87 @@ TEST(Sessions, CreditReturnsFlushOnQuietLinks)
     EXPECT_GT(net::TcpCluster::creditReturnsFlushed(), 0u)
         << "quiet links returned credits some other way than the "
            "poll-boundary flush this test pins down";
+}
+
+/** First key (from 1) owned by @p shard under an S-way map. */
+Key
+keyOwnedBy(uint32_t shard, size_t shards)
+{
+    for (Key k = 1;; ++k) {
+        if (app::shardOfKey(k, shards) == shard)
+            return k;
+    }
+}
+
+TEST(Sessions, HeldDownShardEndsWrongShardAfterOneDialRound)
+{
+    // A drained shard refuses every dial. One op toward it must try each
+    // advertised replica once (a few paced attempts apiece), fall back
+    // to the seed, and end WrongShard on the seed's rejection — the
+    // reply teaches nothing new, so re-dialing the same dead addresses
+    // for the rest of the attempt budget cannot converge.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 80;
+    const size_t kShards = 2;
+    ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
+                                    tcpOptions(), config);
+    deployment.start();
+
+    KvSessionClient session(deployment.portOf(0, 0));
+    ASSERT_TRUE(session.connected());
+    session.awaitHello();
+    for (uint32_t s = 0; s < kShards; ++s) {
+        auto up = session.wait(session.writeAsync(keyOwnedBy(s, kShards),
+                                                  "up"));
+        ASSERT_TRUE(up && up->completed);
+    }
+
+    deployment.shard(1).drain();
+
+    // The first op finds the cached socket dead; the next must redial.
+    Key dead_key = keyOwnedBy(1, kShards);
+    session.wait(session.writeAsync(dead_key, "down", 500_ms));
+
+    net::DialBackoff::resetDialAttempts();
+    TimeNs start = wallNowNs();
+    auto result = session.wait(session.writeAsync(dead_key, "still-down",
+                                                  500_ms));
+    TimeNs elapsed = wallNowNs() - start;
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->status, net::ClientReplyMsg::Status::WrongShard);
+    EXPECT_GT(net::DialBackoff::dialAttempts(), 0u);
+    EXPECT_LE(net::DialBackoff::dialAttempts(), 12u);
+    EXPECT_LT(elapsed, 2_s);
+
+    auto live = session.wait(session.readAsync(keyOwnedBy(0, kShards)));
+    ASSERT_TRUE(live && live->completed);
+    EXPECT_EQ(live->value, "up");
+}
+
+TEST(Sessions, ForeignKeyOnStandaloneGroupEndsWrongShard)
+{
+    // A standalone group of a 4-shard deployment advertises only its own
+    // address: a key owned by another shard has nowhere to go, so the op
+    // completes WrongShard at once rather than burning its attempts.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 96;
+    const size_t kShards = 4;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
+                         kShards, /*shard_id=*/0);
+    service.start();
+
+    KvSessionClient session(service.portOf(0));
+    ASSERT_TRUE(session.connected());
+    auto foreign = session.wait(session.writeAsync(keyOwnedBy(1, kShards),
+                                                   "lost"));
+    ASSERT_TRUE(foreign.has_value());
+    EXPECT_TRUE(foreign->completed);
+    EXPECT_EQ(foreign->status, net::ClientReplyMsg::Status::WrongShard);
+
+    auto owned = session.wait(session.writeAsync(keyOwnedBy(0, kShards),
+                                                 "home"));
+    ASSERT_TRUE(owned.has_value());
+    EXPECT_EQ(owned->status, net::ClientReplyMsg::Status::Ok);
 }
 
 TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)

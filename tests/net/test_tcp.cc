@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
+#include <string>
 #include <thread>
 
 #include "app/cluster.hh"
@@ -352,6 +354,38 @@ TEST(TcpCluster, PartialWriteBackpressureKeepsFramesByteIdentical)
             }
         }
     }
+}
+
+TEST(TcpCluster, PeerCrashUnderLoadRaisesNoSigpipe)
+{
+    // Regression: a replica crashing while its peers still stream INVs
+    // and ACKs to it turns their next socket write into EPIPE. Without
+    // MSG_NOSIGNAL on every write, that write also raises SIGPIPE, whose
+    // default action kills the whole process — every replica and client
+    // in it. The race needs data in flight at the crash, so run it a
+    // number of rounds under a pipelined write load.
+    auto previous = std::signal(SIGPIPE, SIG_DFL);
+    const std::string value(200, 'p');
+    constexpr int kRounds = 20;
+    constexpr int kOps = 2000;
+    for (int round = 0; round < kRounds; ++round) {
+        net::TcpConfig config;
+        config.basePort =
+            static_cast<uint16_t>(freeBasePort(11) + 3 * round);
+        TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+        service.start();
+
+        app::KvSessionClient session(service.portOf(0));
+        ASSERT_TRUE(session.connected());
+        for (int i = 0; i < kOps; ++i) {
+            if (i == kOps / 2)
+                service.crash(2);
+            session.writeAsync(1 + i % 64, value, 300_ms);
+            session.progress();
+        }
+        session.waitAll();
+    }
+    std::signal(SIGPIPE, previous);
 }
 
 TEST(TcpCluster, SurvivesFollowerKill)

@@ -34,8 +34,9 @@ using app::ShardedTcpDeployment;
 using app::TcpKvService;
 
 // Port lane: clear of test_tcp (21000+), test_zero_copy (21320),
-// test_sessions / test_sharded_tcp (23000+).
-constexpr uint16_t kBasePort = 24000;
+// test_sharded_tcp (23000+), test_sessions (24000+) and
+// test_elastic_tcp (25000+).
+constexpr uint16_t kBasePort = 22000;
 
 ReplicaOptions
 tcpOptions()
