@@ -8,7 +8,8 @@ namespace hermes::app
 using membership::MembershipView;
 
 ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
-                             MembershipView initial)
+                             MembershipView initial,
+                             std::optional<uint8_t> wal_restore_state)
     : env_(env), store_(options.storeCapacity, options.maxValueSize)
 {
     // The protocol engine's data path coalesces per peer; the RM agent
@@ -17,9 +18,10 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
     if (options.batch.enabled())
         batcher_ = std::make_unique<net::Batcher>(env, options.batch);
     if (!options.wal.path.empty()) {
-        // Opens + recovers the log; the concrete handle replays the
-        // recovered records (replayWal) once its engine exists.
-        wal_ = std::make_unique<store::Wal>(options.wal);
+        if (wal_restore_state)
+            openAndReplayWal(options, *wal_restore_state);
+        else
+            wal_ = std::make_unique<store::Wal>(options.wal);
         wal_->setChargeFn([this](DurationNs ns) { env_.chargeCpu(ns); });
         store_.setWal(wal_.get());
         // Poll-boundary ordering: WAL group commit BEFORE the batcher's
@@ -34,7 +36,6 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
                 batcher_->flush();
         });
     }
-    walOwnedFilter_ = options.walRecoveryOwned;
     if (options.enableRm)
         rm_ = std::make_unique<membership::RmNode>(env, std::move(initial),
                                                    options.rmConfig);
@@ -51,38 +52,37 @@ ReplicaHandle::~ReplicaHandle()
 }
 
 void
-ReplicaHandle::replayWal(uint8_t restore_state)
+ReplicaHandle::openAndReplayWal(const ReplicaOptions &options,
+                                uint8_t restore_state)
 {
-    if (!wal_)
-        return;
-    if (wal_->recovered().empty()) {
-        wal_->clearRecovered();
-        return;
-    }
     // Arm the per-key recovery locks: withKey() serializes every live
     // mutation of a replaying key against the replay's read-compare-
     // apply below until recovery disarms them.
-    store_.setRecoveryLocks(&recoveryLocks_);
-    for (const store::WalRecord &rec : wal_->recovered()) {
-        // Elastic sharding: skip records for keys whose slot has moved
-        // to another shard since the record was appended (the record's
-        // mapEpoch predates the cutover). The destination owns the
-        // authoritative copy now — resurrecting ours would fork it.
-        if (walOwnedFilter_ && !walOwnedFilter_(rec.key))
-            continue;
-        store_.withKey(rec.key, [&](store::KeyRecord &krec) {
-            // Newest wins: records replay in append order, and a live
-            // INV that raced ahead of the replay must not regress.
-            if (rec.ts > krec.meta().ts) {
-                krec.meta().ts = rec.ts;
-                krec.meta().flags = rec.flags;
-                krec.meta().state = restore_state;
-                krec.setValue(rec.value);
-            }
+    store::KeyLockTable recovery_locks;
+    store_.setRecoveryLocks(&recovery_locks);
+    const std::function<bool(Key)> &owned = options.walRecoveryOwned;
+    wal_ = std::make_unique<store::Wal>(
+        options.wal, [&](const store::WalRecordView &rec) {
+            // Elastic sharding: skip records for keys whose slot has
+            // moved to another shard since the record was appended (the
+            // record's mapEpoch predates the cutover). The destination
+            // owns the authoritative copy now — resurrecting ours would
+            // fork it.
+            if (owned && !owned(rec.key))
+                return;
+            store_.withKey(rec.key, [&](store::KeyRecord &krec) {
+                // Newest wins: records replay in append order, and a
+                // live INV that raced ahead of the replay must not
+                // regress.
+                if (rec.ts > krec.meta().ts) {
+                    krec.meta().ts = rec.ts;
+                    krec.meta().flags = rec.flags;
+                    krec.meta().state = restore_state;
+                    krec.setValue(rec.value);
+                }
+            });
         });
-    }
     store_.setRecoveryLocks(nullptr);
-    wal_->clearRecovered();
 }
 
 bool
@@ -138,8 +138,9 @@ class HandleBase : public ReplicaHandle
 {
   public:
     HandleBase(net::Env &env, const ReplicaOptions &options,
-               MembershipView initial)
-        : ReplicaHandle(env, options, initial)
+               MembershipView initial,
+               std::optional<uint8_t> wal_restore_state = std::nullopt)
+        : ReplicaHandle(env, options, initial, wal_restore_state)
     {}
 
     void
@@ -171,18 +172,22 @@ class HandleBase : public ReplicaHandle
 class HermesHandle : public HandleBase<proto::HermesReplica>
 {
   public:
+    /**
+     * Crash recovery: surviving log records restore as Invalid — a
+     * logged write was not necessarily committed, so the value must not
+     * serve reads until the §3.4 replay or the rejoin's state transfer
+     * re-establishes it as Valid. Both heal with the ORIGINAL timestamp,
+     * so no acknowledged write is reordered. The base replays before the
+     * engine exists, which is safe: the HermesReplica constructor never
+     * touches the store.
+     */
     HermesHandle(net::Env &env, MembershipView initial,
                  const ReplicaOptions &options)
-        : HandleBase(env, options, initial)
+        : HandleBase(env, options, initial,
+                     static_cast<uint8_t>(proto::KeyState::Invalid))
     {
         engine_ = std::make_unique<proto::HermesReplica>(
             protoEnv(), store_, initial, options.hermesConfig);
-        // Crash recovery: surviving log records restore as Invalid — a
-        // logged write was not necessarily committed, so the value must
-        // not serve reads until the §3.4 replay or the rejoin's state
-        // transfer re-establishes it as Valid. Both heal with the
-        // ORIGINAL timestamp, so no acknowledged write is reordered.
-        replayWal(static_cast<uint8_t>(proto::KeyState::Invalid));
         if (rm_) {
             engine_->setOperationalCheck(
                 [rm = rm_.get()] { return rm->operational(); });
@@ -232,12 +237,6 @@ class CraqHandle : public HandleBase<craq::CraqReplica>
     {
         engine_ = std::make_unique<craq::CraqReplica>(protoEnv(), store_,
                                                       initial);
-        // Durability-cost sweeps only: the baselines append to the WAL
-        // at their apply sites but have no crash-restart choreography
-        // wired (recovery is the Hermes path); drop any recovered
-        // records instead of replaying protocol state we cannot honor.
-        if (wal_)
-            wal_->clearRecovered();
     }
 
     void
@@ -276,12 +275,6 @@ class ZabHandle : public HandleBase<zab::ZabReplica>
     {
         engine_ = std::make_unique<zab::ZabReplica>(protoEnv(), store_,
                                                     initial);
-        // Durability-cost sweeps only: the baselines append to the WAL
-        // at their apply sites but have no crash-restart choreography
-        // wired (recovery is the Hermes path); drop any recovered
-        // records instead of replaying protocol state we cannot honor.
-        if (wal_)
-            wal_->clearRecovered();
     }
 
     void
@@ -320,12 +313,6 @@ class LockstepHandle : public HandleBase<lockstep::LockstepReplica>
     {
         engine_ = std::make_unique<lockstep::LockstepReplica>(
             protoEnv(), store_, initial, options.lockstepConfig);
-        // Durability-cost sweeps only: the baselines append to the WAL
-        // at their apply sites but have no crash-restart choreography
-        // wired (recovery is the Hermes path); drop any recovered
-        // records instead of replaying protocol state we cannot honor.
-        if (wal_)
-            wal_->clearRecovered();
     }
 
     void

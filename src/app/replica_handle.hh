@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "app/protocols.hh"
 #include "baselines/craq/replica.hh"
@@ -50,17 +51,18 @@ struct ReplicaOptions
     /**
      * Write-ahead log (store/wal.hh). An empty path = no durability (the
      * default, matching the paper's in-memory Hermes). With a path set,
-     * the handle opens/recovers the log at construction, replays
-     * surviving records into the KVS before the engine serves anything
-     * (Hermes: restored Invalid, healed via replay/state transfer), and
-     * group-commits at the Env's poll-boundary flush — WAL before
-     * batcher, so a record is durable before the ACK/reply staged in the
-     * same window leaves the node.
+     * the handle opens the log at construction, replays surviving
+     * records into the KVS as the scan streams them, before the engine
+     * serves anything (Hermes: restored Invalid, healed via replay/state
+     * transfer; the baselines only append, for durability-cost sweeps,
+     * and do not replay), and group-commits at the Env's poll-boundary
+     * flush — WAL before batcher, so a record is durable before the
+     * ACK/reply staged in the same window leaves the node.
      */
     store::WalConfig wal{};
     /**
      * Elastic-sharding recovery filter: when set, WAL records whose key
-     * this predicate rejects are skipped during replayWal(). A replica
+     * this predicate rejects are skipped during the WAL replay. A replica
      * restarting after a migration cutover holds log records for slots
      * its shard no longer owns; replaying them would resurrect ownership
      * the slot map took away, so the deployment wires this to "is the
@@ -128,8 +130,16 @@ class ReplicaHandle : public net::Node
                             uint8_t flags);
 
   protected:
+    /**
+     * With options.wal set, opens the log; @p wal_restore_state, when
+     * set, also replays every surviving record into the KVS with that
+     * protocol state byte (see openAndReplayWal). Unset = the log is
+     * only appended to: the baselines have no crash-restart
+     * choreography, so replaying state they cannot honor is wrong.
+     */
     ReplicaHandle(net::Env &env, const ReplicaOptions &options,
-                  membership::MembershipView initial);
+                  membership::MembershipView initial,
+                  std::optional<uint8_t> wal_restore_state);
 
     /** Route one message to RM or the protocol engine. */
     bool routeRm(const net::MessagePtr &msg);
@@ -137,23 +147,24 @@ class ReplicaHandle : public net::Node
     /** The Env the protocol engine sends on (batched when configured). */
     net::Env &protoEnv() { return batcher_ ? *batcher_ : env_; }
 
-    /**
-     * Replay the WAL's recovered records into the KVS (no-op without a
-     * WAL), restoring each surviving key's value/timestamp with protocol
-     * state byte @p restore_state, newest timestamp wins. Runs with the
-     * per-key recovery lock table armed, so a concurrently delivered
-     * INV/write for the same key serializes against the replay instead
-     * of interleaving with it. Called from the concrete handle's ctor.
-     */
-    void replayWal(uint8_t restore_state);
-
     net::Env &env_;
     store::KvStore store_;
     std::unique_ptr<store::Wal> wal_;       ///< outlives batcher_'s dtor
     std::unique_ptr<net::Batcher> batcher_; ///< before rm_: RM stays raw
     std::unique_ptr<membership::RmNode> rm_;
-    store::KeyLockTable recoveryLocks_;
-    std::function<bool(Key)> walOwnedFilter_;
+
+  private:
+    /**
+     * Open the WAL and replay each record the scan streams into the KVS
+     * with protocol state byte @p restore_state, newest timestamp wins,
+     * skipping keys options.walRecoveryOwned rejects. One pass over the
+     * file; memory is the scan's read buffer plus one record. Runs with
+     * a per-key recovery lock table armed, so a concurrently delivered
+     * INV/write for the same key serializes against the replay instead
+     * of interleaving with it.
+     */
+    void openAndReplayWal(const ReplicaOptions &options,
+                          uint8_t restore_state);
 };
 
 /** Build the replica assembly for @p protocol on @p env. */

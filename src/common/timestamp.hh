@@ -16,6 +16,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "common/types.hh"
@@ -67,7 +68,13 @@ struct Timestamp
     std::string
     toString() const
     {
-        return "[" + std::to_string(version) + "," + std::to_string(cid) + "]";
+        // snprintf, not a `"[" + std::to_string(...)` chain: GCC 12 -O3
+        // reports a false -Werror=restrict inside that operator+ chain.
+        char buf[sizeof("[4294967295,4294967295]")];
+        int len = std::snprintf(buf, sizeof(buf), "[%u,%u]",
+                                static_cast<unsigned>(version),
+                                static_cast<unsigned>(cid));
+        return std::string(buf, static_cast<size_t>(len));
     }
 };
 

@@ -655,6 +655,11 @@ HermesReplica::requestNextChunk()
 void
 HermesReplica::onStateReq(const StateReqMsg &msg)
 {
+    // Same epoch but outside the view: the requester adopted its own
+    // removal and halted, so it can never apply a chunk. Serving it
+    // would re-pin the snapshot the view change just dropped.
+    if (!view_.isLive(msg.src))
+        return;
     auto it = transferSnapshots_.find(msg.src);
     if (msg.offset == 0 || it == transferSnapshots_.end()) {
         // Take (or retake) a snapshot. Non-Valid keys are transferred too
@@ -932,6 +937,11 @@ HermesReplica::onViewChange(const MembershipView &view)
     view_ = view;
     LOG_INFO("node %u adopts view %s", env_.self(),
              view.toString().c_str());
+    // A shadow that crashed or left mid-sync never asks for its final
+    // chunk: its snapshot (a whole-store copy) goes with its membership.
+    std::erase_if(transferSnapshots_, [this](const auto &entry) {
+        return !view_.isLive(entry.first);
+    });
 
     if (!view_.isLive(env_.self())) {
         // Removed from the membership: stop serving (§2.4). Pending and

@@ -141,6 +141,8 @@ class HermesReplica : public net::Node
     size_t pendingUpdates() const { return pending_.size(); }
     size_t stalledRequests() const { return stalledCount_; }
     bool halted() const { return halted_; }
+    /** Whole-store snapshots this replica holds for shadows it feeds. */
+    size_t transferSnapshots() const { return transferSnapshots_.size(); }
 
   private:
     /** A coordinated update in flight (write, RMW, or replay). */

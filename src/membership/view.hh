@@ -60,10 +60,18 @@ struct MembershipView
     std::string
     toString() const
     {
-        std::string s = "e" + std::to_string(epoch) + "{";
-        for (size_t i = 0; i < live.size(); ++i)
-            s += (i ? "," : "") + std::to_string(live[i]);
-        return s + "}";
+        // Appends only: GCC 12 -O3 reports a false -Werror=restrict
+        // inside `const char * + std::string &&`.
+        std::string s = "e";
+        s += std::to_string(epoch);
+        s += '{';
+        for (size_t i = 0; i < live.size(); ++i) {
+            if (i)
+                s += ',';
+            s += std::to_string(live[i]);
+        }
+        s += '}';
+        return s;
     }
 };
 

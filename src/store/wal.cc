@@ -5,6 +5,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -87,33 +88,51 @@ toString(FsyncPolicy policy)
 // Wal
 // ---------------------------------------------------------------------
 
-Wal::Wal(WalConfig config) : config_(std::move(config))
+Wal::Wal(WalConfig config, const WalVisitor &visit)
+    : config_(std::move(config))
 {
     hermes_assert(!config_.path.empty());
-    ScanResult scanned = scan(config_.path);
-    recovered_ = std::move(scanned.records);
-    stats_.recordsRecovered = recovered_.size();
+    // A crash mid-upgrade leaves the v1 log untouched beside a partial
+    // rewrite: drop the rewrite and redo the upgrade from the log.
+    const std::string upgrade_path = config_.path + ".upgrade";
+    if (::unlink(upgrade_path.c_str()) != 0 && errno != ENOENT)
+        panic("wal: unlink(%s) failed: %s", upgrade_path.c_str(),
+              strerror(errno));
+
+    ScanResult scanned;
+    scanInto(config_.path, [&](const WalRecordView &rec) {
+        if (visit)
+            visit(rec);
+        if (scanned.formatVersion == kFormatVersion)
+            return;
+        // Legacy headerless log: stream its records into a current-
+        // format copy, so the file never mixes record layouts and the
+        // upgrade never holds the log in memory.
+        if (fd_ < 0) {
+            fd_ = ::open(upgrade_path.c_str(),
+                         O_CREAT | O_EXCL | O_RDWR, 0644);
+            if (fd_ < 0)
+                panic("wal: open(%s) failed: %s", upgrade_path.c_str(),
+                      strerror(errno));
+            writeFileHeader();
+        }
+        encodeRecordHeader(rec.shard, rec.key, rec.ts, rec.flags,
+                           rec.mapEpoch, rec.value);
+        frame_.staging.insert(frame_.staging.end(), rec.value.begin(),
+                              rec.value.end());
+        if (frame_.staging.size() >= kScanBufferBytes)
+            writeQueued();
+    }, scanned);
+    stats_.recordsRecovered = scanned.records;
     stats_.tornBytesDiscarded = scanned.tornBytes;
 
-    fd_ = ::open(config_.path.c_str(), O_CREAT | O_RDWR, 0644);
-    if (fd_ < 0)
-        panic("wal: open(%s) failed: %s", config_.path.c_str(),
-              strerror(errno));
     if (scanned.formatVersion < kFormatVersion) {
-        // Legacy headerless log: rewrite it in the current format so the
-        // file never mixes record layouts. The decoded records go back
-        // down fsync'd before this constructor returns — the upgrade
-        // must not weaken their durability.
-        if (::ftruncate(fd_, 0) != 0)
-            panic("wal: ftruncate(%s) failed: %s", config_.path.c_str(),
-                  strerror(errno));
-        writeFileHeader();
-        for (const WalRecord &rec : recovered_)
-            encodeRecord(rec.shard, rec.key, rec.ts, rec.flags,
-                         rec.mapEpoch, ValueRef::copyOf(rec.value));
-        writeQueued();
-        fsyncNow();
+        commitUpgrade(upgrade_path);
     } else {
+        fd_ = ::open(config_.path.c_str(), O_CREAT | O_RDWR, 0644);
+        if (fd_ < 0)
+            panic("wal: open(%s) failed: %s", config_.path.c_str(),
+                  strerror(errno));
         if (scanned.tornBytes > 0) {
             // Drop the torn tail so the next append starts a well-formed
             // record at the clean prefix instead of gluing onto garbage.
@@ -130,6 +149,31 @@ Wal::Wal(WalConfig config) : config_(std::move(config))
     if (::lseek(fd_, 0, SEEK_END) < 0)
         panic("wal: lseek(%s) failed: %s", config_.path.c_str(),
               strerror(errno));
+}
+
+void
+Wal::commitUpgrade(const std::string &upgrade_path)
+{
+    // The rewritten records must be durable before the rename makes
+    // them the log: the upgrade must not weaken their durability.
+    writeQueued();
+    fsyncNow();
+    if (::rename(upgrade_path.c_str(), config_.path.c_str()) != 0)
+        panic("wal: rename(%s, %s) failed: %s", upgrade_path.c_str(),
+              config_.path.c_str(), strerror(errno));
+    // fd_ now names the log itself. Persist the rename: until the
+    // directory entry is durable, a power loss could bring back the v1
+    // log — harmless, it upgrades again — but never lose both.
+    size_t slash = config_.path.rfind('/');
+    std::string dir = slash == std::string::npos
+                          ? std::string(".")
+                          : config_.path.substr(0, slash + 1);
+    int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dir_fd < 0)
+        panic("wal: open(%s) failed: %s", dir.c_str(), strerror(errno));
+    if (::fsync(dir_fd) != 0)
+        panic("wal: fsync(%s) failed: %s", dir.c_str(), strerror(errno));
+    ::close(dir_fd);
 }
 
 void
@@ -168,15 +212,9 @@ Wal::setChargeFn(std::function<void(DurationNs)> fn)
 }
 
 void
-Wal::clearRecovered()
-{
-    recovered_.clear();
-    recovered_.shrink_to_fit();
-}
-
-void
-Wal::encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
-                  uint32_t map_epoch, const ValueRef &value)
+Wal::encodeRecordHeader(uint32_t shard, Key key, Timestamp ts,
+                        uint8_t flags, uint32_t map_epoch,
+                        std::string_view value)
 {
     uint8_t payload_header[kPayloadHeaderBytes];
     leStore32(payload_header, shard);
@@ -199,23 +237,22 @@ Wal::encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
     leStore32(frame_.staging.data() + base + 4, crc);
     std::memcpy(frame_.staging.data() + base + kFrameHeaderBytes,
                 payload_header, sizeof(payload_header));
-    if (!value.empty()) {
-        if (value.size() > kZeroCopyThreshold) {
-            // The ValueRef is immutable and refcounted: holding it until
-            // the group-commit writev costs a refcount, not a copy.
-            frame_.segments.push_back({frame_.staging.size(), value});
-        } else {
-            frame_.staging.insert(frame_.staging.end(), value.data(),
-                                  value.data() + value.size());
-        }
-    }
 }
 
 void
 Wal::append(Key key, Timestamp ts, uint8_t flags, const ValueRef &value)
 {
     hermes_assert(fd_ >= 0);
-    encodeRecord(config_.shard, key, ts, flags, mapEpoch_, value);
+    encodeRecordHeader(config_.shard, key, ts, flags, mapEpoch_,
+                       value.view());
+    if (value.size() > kZeroCopyThreshold) {
+        // The ValueRef is immutable and refcounted: holding it until
+        // the group-commit writev costs a refcount, not a copy.
+        frame_.segments.push_back({frame_.staging.size(), value});
+    } else if (!value.empty()) {
+        frame_.staging.insert(frame_.staging.end(), value.data(),
+                              value.data() + value.size());
+    }
 
     size_t record_bytes =
         kFrameHeaderBytes + kPayloadHeaderBytes + value.size();
@@ -296,36 +333,98 @@ Wal::fsyncNow()
         chargeFn_(config_.fsyncNs);
 }
 
-Wal::ScanResult
-Wal::scan(const std::string &path)
+namespace
 {
-    ScanResult out;
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return out; // first boot: no log yet
-    std::vector<uint8_t> buf;
+
+/**
+ * Front-to-back reader over a log file through one reusable buffer.
+ * window() hands out contiguous byte ranges by absolute file offset;
+ * each call may discard everything before its offset, so at most one
+ * record (or kScanBufferBytes, whichever is larger) is ever resident.
+ */
+class LogReader
+{
+  public:
+    explicit LogReader(int fd) : fd_(fd), buf_(Wal::kScanBufferBytes)
     {
         struct stat st{};
-        if (::fstat(fd, &st) == 0 && st.st_size > 0)
-            buf.reserve(static_cast<size_t>(st.st_size));
+        if (::fstat(fd, &st) == 0)
+            size_ = static_cast<size_t>(st.st_size);
     }
-    uint8_t chunk[1 << 16];
-    for (;;) {
-        ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // unreadable tail: treat everything after as torn
-        }
-        if (n == 0)
-            break;
-        buf.insert(buf.end(), chunk, chunk + n);
-    }
-    ::close(fd);
 
-    const size_t total = buf.size();
-    if (total == 0)
-        return out; // empty log: nothing durable yet
+    /** File length: the stat size, or where reading actually ended. */
+    size_t size() const { return size_; }
+
+    /**
+     * @p len bytes at file offset @p off (at or past every earlier
+     * window's offset), contiguous in the buffer; nullptr if the file
+     * ends first. Invalidates every earlier window.
+     */
+    const uint8_t *
+    window(size_t off, size_t len)
+    {
+        hermes_assert(off >= base_ && off - base_ <= filled_);
+        size_t skip = off - base_;
+        if (filled_ - skip >= len)
+            return buf_.data() + skip;
+        // Slide the unconsumed bytes to the front, grow only for a
+        // record larger than the buffer, and refill behind them.
+        std::memmove(buf_.data(), buf_.data() + skip, filled_ - skip);
+        filled_ -= skip;
+        base_ = off;
+        if (len > buf_.size())
+            buf_.resize(len);
+        while (filled_ < len && !eof_) {
+            ssize_t n = ::read(fd_, buf_.data() + filled_,
+                               buf_.size() - filled_);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0) {
+                // End of file — or an unreadable tail, which recovery
+                // treats the same way: everything after it is torn.
+                eof_ = true;
+                size_ = base_ + filled_;
+                break;
+            }
+            filled_ += static_cast<size_t>(n);
+            size_ = std::max(size_, base_ + filled_);
+        }
+        return filled_ >= len ? buf_.data() : nullptr;
+    }
+
+  private:
+    int fd_;
+    std::vector<uint8_t> buf_;
+    size_t base_ = 0;   ///< file offset of buf_[0]
+    size_t filled_ = 0; ///< valid bytes in buf_
+    size_t size_ = 0;
+    bool eof_ = false;
+};
+
+} // namespace
+
+Wal::ScanResult
+Wal::scan(const std::string &path, const WalVisitor &visit)
+{
+    ScanResult out;
+    scanInto(path, visit, out);
+    return out;
+}
+
+void
+Wal::scanInto(const std::string &path, const WalVisitor &visit,
+              ScanResult &out)
+{
+    out = ScanResult{};
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return; // first boot: no log yet
+    struct Closer
+    {
+        int fd;
+        ~Closer() { ::close(fd); }
+    } closer{fd};
+    LogReader reader(fd);
 
     // Decode records of one format generation starting at @p start.
     // @p payload_header_bytes distinguishes the generations: 29 for the
@@ -336,21 +435,25 @@ Wal::scan(const std::string &path)
                            uint32_t map_epoch_default) {
         size_t off = start;
         for (;;) {
-            if (total - off < kFrameHeaderBytes)
+            const uint8_t *frame = reader.window(off, kFrameHeaderBytes);
+            if (!frame)
                 break; // truncated mid-header
-            uint32_t payload_len = leLoad32(buf.data() + off);
-            uint32_t crc = leLoad32(buf.data() + off + 4);
+            uint32_t payload_len = leLoad32(frame);
+            uint32_t crc = leLoad32(frame + 4);
             if (payload_len < payload_header_bytes
-                    || payload_len > total - off - kFrameHeaderBytes)
+                    || payload_len > reader.size() - off - kFrameHeaderBytes)
                 break; // truncated mid-payload, or a garbage length field
-            const uint8_t *payload = buf.data() + off + kFrameHeaderBytes;
+            frame = reader.window(off, kFrameHeaderBytes + payload_len);
+            if (!frame)
+                break; // the file ended short of its stat size
+            const uint8_t *payload = frame + kFrameHeaderBytes;
             if (crc32(payload, payload_len) != crc)
                 break; // bit rot or a torn multi-sector write
             uint32_t value_len =
                 leLoad32(payload + payload_header_bytes - 4);
             if (value_len != payload_len - payload_header_bytes)
                 break; // internally inconsistent (CRC collision land)
-            WalRecord rec;
+            WalRecordView rec;
             rec.shard = leLoad32(payload);
             rec.key = leLoad64(payload + 4);
             rec.ts.version = leLoad32(payload + 12);
@@ -359,29 +462,32 @@ Wal::scan(const std::string &path)
             rec.mapEpoch = payload_header_bytes >= kPayloadHeaderBytes
                                ? leLoad32(payload + 21)
                                : map_epoch_default;
-            rec.value.assign(reinterpret_cast<const char *>(payload)
-                                 + payload_header_bytes,
-                             value_len);
-            out.records.push_back(std::move(rec));
+            rec.value = std::string_view(
+                reinterpret_cast<const char *>(payload)
+                    + payload_header_bytes,
+                value_len);
+            ++out.records;
+            if (visit)
+                visit(rec);
             off += kFrameHeaderBytes + payload_len;
         }
         out.cleanBytes = off;
-        out.tornBytes = total - off;
+        out.tornBytes = reader.size() - off;
     };
 
-    if (total < kFileHeaderBytes) {
-        // Cut inside the file header itself (a crash during creation):
-        // no record fits in fewer bytes under ANY format, so the whole
-        // file is a torn tail. The constructor truncates it and writes
-        // a fresh header.
+    const uint8_t *header = reader.window(0, kFileHeaderBytes);
+    if (!header) {
+        // Empty, or cut inside the file header itself (a crash during
+        // creation): no record fits in fewer bytes under ANY format, so
+        // the whole file is a torn tail. The constructor truncates it
+        // and writes a fresh header.
         out.cleanBytes = 0;
-        out.tornBytes = total;
-        return out;
+        out.tornBytes = reader.size();
+        return;
     }
 
-    uint32_t magic = leLoad32(buf.data());
-    if (magic == kFileMagic) {
-        uint32_t version = leLoad32(buf.data() + 4);
+    if (leLoad32(header) == kFileMagic) {
+        uint32_t version = leLoad32(header + 4);
         if (version != kFormatVersion) {
             // A well-formed header from another generation of this code
             // is NOT corruption: silently scanning it as a torn tail
@@ -391,19 +497,18 @@ Wal::scan(const std::string &path)
                   path.c_str(), version, kFormatVersion);
         }
         scanRecords(kFileHeaderBytes, kPayloadHeaderBytes, 0);
-        return out;
+        return;
     }
 
     // No magic: the only headerless format ever released is v1 (25-byte
     // record payload header, no slot-map epoch). If the head of the file
-    // decodes as v1, it is a pre-upgrade log — hand its records up and
+    // decodes as v1, it is a pre-upgrade log — stream its records up and
     // let the constructor rewrite it in the current format.
     constexpr size_t kV1PayloadHeaderBytes = 25;
+    out.formatVersion = 1;
     scanRecords(0, kV1PayloadHeaderBytes, 1);
-    if (!out.records.empty()) {
-        out.formatVersion = 1;
-        return out;
-    }
+    if (out.records > 0)
+        return;
 
     // Neither a current header nor a v1 prefix: this is not a WAL this
     // build knows how to read. Truncating it to nothing would silently

@@ -39,6 +39,11 @@
  * earlier format) is recognized by its missing magic, decoded with the
  * v1 layout, and rewritten in the current format at open — pre-upgrade
  * durable data survives the upgrade instead of vanishing on restart.
+ * The rewrite is crash-safe: records stream into `<path>.upgrade`,
+ * which is fsync'd and then renamed over the log (directory fsync'd
+ * too), so a crash at any point leaves either the intact v1 log or the
+ * complete v2 one. A leftover `.upgrade` file from a crashed upgrade is
+ * deleted at open and the upgrade redone from the v1 log.
  *
  * The slot-map epoch stamp is what makes recovery elastic-sharding
  * aware: a record appended before a migration cutover may describe a
@@ -59,12 +64,16 @@
  *  - Every: write+fsync inside append() itself, before the protocol
  *    message that announces the write is even staged.
  *
- * Recovery: scan() walks the log from the start and stops at the first
- * record that is truncated, length-corrupt or CRC-failing — the torn
- * tail a crash mid-write leaves behind is discarded, never replayed and
- * never fatal. Surviving records replay into the KVS (as Invalid: a
- * logged write was not necessarily committed, so it must heal through
- * the protocol's replay/state-transfer path before serving reads).
+ * Recovery: scan() streams the log from the start in one pass and stops
+ * at the first record that is truncated, length-corrupt or CRC-failing —
+ * the torn tail a crash mid-write leaves behind is discarded, never
+ * replayed and never fatal. Each surviving record goes to a visitor as a
+ * view into the read buffer, so recovery holds one read buffer
+ * (kScanBufferBytes, grown only to fit one larger record) plus one
+ * record, never the log: the Hermes handle replays each view straight
+ * into the KVS (as Invalid: a logged write was not necessarily
+ * committed, so it must heal through the protocol's replay/state-
+ * transfer path before serving reads).
  */
 
 #ifndef HERMES_STORE_WAL_HH
@@ -75,7 +84,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/random.hh"
 #include "common/serialize.hh"
@@ -132,8 +141,12 @@ struct WalStats
     uint64_t tornBytesDiscarded = 0;
 };
 
-/** One decoded log record, as recovery replays it. */
-struct WalRecord
+/**
+ * One decoded log record, as the recovery scan hands it to a visitor.
+ * A view: @c value points into the scan's read buffer and is valid only
+ * for the duration of the visitor call — copy it to keep it.
+ */
+struct WalRecordView
 {
     uint32_t shard = 0;
     Key key = 0;
@@ -141,8 +154,11 @@ struct WalRecord
     uint8_t flags = 0;
     /** Slot-map epoch the replica served under when this was appended. */
     uint32_t mapEpoch = 0;
-    Value value;
+    std::string_view value;
 };
+
+/** Called once per intact record, in append order. */
+using WalVisitor = std::function<void(const WalRecordView &)>;
 
 /**
  * Striped per-key mutexes guarding the recovery-replay-vs-live-write
@@ -187,12 +203,13 @@ class Wal
     static constexpr size_t kFrameHeaderBytes = 8;
 
     /**
-     * Open (creating if absent) the log at config.path, scan it for
-     * surviving records — available via recovered() until
-     * clearRecovered() — and truncate any torn tail so new appends
-     * start from the clean prefix.
+     * Open (creating if absent) the log at config.path, stream every
+     * surviving record to @p visit (if set) in one pass over the file,
+     * and truncate any torn tail so new appends start from the clean
+     * prefix. A headerless v1 log is upgraded to the current format on
+     * the way (see the file comment).
      */
-    explicit Wal(WalConfig config);
+    explicit Wal(WalConfig config, const WalVisitor &visit = {});
     ~Wal();
 
     Wal(const Wal &) = delete;
@@ -222,18 +239,12 @@ class Wal
     const WalStats &stats() const { return stats_; }
     const WalConfig &config() const { return config_; }
 
-    /** Records recovered by the open-time scan, in append order. */
-    const std::vector<WalRecord> &recovered() const { return recovered_; }
-
-    /** Drop the recovered records once replayed (frees their values). */
-    void clearRecovered();
-
     /** Bytes queued and not yet written (group-commit backlog). */
     size_t pendingBytes() const { return frame_.size(); }
 
     struct ScanResult
     {
-        std::vector<WalRecord> records;
+        size_t records = 0;    ///< intact records visited
         size_t cleanBytes = 0; ///< prefix ending at the last good record
         size_t tornBytes = 0;  ///< discarded tail (0 for a clean log)
         /** Format the log was written in: kFormatVersion for a current
@@ -244,8 +255,12 @@ class Wal
     };
 
     /**
-     * Decode every intact record of the log at @p path, stopping at the
-     * first truncated, length-corrupt or CRC-failing one. A missing file
+     * Stream every intact record of the log at @p path to @p visit (if
+     * set), stopping at the first truncated, length-corrupt or
+     * CRC-failing one. The file is read once, through a fixed
+     * kScanBufferBytes buffer grown only to fit a single larger record,
+     * so memory stays bounded by the largest record, not the log size.
+     * A missing file
      * scans as empty — a replica's first boot has no log. Torn tails
      * (including a file cut inside the header) are data, not bugs: they
      * are discarded, never thrown on. A file whose header announces a
@@ -253,22 +268,34 @@ class Wal
      * is an operator error and panics loudly — silently treating a
      * format mismatch as a torn tail would discard the entire log.
      */
-    static ScanResult scan(const std::string &path);
+    static ScanResult scan(const std::string &path,
+                           const WalVisitor &visit = {});
+
+    /** Initial size of the scan's read buffer. */
+    static constexpr size_t kScanBufferBytes = 64 * 1024;
 
   private:
-    /** Frame one record into the group-commit queue. */
-    void encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
-                      uint32_t map_epoch, const ValueRef &value);
+    /** scan() into @p out, whose formatVersion is final before the
+     *  first record reaches @p visit (the v1 upgrade keys off it). */
+    static void scanInto(const std::string &path, const WalVisitor &visit,
+                         ScanResult &out);
+    /** Frame one record's header (CRC over @p value included) into the
+     *  group-commit queue; the caller queues the value bytes after it. */
+    void encodeRecordHeader(uint32_t shard, Key key, Timestamp ts,
+                            uint8_t flags, uint32_t map_epoch,
+                            std::string_view value);
     void writeFileHeader();
     void writeQueued();
     void fsyncNow();
+    /** Finish a v1 upgrade: make the rewritten copy at @p upgrade_path
+     *  durable and atomically replace the log with it. */
+    void commitUpgrade(const std::string &upgrade_path);
 
     WalConfig config_;
     uint32_t mapEpoch_ = 1;
     int fd_ = -1;
     WireFrame frame_; ///< group-commit queue (staging + value segments)
     std::function<void(DurationNs)> chargeFn_;
-    std::vector<WalRecord> recovered_;
     WalStats stats_;
 };
 

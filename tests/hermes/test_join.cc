@@ -131,6 +131,61 @@ TEST(HermesJoin, ChunkLossRecoveredByRetry)
     EXPECT_EQ(cluster.readSync(3, 149).value_or("?"), "x");
 }
 
+TEST(HermesJoin, ShadowLeavingMidSyncFreesSourceSnapshot)
+{
+    // The source holds a whole-store copy per shadow until that shadow
+    // takes its final chunk. A shadow that crashes mid-transfer never
+    // does: the view change removing it must free the copy, while a view
+    // change that keeps the shadow must not.
+    SimCluster cluster(joinConfig(4, 3));
+    cluster.start();
+    for (Key key = 0; key < 300; ++key)
+        ASSERT_TRUE(cluster.writeSync(0, key, "x"));
+
+    membership::MembershipView extended{2, {0, 1, 2, 3}};
+    for (NodeId n = 0; n < 4; ++n) {
+        cluster.runtime().submit(n, 0, [&cluster, n, extended] {
+            cluster.replica(n).injectView(extended);
+        });
+    }
+    // Only the first chunk gets through: the transfer stalls mid-way.
+    int chunks = 0;
+    cluster.runtime().network().setDropFilter(
+        [&chunks](NodeId, NodeId, const net::MessagePtr &msg) {
+            return msg->type() == net::MsgType::HermesStateChunk
+                   && chunks++ > 0;
+        });
+    cluster.runtime().submit(3, 0, [&] {
+        cluster.replica(3).hermes()->startShadowSync(0);
+    });
+    cluster.runFor(5_ms);
+    ASSERT_TRUE(cluster.replica(3).hermes()->isShadow());
+    EXPECT_EQ(cluster.replica(0).hermes()->transferSnapshots(), 1u);
+
+    // Node 2 leaves; the shadow stays in the view and keeps its copy.
+    membership::MembershipView without2{3, {0, 1, 3}};
+    for (NodeId n : {0, 1, 3}) {
+        cluster.runtime().submit(n, 0, [&cluster, n, without2] {
+            cluster.replica(n).injectView(without2);
+        });
+    }
+    cluster.runFor(1_ms);
+    EXPECT_EQ(cluster.replica(0).hermes()->transferSnapshots(), 1u);
+
+    // The shadow crashes mid-transfer and the view drops it.
+    cluster.crash(3);
+    membership::MembershipView without3{4, {0, 1}};
+    for (NodeId n : {0, 1}) {
+        cluster.runtime().submit(n, 0, [&cluster, n, without3] {
+            cluster.replica(n).injectView(without3);
+        });
+    }
+    cluster.runFor(5_ms);
+    EXPECT_EQ(cluster.replica(0).hermes()->transferSnapshots(), 0u);
+    // The shrunken group still commits.
+    EXPECT_TRUE(cluster.writeSync(1, 7, "after", 20_ms));
+}
+
 TEST(HermesJoin, JoinViaLiveRmAgents)
 {
     // Full path: RM proposeAddition decides the extended view through

@@ -289,10 +289,11 @@ TEST(TcpRecovery, DrainFlushesWalAndStopsAccepting)
         for (size_t r = 0; r < 3; ++r) {
             std::string path = dir.path() + "/shard" + std::to_string(s)
                                + "/replica" + std::to_string(r) + ".wal";
-            store::Wal::ScanResult scan = store::Wal::scan(path);
             std::set<Key> logged;
-            for (const store::WalRecord &record : scan.records)
-                logged.insert(record.key);
+            store::Wal::scan(path,
+                             [&logged](const store::WalRecordView &record) {
+                                 logged.insert(record.key);
+                             });
             for (Key key = 1; key <= kKeys; ++key) {
                 if (app::shardOfKey(key, kShards) != s)
                     continue;

@@ -90,6 +90,49 @@ encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
     return out;
 }
 
+/** One record copied out of the scan's view (which dies with the
+ *  visitor call). */
+struct Recovered
+{
+    uint32_t shard = 0;
+    Key key = 0;
+    Timestamp ts{};
+    uint8_t flags = 0;
+    uint32_t mapEpoch = 0;
+    std::string value;
+};
+
+/** A visitor appending every record it is handed to @p out. */
+WalVisitor
+collectInto(std::vector<Recovered> &out)
+{
+    return [&out](const WalRecordView &rec) {
+        out.push_back(Recovered{rec.shard, rec.key, rec.ts, rec.flags,
+                                rec.mapEpoch, std::string(rec.value)});
+    };
+}
+
+/** Wal::ScanResult with the visited records collected alongside. */
+struct Scanned
+{
+    std::vector<Recovered> records;
+    size_t cleanBytes = 0;
+    size_t tornBytes = 0;
+    uint32_t formatVersion = 0;
+};
+
+Scanned
+scanAll(const std::string &path)
+{
+    Scanned out;
+    Wal::ScanResult result = Wal::scan(path, collectInto(out.records));
+    EXPECT_EQ(result.records, out.records.size());
+    out.cleanBytes = result.cleanBytes;
+    out.tornBytes = result.tornBytes;
+    out.formatVersion = result.formatVersion;
+    return out;
+}
+
 // ---------------------------------------------------------------------
 // Format freeze
 // ---------------------------------------------------------------------
@@ -171,7 +214,7 @@ TEST(WalFormat, ScanRoundTripsAllFields)
         wal.append(22, Timestamp{9, 2}, 0x01, ValueRef(big));
         wal.flush();
     }
-    Wal::ScanResult result = Wal::scan(path);
+    Scanned result = scanAll(path);
     ASSERT_EQ(result.records.size(), 2u);
     EXPECT_EQ(result.tornBytes, 0u);
     EXPECT_EQ(result.records[0].shard, 7u);
@@ -227,7 +270,7 @@ TEST_F(WalTornTail, TruncationAtEveryByteOffsetOfFinalRecord)
         std::vector<unsigned char> torn(clean_.begin(),
                                         clean_.begin() + cut);
         writeBytes(path_, torn);
-        Wal::ScanResult result = Wal::scan(path_);
+        Scanned result = scanAll(path_);
         ASSERT_EQ(result.records.size(), 2u) << "cut at " << cut;
         EXPECT_EQ(result.records[1].value, "second") << "cut at " << cut;
         EXPECT_EQ(result.cleanBytes, prefix2_) << "cut at " << cut;
@@ -235,7 +278,7 @@ TEST_F(WalTornTail, TruncationAtEveryByteOffsetOfFinalRecord)
     }
     // And the untouched log still scans whole.
     writeBytes(path_, clean_);
-    EXPECT_EQ(Wal::scan(path_).records.size(), 3u);
+    EXPECT_EQ(scanAll(path_).records.size(), 3u);
 }
 
 TEST_F(WalTornTail, BitFlippedCrcDiscardsTail)
@@ -244,7 +287,7 @@ TEST_F(WalTornTail, BitFlippedCrcDiscardsTail)
     std::vector<unsigned char> corrupt = clean_;
     corrupt[prefix2_ + 4] ^= 0x01;
     writeBytes(path_, corrupt);
-    Wal::ScanResult result = Wal::scan(path_);
+    Scanned result = scanAll(path_);
     ASSERT_EQ(result.records.size(), 2u);
     EXPECT_EQ(result.tornBytes, clean_.size() - prefix2_);
 }
@@ -255,7 +298,7 @@ TEST_F(WalTornTail, BitFlippedValueByteDiscardsTail)
     std::vector<unsigned char> corrupt = clean_;
     corrupt[clean_.size() - 1] ^= 0x80;
     writeBytes(path_, corrupt);
-    EXPECT_EQ(Wal::scan(path_).records.size(), 2u);
+    EXPECT_EQ(scanAll(path_).records.size(), 2u);
 }
 
 TEST_F(WalTornTail, CorruptFirstRecordRecoversNothing)
@@ -267,7 +310,7 @@ TEST_F(WalTornTail, CorruptFirstRecordRecoversNothing)
     // First record's shard byte (just past the file header + frame).
     corrupt[Wal::kFileHeaderBytes + Wal::kFrameHeaderBytes] ^= 0xFF;
     writeBytes(path_, corrupt);
-    Wal::ScanResult result = Wal::scan(path_);
+    Scanned result = scanAll(path_);
     EXPECT_EQ(result.records.size(), 0u);
     EXPECT_EQ(result.cleanBytes, Wal::kFileHeaderBytes);
     EXPECT_EQ(result.tornBytes, clean_.size() - Wal::kFileHeaderBytes);
@@ -280,14 +323,14 @@ TEST_F(WalTornTail, AbsurdLengthPrefixDiscardsTail)
     std::vector<unsigned char> corrupt = clean_;
     corrupt[prefix2_ + 3] = 0x7F; // final record's length, high byte
     writeBytes(path_, corrupt);
-    EXPECT_EQ(Wal::scan(path_).records.size(), 2u);
+    EXPECT_EQ(scanAll(path_).records.size(), 2u);
     corrupt = clean_;
     corrupt[prefix2_] = 3; // < kPayloadHeaderBytes
     corrupt[prefix2_ + 1] = 0;
     corrupt[prefix2_ + 2] = 0;
     corrupt[prefix2_ + 3] = 0;
     writeBytes(path_, corrupt);
-    EXPECT_EQ(Wal::scan(path_).records.size(), 2u);
+    EXPECT_EQ(scanAll(path_).records.size(), 2u);
 }
 
 TEST_F(WalTornTail, OpeningTornLogTruncatesAndAppendsCleanly)
@@ -302,14 +345,14 @@ TEST_F(WalTornTail, OpeningTornLogTruncatesAndAppendsCleanly)
         WalConfig config;
         config.path = path_;
         config.fsync = FsyncPolicy::Every;
-        Wal wal(config);
-        EXPECT_EQ(wal.recovered().size(), 2u);
+        std::vector<Recovered> recovered;
+        Wal wal(config, collectInto(recovered));
+        EXPECT_EQ(recovered.size(), 2u);
         EXPECT_EQ(wal.stats().recordsRecovered, 2u);
         EXPECT_EQ(wal.stats().tornBytesDiscarded, 5u);
-        wal.clearRecovered();
         wal.append(4, Timestamp{4, 0}, 0, ValueRef("after-recovery"));
     }
-    Wal::ScanResult result = Wal::scan(path_);
+    Scanned result = scanAll(path_);
     ASSERT_EQ(result.records.size(), 3u);
     EXPECT_EQ(result.records[2].value, "after-recovery");
     EXPECT_EQ(result.tornBytes, 0u);
@@ -318,7 +361,7 @@ TEST_F(WalTornTail, OpeningTornLogTruncatesAndAppendsCleanly)
 TEST(WalScan, MissingFileScansEmpty)
 {
     TempDir dir("wal-missing");
-    Wal::ScanResult result = Wal::scan(dir.file("never-created.wal"));
+    Scanned result = scanAll(dir.file("never-created.wal"));
     EXPECT_TRUE(result.records.empty());
     EXPECT_EQ(result.cleanBytes, 0u);
     EXPECT_EQ(result.tornBytes, 0u);
@@ -365,7 +408,7 @@ TEST(WalVersioning, V1LogConvertsOnOpen)
         v1.insert(v1.end(), rec.begin(), rec.end());
     writeBytes(path, v1);
 
-    Wal::ScanResult before = Wal::scan(path);
+    Scanned before = scanAll(path);
     EXPECT_EQ(before.formatVersion, 1u);
     ASSERT_EQ(before.records.size(), 2u);
 
@@ -374,19 +417,19 @@ TEST(WalVersioning, V1LogConvertsOnOpen)
         config.path = path;
         config.fsync = FsyncPolicy::Every;
         config.shard = 3;
-        Wal wal(config);
-        ASSERT_EQ(wal.recovered().size(), 2u);
-        EXPECT_EQ(wal.recovered()[0].key, 41u);
-        EXPECT_EQ(wal.recovered()[0].value, "legacy-one");
-        EXPECT_EQ(wal.recovered()[0].mapEpoch, 1u);
-        EXPECT_EQ(wal.recovered()[1].key, 42u);
-        EXPECT_EQ(wal.recovered()[1].mapEpoch, 1u);
-        wal.clearRecovered();
+        std::vector<Recovered> recovered;
+        Wal wal(config, collectInto(recovered));
+        ASSERT_EQ(recovered.size(), 2u);
+        EXPECT_EQ(recovered[0].key, 41u);
+        EXPECT_EQ(recovered[0].value, "legacy-one");
+        EXPECT_EQ(recovered[0].mapEpoch, 1u);
+        EXPECT_EQ(recovered[1].key, 42u);
+        EXPECT_EQ(recovered[1].mapEpoch, 1u);
         // Appends after the conversion land in the same (now v2) file.
         wal.append(43, Timestamp{7, 0}, 0, ValueRef("post-upgrade"));
     }
 
-    Wal::ScanResult after = Wal::scan(path);
+    Scanned after = scanAll(path);
     EXPECT_EQ(after.formatVersion, Wal::kFormatVersion);
     ASSERT_EQ(after.records.size(), 3u);
     EXPECT_EQ(after.records[0].key, 41u);
@@ -405,6 +448,63 @@ TEST(WalVersioning, V1LogConvertsOnOpen)
               fileHeader());
 }
 
+TEST(WalVersioning, V1UpgradeReplacesStaleUpgradeFile)
+{
+    // A crash mid-upgrade leaves the intact v1 log beside a partial
+    // `<path>.upgrade` rewrite. Reopening must discard that leftover and
+    // redo the upgrade from the log: same records, no temp file left.
+    // The log is large enough that the rewrite streams out in several
+    // writes rather than one.
+    TempDir dir("wal-v1-stale");
+    const std::string path = dir.file("legacy.wal");
+    const std::string upgrade_path = path + ".upgrade";
+    std::vector<Recovered> expect;
+    std::vector<unsigned char> v1;
+    for (uint32_t i = 0; i < 200; ++i) {
+        std::string value(1024, static_cast<char>('a' + i % 26));
+        value += std::to_string(i);
+        Timestamp ts{i + 1, i % 3};
+        uint8_t flags = static_cast<uint8_t>(i & 1);
+        std::vector<unsigned char> rec =
+            encodeRecordV1(4, 1000 + i, ts, flags, value);
+        v1.insert(v1.end(), rec.begin(), rec.end());
+        expect.push_back(Recovered{4, 1000 + i, ts, flags, 1, value});
+    }
+    ASSERT_GT(v1.size(), 2 * Wal::kScanBufferBytes);
+    writeBytes(path, v1);
+    std::vector<unsigned char> stale = fileHeader();
+    stale.resize(stale.size() + 100, 0xAB); // a torn partial rewrite
+    writeBytes(upgrade_path, stale);
+
+    auto sameRecords = [&expect](const std::vector<Recovered> &got) {
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].shard, expect[i].shard) << "record " << i;
+            EXPECT_EQ(got[i].key, expect[i].key) << "record " << i;
+            EXPECT_EQ(got[i].ts, expect[i].ts) << "record " << i;
+            EXPECT_EQ(got[i].flags, expect[i].flags) << "record " << i;
+            EXPECT_EQ(got[i].mapEpoch, expect[i].mapEpoch) << "record " << i;
+            EXPECT_EQ(got[i].value, expect[i].value) << "record " << i;
+        }
+    };
+    {
+        WalConfig config;
+        config.path = path;
+        config.fsync = FsyncPolicy::Every;
+        config.shard = 4;
+        std::vector<Recovered> recovered;
+        Wal wal(config, collectInto(recovered));
+        sameRecords(recovered);
+        EXPECT_EQ(wal.stats().recordsRecovered, expect.size());
+    }
+    EXPECT_FALSE(std::ifstream(upgrade_path).good())
+        << "the upgrade left its temp file behind";
+    Scanned after = scanAll(path);
+    EXPECT_EQ(after.formatVersion, Wal::kFormatVersion);
+    EXPECT_EQ(after.tornBytes, 0u);
+    sameRecords(after.records);
+}
+
 TEST(WalVersioning, TornFileHeaderTruncatesAndAppendsCleanly)
 {
     // A crash during file creation can leave fewer than kFileHeaderBytes
@@ -417,7 +517,7 @@ TEST(WalVersioning, TornFileHeaderTruncatesAndAppendsCleanly)
     partial.resize(5);
     writeBytes(path, partial);
 
-    Wal::ScanResult result = Wal::scan(path);
+    Scanned result = scanAll(path);
     EXPECT_TRUE(result.records.empty());
     EXPECT_EQ(result.cleanBytes, 0u);
     EXPECT_EQ(result.tornBytes, 5u);
@@ -426,11 +526,12 @@ TEST(WalVersioning, TornFileHeaderTruncatesAndAppendsCleanly)
         WalConfig config;
         config.path = path;
         config.fsync = FsyncPolicy::Every;
-        Wal wal(config);
-        EXPECT_TRUE(wal.recovered().empty());
+        std::vector<Recovered> recovered;
+        Wal wal(config, collectInto(recovered));
+        EXPECT_TRUE(recovered.empty());
         wal.append(1, Timestamp{1, 0}, 0, ValueRef("fresh"));
     }
-    Wal::ScanResult reopened = Wal::scan(path);
+    Scanned reopened = scanAll(path);
     ASSERT_EQ(reopened.records.size(), 1u);
     EXPECT_EQ(reopened.records[0].value, "fresh");
     EXPECT_EQ(reopened.tornBytes, 0u);
@@ -443,7 +544,13 @@ TEST(WalVersioningDeathTest, FutureVersionRefusedLoudly)
     TempDir dir("wal-future");
     const std::string path = dir.file("future.wal");
     writeBytes(path, fileHeader(Wal::kFormatVersion + 1));
-    EXPECT_DEATH(Wal::scan(path), "format version");
+    EXPECT_DEATH(scanAll(path), "format version");
+    // Opening it refuses the same way, before touching the file.
+    WalConfig config;
+    config.path = path;
+    std::vector<Recovered> recovered;
+    EXPECT_DEATH(Wal(config, collectInto(recovered)), "format version");
+    EXPECT_EQ(fileBytes(path), fileHeader(Wal::kFormatVersion + 1));
 }
 
 TEST(WalVersioningDeathTest, UnrecognizedFileRefusedLoudly)
@@ -453,7 +560,171 @@ TEST(WalVersioningDeathTest, UnrecognizedFileRefusedLoudly)
     TempDir dir("wal-garbage");
     const std::string path = dir.file("garbage.wal");
     writeBytes(path, std::vector<unsigned char>(16, 0xFF));
-    EXPECT_DEATH(Wal::scan(path), "no known WAL format");
+    EXPECT_DEATH(scanAll(path), "no known WAL format");
+    WalConfig config;
+    config.path = path;
+    std::vector<Recovered> recovered;
+    EXPECT_DEATH(Wal(config, collectInto(recovered)),
+                 "no known WAL format");
+    EXPECT_EQ(fileBytes(path), std::vector<unsigned char>(16, 0xFF));
+}
+
+// ---------------------------------------------------------------------
+// Streaming decoder: bounded read buffer, records visited as views
+// ---------------------------------------------------------------------
+
+constexpr size_t kRecordOverhead =
+    Wal::kFrameHeaderBytes + Wal::kPayloadHeaderBytes;
+
+TEST(WalStreaming, RecordsStraddlingTheReadBufferBoundary)
+{
+    // Slide the second record's start across the end of the first
+    // buffer fill one byte at a time, so its value, then every byte of
+    // its payload header and its frame header, takes a turn straddling
+    // the boundary; the third record must come through intact behind it.
+    TempDir dir("wal-straddle");
+    const std::string path = dir.file("straddle.wal");
+    const std::string third(3000, 'c');
+    for (size_t start = Wal::kScanBufferBytes - kRecordOverhead - 24;
+         start <= Wal::kScanBufferBytes + 1; ++start) {
+        std::string first(start - Wal::kFileHeaderBytes - kRecordOverhead,
+                          'a');
+        std::string second = "straddler-" + std::to_string(start);
+        std::remove(path.c_str());
+        {
+            WalConfig config;
+            config.path = path;
+            config.fsync = FsyncPolicy::Never;
+            Wal wal(config);
+            wal.append(1, Timestamp{1, 0}, 0, ValueRef(first));
+            wal.append(2, Timestamp{2, 1}, 0x01, ValueRef(second));
+            wal.append(3, Timestamp{3, 2}, 0, ValueRef(third));
+        }
+        Scanned result = scanAll(path);
+        ASSERT_EQ(result.records.size(), 3u) << "second at " << start;
+        EXPECT_EQ(result.records[0].value, first) << "second at " << start;
+        EXPECT_EQ(result.records[1].key, 2u) << "second at " << start;
+        EXPECT_EQ(result.records[1].ts, (Timestamp{2, 1}))
+            << "second at " << start;
+        EXPECT_EQ(result.records[1].flags, 0x01u) << "second at " << start;
+        EXPECT_EQ(result.records[1].value, second) << "second at " << start;
+        EXPECT_EQ(result.records[2].value, third) << "second at " << start;
+        EXPECT_EQ(result.tornBytes, 0u) << "second at " << start;
+    }
+}
+
+TEST(WalStreaming, RecordLargerThanTheReadBuffer)
+{
+    // A 256 KiB value cannot fit the initial buffer: the scan grows it
+    // to that one record, and records on either side — including a
+    // second oversized one reusing the grown buffer — still decode.
+    TempDir dir("wal-huge");
+    const std::string path = dir.file("huge.wal");
+    std::string huge(256 * 1024, '\0');
+    for (size_t i = 0; i < huge.size(); ++i)
+        huge[i] = static_cast<char>(i * 31 + i / 977);
+    std::string huger = huge + huge;
+    {
+        WalConfig config;
+        config.path = path;
+        config.fsync = FsyncPolicy::Never;
+        Wal wal(config);
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("before"));
+        wal.append(2, Timestamp{2, 0}, 0x01, ValueRef(huge));
+        wal.append(3, Timestamp{3, 0}, 0, ValueRef("between"));
+        wal.append(4, Timestamp{4, 0}, 0, ValueRef(huger));
+        wal.append(5, Timestamp{5, 0}, 0, ValueRef("after"));
+    }
+    std::vector<unsigned char> clean = fileBytes(path);
+    Scanned result = scanAll(path);
+    ASSERT_EQ(result.records.size(), 5u);
+    EXPECT_EQ(result.records[0].value, "before");
+    EXPECT_EQ(result.records[1].key, 2u);
+    EXPECT_EQ(result.records[1].flags, 0x01u);
+    EXPECT_TRUE(result.records[1].value == huge);
+    EXPECT_EQ(result.records[2].value, "between");
+    EXPECT_TRUE(result.records[3].value == huger);
+    EXPECT_EQ(result.records[4].value, "after");
+    EXPECT_EQ(result.cleanBytes, clean.size());
+    EXPECT_EQ(result.tornBytes, 0u);
+
+    // Torn in the middle of the oversized record: it and everything
+    // after it is discarded, and nothing past it is visited.
+    const size_t prefix1 = Wal::kFileHeaderBytes + kRecordOverhead + 6;
+    for (size_t cut : {prefix1 + 4, prefix1 + kRecordOverhead + 100,
+                       prefix1 + kRecordOverhead + huge.size() - 1}) {
+        writeBytes(path, std::vector<unsigned char>(clean.begin(),
+                                                    clean.begin() + cut));
+        Scanned torn = scanAll(path);
+        ASSERT_EQ(torn.records.size(), 1u) << "cut at " << cut;
+        EXPECT_EQ(torn.records[0].value, "before") << "cut at " << cut;
+        EXPECT_EQ(torn.cleanBytes, prefix1) << "cut at " << cut;
+        EXPECT_EQ(torn.tornBytes, cut - prefix1) << "cut at " << cut;
+    }
+}
+
+TEST(WalStreaming, ReplayOfAMultiMegabyteLogVisitsEveryRecordInOrder)
+{
+    // A log of more than 8 MiB — over a hundred buffer fills — replays
+    // through the constructor's visitor record by record, in append
+    // order, with every field and every value byte intact.
+    TempDir dir("wal-big");
+    const std::string path = dir.file("big.wal");
+    std::vector<Recovered> expect;
+    size_t bytes = 0;
+    uint64_t rng = 0x9E3779B97F4A7C15ull;
+    auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    {
+        WalConfig config;
+        config.path = path;
+        config.fsync = FsyncPolicy::Never;
+        config.shard = 9;
+        Wal wal(config);
+        for (uint32_t i = 0; bytes < (8u << 20) + 4096; ++i) {
+            if (i % 1000 == 0)
+                wal.setMapEpoch(1 + i / 1000);
+            std::string value(next() % 2048, '\0');
+            for (char &c : value)
+                c = static_cast<char>(next());
+            Recovered rec{9, next(), Timestamp{i + 1, i % 7},
+                          static_cast<uint8_t>(i & 1), wal.mapEpoch(),
+                          value};
+            wal.append(rec.key, rec.ts, rec.flags, ValueRef(rec.value));
+            bytes += kRecordOverhead + value.size();
+            expect.push_back(std::move(rec));
+            if (i % 64 == 0)
+                wal.flush();
+        }
+    }
+    ASSERT_GE(fileBytes(path).size(), 8u << 20);
+
+    size_t visited = 0;
+    size_t mismatched = 0;
+    WalConfig config;
+    config.path = path;
+    config.shard = 9;
+    Wal wal(config, [&](const WalRecordView &rec) {
+        const Recovered *want =
+            visited < expect.size() ? &expect[visited] : nullptr;
+        if (!want || rec.shard != want->shard || rec.key != want->key
+                || rec.ts != want->ts || rec.flags != want->flags
+                || rec.mapEpoch != want->mapEpoch
+                || rec.value != want->value) {
+            ADD_FAILURE_AT(__FILE__, __LINE__)
+                << "record " << visited << " differs from its append";
+            ++mismatched;
+        }
+        ++visited;
+    });
+    EXPECT_EQ(visited, expect.size());
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_EQ(wal.stats().recordsRecovered, expect.size());
+    EXPECT_EQ(wal.stats().tornBytesDiscarded, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -475,7 +746,7 @@ TEST(WalPolicy, GroupCommitQueuesUntilFlush)
     EXPECT_EQ(fileBytes(path).size(), Wal::kFileHeaderBytes);
     wal.flush();
     EXPECT_EQ(wal.pendingBytes(), 0u);
-    EXPECT_EQ(Wal::scan(path).records.size(), 2u);
+    EXPECT_EQ(scanAll(path).records.size(), 2u);
     EXPECT_EQ(wal.stats().flushes, 1u);
     EXPECT_EQ(wal.stats().fsyncs, 1u); // the whole window, one fsync
     wal.flush();                       // empty flush: no write, no fsync
@@ -495,7 +766,7 @@ TEST(WalPolicy, EverySyncsInsideAppend)
     EXPECT_EQ(wal.stats().fsyncs, 1u);
     wal.append(2, Timestamp{2, 0}, 0, ValueRef("b"));
     EXPECT_EQ(wal.stats().fsyncs, 2u);
-    EXPECT_EQ(Wal::scan(config.path).records.size(), 2u);
+    EXPECT_EQ(scanAll(config.path).records.size(), 2u);
 }
 
 TEST(WalPolicy, NeverWritesButSkipsFsync)
@@ -509,7 +780,7 @@ TEST(WalPolicy, NeverWritesButSkipsFsync)
     wal.flush();
     EXPECT_EQ(wal.stats().flushes, 1u);
     EXPECT_EQ(wal.stats().fsyncs, 0u);
-    EXPECT_EQ(Wal::scan(config.path).records.size(), 1u);
+    EXPECT_EQ(scanAll(config.path).records.size(), 1u);
 }
 
 TEST(WalPolicy, ChargeHookSeesAppendAndFsyncCosts)
@@ -546,7 +817,7 @@ TEST(WalPolicy, DestructorFlushesQueuedRecords)
         wal.append(1, Timestamp{1, 0}, 0, ValueRef("queued"));
         // No explicit flush: an orderly shutdown must not drop records.
     }
-    EXPECT_EQ(Wal::scan(path).records.size(), 1u);
+    EXPECT_EQ(scanAll(path).records.size(), 1u);
 }
 
 // ---------------------------------------------------------------------
