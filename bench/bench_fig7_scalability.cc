@@ -108,9 +108,13 @@ runTcpShardedPoint(size_t shards, uint16_t base_port,
                 bool completed = false;
                 if (rng.nextDouble() < 0.05) {
                     op.kind = app::HistOp::Kind::Write;
-                    op.arg = "s" + std::to_string(shards) + "c"
-                             + std::to_string(c) + "-"
-                             + std::to_string(histories[c].size());
+                    Value arg = "s";
+                    arg.append(std::to_string(shards))
+                        .append("c")
+                        .append(std::to_string(c))
+                        .append("-")
+                        .append(std::to_string(histories[c].size()));
+                    op.arg = std::move(arg);
                     completed = client.write(op.key, op.arg, 20_s);
                 } else {
                     op.kind = app::HistOp::Kind::Read;

@@ -206,11 +206,15 @@ runPipelinedPoint(ShardedTcpDeployment &deployment, size_t n_sessions,
             token = s.readAsync(op.key, 30_s);
         } else if (dice < 0.9) {
             op.kind = HistOp::Kind::Write;
-            op.arg = "b" + std::to_string(rng.next() % 100000);
+            Value arg = "b";
+            arg.append(std::to_string(rng.next() % 100000));
+            op.arg = std::move(arg);
             token = s.writeAsync(op.key, op.arg, 30_s);
         } else {
             op.kind = HistOp::Kind::Cas;
-            op.arg = "b" + std::to_string(rng.next() % 100000);
+            Value arg = "b";
+            arg.append(std::to_string(rng.next() % 100000));
+            op.arg = std::move(arg);
             if (rng.nextBool(0.5))
                 op.expected = Value{};
             else
@@ -304,16 +308,16 @@ runSyncBaseline(ShardedTcpDeployment &deployment, size_t n_clients,
             for (size_t i = 0; i < my_ops; ++i) {
                 Key key = pool[rng.nextBounded(pool.size())];
                 double dice = rng.nextDouble();
-                if (dice < 0.5)
+                if (dice < 0.5) {
                     client.read(key, 30_s);
-                else if (dice < 0.9)
-                    client.write(key,
-                                 "s" + std::to_string(rng.next() % 100000),
-                                 30_s);
+                    continue;
+                }
+                Value value = "s";
+                value.append(std::to_string(rng.next() % 100000));
+                if (dice < 0.9)
+                    client.write(key, value, 30_s);
                 else
-                    client.cas(key, Value{},
-                               "s" + std::to_string(rng.next() % 100000),
-                               30_s);
+                    client.cas(key, Value{}, value, 30_s);
             }
         });
     }

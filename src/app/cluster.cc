@@ -463,11 +463,10 @@ SimCluster::migrateSlots(std::vector<uint32_t> slots, uint32_t from,
     for (NodeId n : shardMap_.nodesOf(from)) {
         if (!runtime_->alive(n))
             continue;
-        replicas_[n]->kvStore().forEach(
-            [&](Key k, const store::KeyMeta &, std::string_view) {
-                if (m->moving[slotOfKey(k)])
-                    m->pending.insert(k);
-            });
+        replicas_[n]->kvStore().forEach([&](Key k) {
+            if (m->moving[slotOfKey(k)])
+                m->pending.insert(k);
+        });
     }
     migration_ = std::move(m);
     migrationStep();
@@ -711,11 +710,10 @@ SimCluster::migrationQuiesced()
     // have CREATED keys the snapshot never saw.
     std::set<Key> current;
     for (NodeId n : sources) {
-        replicas_[n]->kvStore().forEach(
-            [&](Key k, const store::KeyMeta &, std::string_view) {
-                if (m.moving[slotOfKey(k)])
-                    current.insert(k);
-            });
+        replicas_[n]->kvStore().forEach([&](Key k) {
+            if (m.moving[slotOfKey(k)])
+                current.insert(k);
+        });
     }
 
     bool quiesced = true;

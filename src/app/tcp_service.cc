@@ -700,11 +700,10 @@ ShardedTcpDeployment::verifyMoving(uint32_t from,
     // snapshot-time key list.
     std::set<Key> keys;
     for (NodeId id : sources) {
-        src.replica(id).kvStore().forEach(
-            [&](Key key, const store::KeyMeta &, std::string_view) {
-                if (moving[slotOfKey(key)])
-                    keys.insert(key);
-            });
+        src.replica(id).kvStore().forEach([&](Key key) {
+            if (moving[slotOfKey(key)])
+                keys.insert(key);
+        });
     }
 
     // A key passes only when it is Valid on EVERY operational source
@@ -770,11 +769,10 @@ ShardedTcpDeployment::migrateSlots(std::vector<uint32_t> slots,
             auto id = static_cast<NodeId>(r);
             if (!src.replicaRunning(id))
                 continue;
-            src.replica(id).kvStore().forEach(
-                [&](Key key, const store::KeyMeta &, std::string_view) {
-                    if (moving[slotOfKey(key)])
-                        manifest.insert(key);
-                });
+            src.replica(id).kvStore().forEach([&](Key key) {
+                if (moving[slotOfKey(key)])
+                    manifest.insert(key);
+            });
         }
     }
     std::map<Key, Timestamp> copied;

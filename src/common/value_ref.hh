@@ -150,6 +150,24 @@ class ValueRef
         return ValueRef(bytes);
     }
 
+    /**
+     * Take over a private block whose first @p size bytes the caller
+     * already copied in (the KVS scan fills it under the entry's
+     * seqlock). Counted as the value's one deep copy.
+     */
+    static ValueRef
+    adopt(std::shared_ptr<char[]> block, size_t size)
+    {
+        ValueRef ref;
+        if (size == 0)
+            return ref;
+        ValueCopyCounters::countRefCopy(size);
+        ref.data_ = block.get();
+        ref.size_ = size;
+        ref.owner_ = std::move(block);
+        return ref;
+    }
+
     const char *data() const { return data_; }
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

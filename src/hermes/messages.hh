@@ -81,7 +81,7 @@ struct ValMsg : net::Message
 
 /**
  * Shadow replica (§3.4 Recovery) state-transfer request: "send me the
- * chunk of your datastore starting at snapshot offset X".
+ * next chunk of your datastore; I have applied X entries so far".
  */
 struct StateReqMsg : net::Message
 {
@@ -114,12 +114,12 @@ struct StateEntry
     ValueRef value;
 };
 
-/** A batch of entries from the source's snapshot. */
+/** A batch of entries read from the source's live store. */
 struct StateChunkMsg : net::Message
 {
     StateChunkMsg() : Message(net::MsgType::HermesStateChunk) {}
 
-    uint64_t offset = 0;  ///< snapshot offset of the first entry
+    uint64_t offset = 0;  ///< entries served before this chunk
     bool done = false;    ///< no entries beyond this chunk
     std::vector<StateEntry> entries;
 

@@ -657,44 +657,60 @@ HermesReplica::onStateReq(const StateReqMsg &msg)
 {
     // Same epoch but outside the view: the requester adopted its own
     // removal and halted, so it can never apply a chunk. Serving it
-    // would re-pin the snapshot the view change just dropped.
+    // would re-create the cursor the view change just dropped.
     if (!view_.isLive(msg.src))
         return;
-    auto it = transferSnapshots_.find(msg.src);
-    if (msg.offset == 0 || it == transferSnapshots_.end()) {
-        // Take (or retake) a snapshot. Non-Valid keys are transferred too
-        // — their (ts, value) is exactly an INV's early-propagated data —
-        // but flagged so the shadow stores them Invalid: a later request
-        // there replays the write before any read can observe it.
-        std::vector<StateEntry> snapshot;
-        store_.forEach([&snapshot](Key key, const store::KeyMeta &meta,
-                                   std::string_view value) {
+
+    // Chunks are a fuzzy read of the live store, not of a frozen copy:
+    // the shadow is already in the view and takes part in every write
+    // while it syncs (§3.4), so the source only ever holds the chunk it
+    // is filling. This is safe because
+    //  - chains are prepend-only and keys are never deleted, so an
+    //    insert behind the cursor can only make a resumed scan repeat
+    //    an entry, never skip one (see KvStore::scan); a repeated entry
+    //    is harmless, the shadow keeps the newer timestamp;
+    //  - a key inserted after the shadow's first request was written in
+    //    the shadow's own epoch, so the shadow also receives that
+    //    write's INV (cross-epoch INVs are dropped in onMessage).
+    // `offset` counts entries served so far. The next chunk resumes from
+    // the remembered cursor; any other offset (a lost chunk's retry, or
+    // a retried final chunk whose cursor is already freed) is reached by
+    // walking the chains without copying values.
+    store::ScanCursor start;
+    auto it = transfers_.find(msg.src);
+    if (it != transfers_.end() && msg.offset == it->second.nextOffset)
+        start = it->second.next;
+    else
+        start = store_.seek(msg.offset).next;
+
+    auto chunk = std::make_shared<StateChunkMsg>();
+    chunk->epoch = view_.epoch;
+    chunk->offset = msg.offset;
+    chunk->entries.reserve(kChunkEntries);
+    store::ScanStep step = store_.scan(
+        start, kChunkEntries,
+        [&chunk](Key key, const store::KeyMeta &meta, ValueRef value) {
+            // Non-Valid keys are transferred too — their (ts, value) is
+            // exactly an INV's early-propagated data — but flagged so the
+            // shadow stores them Invalid: a later request there replays
+            // the write before any read can observe it.
             StateEntry entry;
             entry.key = key;
             entry.ts = meta.ts;
             entry.flags = meta.flags;
             entry.valid =
                 static_cast<KeyState>(meta.state) == KeyState::Valid;
-            entry.value = ValueRef::copyOf(value);
-            snapshot.push_back(std::move(entry));
+            entry.value = std::move(value);
+            chunk->entries.push_back(std::move(entry));
         });
-        it = transferSnapshots_
-                 .insert_or_assign(msg.src, std::move(snapshot))
-                 .first;
-    }
-
-    const std::vector<StateEntry> &snapshot = it->second;
-    auto chunk = std::make_shared<StateChunkMsg>();
-    chunk->epoch = view_.epoch;
-    chunk->offset = msg.offset;
-    size_t end = std::min(snapshot.size(),
-                          static_cast<size_t>(msg.offset) + kChunkEntries);
-    for (size_t i = msg.offset; i < end; ++i)
-        chunk->entries.push_back(snapshot[i]);
-    chunk->done = end >= snapshot.size();
+    chunk->done = !step.more;
     env_.send(msg.src, chunk);
-    if (chunk->done)
-        transferSnapshots_.erase(msg.src);
+    if (chunk->done) {
+        transfers_.erase(msg.src);
+    } else {
+        transfers_[msg.src] =
+            ShadowTransfer{msg.offset + step.visited, step.next};
+    }
 }
 
 void
@@ -938,8 +954,8 @@ HermesReplica::onViewChange(const MembershipView &view)
     LOG_INFO("node %u adopts view %s", env_.self(),
              view.toString().c_str());
     // A shadow that crashed or left mid-sync never asks for its final
-    // chunk: its snapshot (a whole-store copy) goes with its membership.
-    std::erase_if(transferSnapshots_, [this](const auto &entry) {
+    // chunk: its transfer cursor goes with its membership.
+    std::erase_if(transfers_, [this](const auto &entry) {
         return !view_.isLive(entry.first);
     });
 

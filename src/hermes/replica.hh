@@ -141,8 +141,8 @@ class HermesReplica : public net::Node
     size_t pendingUpdates() const { return pending_.size(); }
     size_t stalledRequests() const { return stalledCount_; }
     bool halted() const { return halted_; }
-    /** Whole-store snapshots this replica holds for shadows it feeds. */
-    size_t transferSnapshots() const { return transferSnapshots_.size(); }
+    /** Shadows this replica is streaming its store to (§3.4). */
+    size_t transfersInProgress() const { return transfers_.size(); }
 
   private:
     /** A coordinated update in flight (write, RMW, or replay). */
@@ -258,8 +258,18 @@ class HermesReplica : public net::Node
     bool shadow_ = false;
     NodeId shadowSource_ = kInvalidNode;
     uint64_t shadowOffset_ = 0;
-    /** Source-side snapshots being streamed, keyed by requester. */
-    std::unordered_map<NodeId, std::vector<StateEntry>> transferSnapshots_;
+    /**
+     * Source side of one shadow's transfer: where the next chunk starts
+     * and its offset (entries served before it). Holds no value: every
+     * chunk is read from the live store.
+     */
+    struct ShadowTransfer
+    {
+        uint64_t nextOffset = 0;
+        store::ScanCursor next;
+    };
+    /** Transfers being streamed, keyed by requesting shadow. */
+    std::unordered_map<NodeId, ShadowTransfer> transfers_;
     static constexpr size_t kChunkEntries = 64;
 };
 

@@ -1,6 +1,8 @@
 #include "store/kvs.hh"
 
 #include <bit>
+#include <cstdint>
+#include <memory>
 #include <new>
 
 #include "store/wal.hh"
@@ -62,7 +64,9 @@ KvStore::findEntry(Key key) const
 KvStore::Entry *
 KvStore::insertLocked(Key key)
 {
-    void *mem = ::operator new(sizeof(Entry) + maxValueSize_);
+    // Room for whole words: the seqlock copies move 8 bytes at a time.
+    void *mem =
+        ::operator new(sizeof(Entry) + (maxValueSize_ + 7) / 8 * 8);
     auto *entry = new (mem) Entry();
     entry->key = key;
     std::atomic<Entry *> &head = buckets_[bucketOf(key)];
@@ -74,6 +78,23 @@ KvStore::insertLocked(Key key)
     return entry;
 }
 
+template <typename CopyValue>
+KeyMeta
+KvStore::copyEntry(const Entry &entry, CopyValue &&copy_value) const
+{
+    for (;;) {
+        uint64_t snapshot = entry.lock.readBegin();
+        if (snapshot % 2 != 0)
+            continue; // writer in progress; spin, writes are short
+        KeyMeta meta;
+        seqlockLoad(&meta, &entry.meta, sizeof(KeyMeta));
+        copy_value(entryData(&entry),
+                   entry.len.load(std::memory_order_relaxed));
+        if (entry.lock.readValidate(snapshot))
+            return meta;
+    }
+}
+
 ReadResult
 KvStore::read(Key key) const
 {
@@ -81,48 +102,74 @@ KvStore::read(Key key) const
     const Entry *entry = findEntry(key);
     if (!entry)
         return result;
-    for (;;) {
-        uint64_t snapshot = entry->lock.readBegin();
-        if (snapshot % 2 != 0)
-            continue; // writer in progress; spin, writes are short
-        KeyMeta meta = entry->meta;
-        size_t len = entry->len;
-        Value value;
-        if (len <= maxValueSize_)
-            value.assign(entryData(entry), len);
-        if (entry->lock.readValidate(snapshot)) {
-            result.found = true;
-            result.meta = meta;
-            result.value = std::move(value);
-            return result;
+    result.meta = copyEntry(*entry, [&result](const char *data, size_t len) {
+        result.value.resize(len);
+        seqlockLoad(result.value.data(), data, len);
+    });
+    result.found = true;
+    return result;
+}
+
+template <typename Visit>
+ScanStep
+KvStore::walk(ScanCursor from, size_t max_entries, Visit &&visit) const
+{
+    ScanStep step;
+    size_t bucket = from.bucket;
+    size_t skip = from.skip;
+    for (; bucket < numBuckets_; ++bucket, skip = 0) {
+        // Resuming counts `skip` entries from the chain's *current* head:
+        // entries prepended since the cursor was taken shift it back, so
+        // a resumed step may repeat an entry but never skips one.
+        const Entry *entry =
+            buckets_[bucket].load(std::memory_order_acquire);
+        for (size_t i = 0; entry && i < skip; ++i)
+            entry = entry->next;
+        for (; entry; entry = entry->next, ++skip) {
+            if (step.visited == max_entries) {
+                step.next = {bucket, skip};
+                step.more = true;
+                return step;
+            }
+            ++step.visited;
+            visit(*entry);
         }
     }
+    step.next = {numBuckets_, 0};
+    return step;
+}
+
+ScanStep
+KvStore::scan(ScanCursor from, size_t max_entries, const ScanFn &fn) const
+{
+    return walk(from, max_entries, [this, &fn](const Entry &entry) {
+        // Copy straight into the block the ValueRef adopts; a retry
+        // reuses the block unless the value grew.
+        std::shared_ptr<char[]> block;
+        size_t capacity = 0;
+        size_t size = 0;
+        KeyMeta meta = copyEntry(entry, [&](const char *data, size_t len) {
+            if (len > capacity) {
+                block = std::make_shared_for_overwrite<char[]>(len);
+                capacity = len;
+            }
+            seqlockLoad(block.get(), data, len);
+            size = len;
+        });
+        fn(entry.key, meta, ValueRef::adopt(std::move(block), size));
+    });
+}
+
+ScanStep
+KvStore::seek(size_t entries) const
+{
+    return walk({}, entries, [](const Entry &) {});
 }
 
 void
-KvStore::forEach(
-    const std::function<void(Key, const KeyMeta &, std::string_view)> &fn)
-    const
+KvStore::forEach(const std::function<void(Key)> &fn) const
 {
-    for (size_t b = 0; b < numBuckets_; ++b) {
-        const Entry *entry = buckets_[b].load(std::memory_order_acquire);
-        while (entry) {
-            // Copy under the seqlock so callers get a consistent view.
-            for (;;) {
-                uint64_t snapshot = entry->lock.readBegin();
-                if (snapshot % 2 != 0)
-                    continue;
-                KeyMeta meta = entry->meta;
-                size_t len = entry->len;
-                Value value(entryData(entry), len <= maxValueSize_ ? len : 0);
-                if (entry->lock.readValidate(snapshot)) {
-                    fn(entry->key, meta, value);
-                    break;
-                }
-            }
-            entry = entry->next;
-        }
-    }
+    walk({}, SIZE_MAX, [&fn](const Entry &entry) { fn(entry.key); });
 }
 
 } // namespace hermes::store

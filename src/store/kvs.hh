@@ -6,8 +6,8 @@
  * value (state, logical timestamp, flags).
  *
  * Concurrency discipline (CRCW, as in ccKVS):
- *  - readers (`read`) walk a bucket chain and copy a matching entry under
- *    its seqlock; they never block and never take locks;
+ *  - readers (`read`, `scan`) walk bucket chains and copy entries under
+ *    their seqlocks; they never block and never take locks;
  *  - writers (`withKey`) take the bucket's stripe spinlock, then flip the
  *    entry's seqlock around the mutation, so readers observe either the
  *    old or the new version, never a torn one.
@@ -67,26 +67,28 @@ static_assert(sizeof(KeyMeta) == 16, "KeyMeta is copied under seqlocks");
 class KeyRecord
 {
   public:
-    /** Protocol metadata (mutable). */
-    KeyMeta &meta() { return *meta_; }
+    /** Protocol metadata (mutable; published when withKey returns). */
+    KeyMeta &meta() { return meta_; }
 
     /** Current value bytes. */
-    std::string_view value() const { return {data_, *len_}; }
+    std::string_view
+    value() const
+    {
+        return {data_, len_->load(std::memory_order_relaxed)};
+    }
 
     /** Replace the value (must fit the store's value capacity). */
     void
     setValue(std::string_view v)
     {
         hermes_assert(v.size() <= cap_);
-        // On the zero-copy receive path this memcpy is the value's ONLY
-        // copy after the wire: the decoded message aliases the transport
-        // slab and the bytes land here, under the seqlock, exactly once.
-        // The size guard keeps a default string_view's null data() out
-        // of memcpy (nonnull-attribute UB).
+        // On the zero-copy receive path this is the value's ONLY copy
+        // after the wire: the decoded message aliases the transport slab
+        // and the bytes land here, under the seqlock, exactly once. An
+        // empty value (possibly a null data()) copies no word.
         ValueCopyCounters::countStoreCopy();
-        if (!v.empty())
-            std::memcpy(data_, v.data(), v.size());
-        *len_ = v.size();
+        seqlockStore(data_, v.data(), v.size());
+        len_->store(v.size(), std::memory_order_relaxed);
     }
 
     /** @return true if the key existed before this access. */
@@ -94,14 +96,14 @@ class KeyRecord
 
   private:
     friend class KvStore;
-    KeyRecord(KeyMeta *meta, char *data, size_t *len, size_t cap,
-              bool existed)
+    KeyRecord(const KeyMeta &meta, char *data, std::atomic<size_t> *len,
+              size_t cap, bool existed)
         : meta_(meta), data_(data), len_(len), cap_(cap), existed_(existed)
     {}
 
-    KeyMeta *meta_;
+    KeyMeta meta_;
     char *data_;
-    size_t *len_;
+    std::atomic<size_t> *len_;
     size_t cap_;
     bool existed_;
 };
@@ -112,6 +114,24 @@ struct ReadResult
     bool found = false;
     KeyMeta meta{};
     Value value;
+};
+
+/**
+ * Where a chunked scan (`KvStore::scan`) resumes: a bucket, and how many
+ * entries at the head of that bucket's chain the scan already passed.
+ */
+struct ScanCursor
+{
+    size_t bucket = 0;
+    size_t skip = 0;
+};
+
+/** Outcome of one `KvStore::scan` or `KvStore::seek` step. */
+struct ScanStep
+{
+    ScanCursor next;    ///< where the following step resumes
+    size_t visited = 0; ///< entries this step passed
+    bool more = false;  ///< an entry lies at or beyond `next`
 };
 
 /**
@@ -167,27 +187,55 @@ class KvStore
             existed = false;
         }
         entry->lock.writeBegin();
-        KeyRecord rec(&entry->meta, entryData(entry), &entry->len,
+        KeyRecord rec(entry->meta, entryData(entry), &entry->len,
                       maxValueSize_, existed);
+        auto publish = [&] {
+            seqlockStore(&entry->meta, &rec.meta_, sizeof(KeyMeta));
+            entry->lock.writeEnd();
+        };
         if constexpr (std::is_void_v<decltype(fn(rec))>) {
             fn(rec);
-            entry->lock.writeEnd();
+            publish();
         } else {
             auto result = fn(rec);
-            entry->lock.writeEnd();
+            publish();
             return result;
         }
     }
 
+    /** Receives each scanned entry; the value is the entry's own copy. */
+    using ScanFn = std::function<void(Key, const KeyMeta &, ValueRef)>;
+
     /**
-     * Iterate all present keys. Entries appearing during the iteration may
-     * or may not be visited; each visited entry is copied consistently.
-     * Used for state transfer to joining shadow replicas (§3.4) and by
-     * tests checking replica convergence.
+     * Visit up to @p max_entries entries from @p from on, in bucket then
+     * chain order, and report where the next step resumes. Each entry is
+     * copied under its seqlock straight into the ValueRef handed to
+     * @p fn, so a step holds at most the entries it visits.
+     *
+     * The scan is fuzzy, never frozen: it runs lock-free beside writers.
+     * Chains are prepend-only and keys are never deleted, so an entry
+     * inserted into an already-passed part of the table is not visited,
+     * and one inserted at the head of the cursor's chain makes the
+     * resumed step repeat an entry, but an entry present when the scan
+     * started is never skipped. `more` looks ahead: it is false only
+     * when no entry lies beyond the step (used for state transfer to
+     * shadow replicas, §3.4).
      */
-    void forEach(
-        const std::function<void(Key, const KeyMeta &, std::string_view)>
-            &fn) const;
+    ScanStep scan(ScanCursor from, size_t max_entries,
+                  const ScanFn &fn) const;
+
+    /**
+     * The cursor @p entries entries past the start of the table: the
+     * same walk as scan(), copying no value.
+     */
+    ScanStep seek(size_t entries) const;
+
+    /**
+     * Visit every present key: the walk of scan() with no entry limit,
+     * copying no value. Keys appearing during the iteration may or may
+     * not be visited. Used by migration manifests.
+     */
+    void forEach(const std::function<void(Key)> &fn) const;
 
     /** Number of distinct keys inserted so far. */
     size_t size() const { return size_.load(std::memory_order_relaxed); }
@@ -220,10 +268,12 @@ class KvStore
         Entry *next = nullptr; // immutable after publication
         Seqlock lock;
         Key key = 0;
-        size_t len = 0;
-        KeyMeta meta{};
-        // value bytes follow the struct inline
+        // Seqlock-guarded: len, meta and the value bytes, which follow
+        // the struct inline, padded to whole words for seqlockStore().
+        std::atomic<size_t> len{0};
+        alignas(8) KeyMeta meta{};
     };
+    static_assert(sizeof(Entry) % 8 == 0, "inline value is word-aligned");
 
     char *
     entryData(Entry *entry) const
@@ -256,6 +306,21 @@ class KvStore
 
     /** Lock-free chain walk; returns nullptr if absent. */
     Entry *findEntry(Key key) const;
+
+    /**
+     * Copy @p entry 's metadata (returned) and value (through
+     * @p copy_value, called with the entry's bytes) under its seqlock,
+     * retrying until a copy validates. The one seqlock reader loop.
+     */
+    template <typename CopyValue>
+    KeyMeta copyEntry(const Entry &entry, CopyValue &&copy_value) const;
+
+    /**
+     * The one table walk behind scan(), seek() and forEach(): pass up to
+     * @p max_entries entries from @p from on, calling @p visit on each.
+     */
+    template <typename Visit>
+    ScanStep walk(ScanCursor from, size_t max_entries, Visit &&visit) const;
 
     /** Allocate, initialize and publish a new entry (stripe lock held). */
     Entry *insertLocked(Key key);

@@ -7,14 +7,17 @@
  * The counter is even when the protected data is stable and odd while a
  * writer is mid-update. Readers snapshot the counter, copy the data, and
  * retry if the counter moved or was odd; they never block writers, and
- * writers never block readers.
+ * writers never block readers. The data itself moves through
+ * seqlockStore()/seqlockLoad(), so the racing copies are atomic.
  */
 
 #ifndef HERMES_STORE_SEQLOCK_HH
 #define HERMES_STORE_SEQLOCK_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace hermes::store
 {
@@ -64,6 +67,56 @@ class Seqlock
   private:
     std::atomic<uint64_t> seq_{0};
 };
+
+/**
+ * Copy @p len bytes into seqlock-guarded storage @p shared (writer side,
+ * inside writeBegin/writeEnd). Readers copy the same bytes while a
+ * writer may be changing them, so both sides move them as relaxed
+ * atomic 8-byte words: a copy that overlapped a write is still caught by
+ * readValidate(), and no access is a data race — which C++ leaves
+ * undefined and ThreadSanitizer reports. @p shared must be 8-byte
+ * aligned with room for @p len rounded up to a multiple of 8.
+ */
+inline void
+seqlockStore(void *shared, const void *src, size_t len)
+{
+    auto *words = static_cast<uint64_t *>(shared);
+    const char *in = static_cast<const char *>(src);
+    size_t at = 0;
+    // Whole words first: fixed-size memcpys compile to plain moves.
+    for (; at + 8 <= len; at += 8, ++words) {
+        uint64_t word;
+        std::memcpy(&word, in + at, 8);
+        std::atomic_ref<uint64_t>(*words).store(word,
+                                                std::memory_order_relaxed);
+    }
+    if (at < len) {
+        uint64_t word = 0;
+        std::memcpy(&word, in + at, len - at);
+        std::atomic_ref<uint64_t>(*words).store(word,
+                                                std::memory_order_relaxed);
+    }
+}
+
+/** Reader side of seqlockStore(): copy @p len bytes out of @p shared. */
+inline void
+seqlockLoad(void *dst, const void *shared, size_t len)
+{
+    // atomic_ref needs a non-const referent; the storage is never const.
+    auto *words = static_cast<uint64_t *>(const_cast<void *>(shared));
+    char *out = static_cast<char *>(dst);
+    size_t at = 0;
+    for (; at + 8 <= len; at += 8, ++words) {
+        uint64_t word =
+            std::atomic_ref<uint64_t>(*words).load(std::memory_order_relaxed);
+        std::memcpy(out + at, &word, 8);
+    }
+    if (at < len) {
+        uint64_t word =
+            std::atomic_ref<uint64_t>(*words).load(std::memory_order_relaxed);
+        std::memcpy(out + at, &word, len - at);
+    }
+}
 
 /** Minimal test-and-test-and-set spinlock for writer striping. */
 class Spinlock

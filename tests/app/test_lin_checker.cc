@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "app/lin_checker.hh"
+#include "support/str_cat.hh"
 
 namespace hermes::app
 {
@@ -235,7 +236,7 @@ TEST(LinChecker, LongSequentialHistoryFast)
     std::vector<HistOp> ops;
     Value prev;
     for (int i = 0; i < 2000; ++i) {
-        Value v = "v" + std::to_string(i);
+        Value v = test::strCat("v", i);
         ops.push_back(write(1, v, i * 10, i * 10 + 5));
         ops.push_back(read(1, v, i * 10 + 6, i * 10 + 9));
         prev = v;
@@ -247,7 +248,7 @@ TEST(LinChecker, TinyBudgetReportsInconclusive)
 {
     std::vector<HistOp> ops;
     for (int i = 0; i < 12; ++i)
-        ops.push_back(write(1, "w" + std::to_string(i), 0, 1000));
+        ops.push_back(write(1, test::strCat("w", i), 0, 1000));
     EXPECT_EQ(checkKeyHistory(ops, {}, /*state_budget=*/4),
               LinResult::Inconclusive);
 }

@@ -20,6 +20,7 @@
 #include "app/workload.hh"
 #include "store/wal.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "support/temp_dir.hh"
 
 namespace hermes
@@ -120,7 +121,7 @@ TEST(LiveMigration, MovedSlotsServeAtTheDestinationWithTheirData)
 
     for (Key key = 0; key < 200; ++key) {
         ASSERT_TRUE(cluster.writeSync(cluster.routeNode(key), key,
-                                      "v" + std::to_string(key)));
+                                      test::strCat("v", key)));
     }
 
     // Move half of shard 0's slots to shard 1.
@@ -149,7 +150,7 @@ TEST(LiveMigration, MovedSlotsServeAtTheDestinationWithTheirData)
         // replicas, through normal routing.
         EXPECT_EQ(cluster.readSync(cluster.routeNode(key), key)
                       .value_or("?"),
-                  "v" + std::to_string(key))
+                  test::strCat("v", key))
             << "key " << key;
         EXPECT_TRUE(cluster.converged(key)) << "key " << key;
         if (in_moved && app::shardOfKey(key, 2) == 0)
@@ -187,7 +188,7 @@ TEST(LiveMigration, WritesRacingTheMoveParkAtTheLockAndNoneAreLost)
         if (i > 400)
             return;
         cluster.write(cluster.liveRouteNode(hot), hot,
-                      "w" + std::to_string(i), [&acked, &pump, i] {
+                      test::strCat("w", i), [&acked, &pump, i] {
                           ++acked;
                           pump(i + 1);
                       });
@@ -207,7 +208,7 @@ TEST(LiveMigration, WritesRacingTheMoveParkAtTheLockAndNoneAreLost)
     // parked writes were resubmitted in order, none lost.
     EXPECT_EQ(cluster.shardOf(hot), 1u);
     EXPECT_EQ(cluster.readSync(cluster.routeNode(hot), hot).value_or("?"),
-              "w" + std::to_string(acked));
+              test::strCat("w", acked));
     EXPECT_TRUE(cluster.converged(hot));
 }
 
@@ -223,7 +224,7 @@ TEST(LiveMigration, SourceGroupDownAbortsInsteadOfCuttingOver)
 
     for (Key key = 0; key < 100; ++key) {
         ASSERT_TRUE(cluster.writeSync(cluster.routeNode(key), key,
-                                      "v" + std::to_string(key)));
+                                      test::strCat("v", key)));
     }
 
     std::vector<uint32_t> all = cluster.slotMap().slotsOwnedBy(0);

@@ -16,6 +16,7 @@
 #include "app/lin_checker.hh"
 #include "app/workload.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -157,12 +158,12 @@ TEST(ShardedCluster, BasicRoutingAndSyncOps)
     for (Key key = 0; key < 32; ++key) {
         NodeId coordinator = cluster.routeNode(key, key % 3);
         ASSERT_TRUE(cluster.writeSync(coordinator, key,
-                                      "v" + std::to_string(key)));
+                                      test::strCat("v", key)));
         // Readable from every replica of the owning group.
         for (size_t r = 0; r < 3; ++r) {
             EXPECT_EQ(cluster.readSync(cluster.routeNode(key, r), key)
                           .value_or("?"),
-                      "v" + std::to_string(key));
+                      test::strCat("v", key));
         }
         EXPECT_TRUE(cluster.converged(key));
         // Only the owning group's replicas hold the key.

@@ -11,6 +11,7 @@
 #include "support/cluster_fixture.hh"
 #include "app/driver.hh"
 #include "app/lin_checker.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -124,7 +125,7 @@ TEST(Craq, PipelinedWritesToSameKeyCommitInOrder)
     cluster.start();
     int committed = 0;
     for (int i = 0; i < 10; ++i)
-        cluster.write(0, 5, "v" + std::to_string(i),
+        cluster.write(0, 5, test::strCat("v", i),
                       [&committed] { ++committed; });
     cluster.runFor(20_ms);
     EXPECT_EQ(committed, 10);

@@ -10,6 +10,7 @@
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
 #include "app/driver.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -47,8 +48,8 @@ TEST(Lockstep, TotalOrderAcrossSubmitters)
     int committed = 0;
     for (int i = 0; i < 10; ++i)
         for (NodeId n = 0; n < 3; ++n)
-            cluster.write(n, 5, "n" + std::to_string(n) + "i"
-                          + std::to_string(i), [&committed] { ++committed; });
+            cluster.write(n, 5, test::strCat("n", n, "i", i),
+                          [&committed] { ++committed; });
     cluster.runFor(50_ms);
     EXPECT_EQ(committed, 30);
     // All replicas converge on the same final value (total order).

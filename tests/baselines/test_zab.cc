@@ -9,6 +9,7 @@
 #include "app/cluster.hh"
 #include "app/driver.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -76,7 +77,7 @@ TEST(Zab, CommitsApplyInZxidOrderDespiteReordering)
     // commits all reorder in flight (what this test is really about —
     // the in-order apply machinery).
     for (int i = 0; i < 30; ++i)
-        cluster.write(0, 7, "v" + std::to_string(i),
+        cluster.write(0, 7, test::strCat("v", i),
                       [&committed] { ++committed; });
     cluster.runFor(50_ms);
     EXPECT_EQ(committed, 30);

@@ -11,6 +11,7 @@
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
 #include "hermes/key_state.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -51,12 +52,12 @@ TEST(HermesBasic, AnyReplicaCanCoordinateWrites)
     SimCluster cluster(hermesConfig(5));
     cluster.start();
     for (NodeId n = 0; n < 5; ++n)
-        ASSERT_TRUE(cluster.writeSync(n, 100 + n, "from" + std::to_string(n)));
+        ASSERT_TRUE(cluster.writeSync(n, 100 + n, test::strCat("from", n)));
     for (NodeId reader = 0; reader < 5; ++reader) {
         for (NodeId writer = 0; writer < 5; ++writer) {
             auto value = cluster.readSync(reader, 100 + writer);
             ASSERT_TRUE(value.has_value());
-            EXPECT_EQ(*value, "from" + std::to_string(writer));
+            EXPECT_EQ(*value, test::strCat("from", writer));
         }
     }
 }
@@ -66,7 +67,7 @@ TEST(HermesBasic, SequentialWritesLastOneWins)
     SimCluster cluster(hermesConfig(3));
     cluster.start();
     for (int i = 0; i < 10; ++i)
-        ASSERT_TRUE(cluster.writeSync(i % 3, 7, "v" + std::to_string(i)));
+        ASSERT_TRUE(cluster.writeSync(i % 3, 7, test::strCat("v", i)));
     for (NodeId n = 0; n < 3; ++n)
         EXPECT_EQ(cluster.readSync(n, 7).value_or("?"), "v9");
 }
@@ -161,7 +162,7 @@ TEST(HermesBasic, WritesNeverAbort)
     cluster.start();
     int committed = 0;
     for (NodeId n = 0; n < 5; ++n) {
-        cluster.write(n, 77, "w" + std::to_string(n),
+        cluster.write(n, 77, test::strCat("w", n),
                       [&committed] { ++committed; });
     }
     cluster.runFor(10_ms);
@@ -200,7 +201,7 @@ TEST(HermesBasic, ValueTimestampsMonotonePerKey)
     cluster.start();
     Timestamp last;
     for (int i = 0; i < 5; ++i) {
-        ASSERT_TRUE(cluster.writeSync(i % 3, 3, "v" + std::to_string(i)));
+        ASSERT_TRUE(cluster.writeSync(i % 3, 3, test::strCat("v", i)));
         Timestamp now_ts = cluster.replica(0).hermes()->keyTimestamp(3);
         EXPECT_GT(now_ts, last);
         last = now_ts;

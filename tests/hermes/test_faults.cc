@@ -10,6 +10,7 @@
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
 #include "hermes/key_state.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -102,10 +103,10 @@ TEST(HermesFaults, DuplicatedMessagesAreHarmless)
     cluster.start();
     cluster.runtime().network().setDuplicateProbability(1.0);
     for (int i = 0; i < 10; ++i)
-        ASSERT_TRUE(cluster.writeSync(i % 3, 10 + i, "dup" + std::to_string(i)));
+        ASSERT_TRUE(cluster.writeSync(i % 3, 10 + i, test::strCat("dup", i)));
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(cluster.readSync((i + 1) % 3, 10 + i).value_or("?"),
-                  "dup" + std::to_string(i));
+                  test::strCat("dup", i));
         EXPECT_TRUE(cluster.converged(10 + i));
     }
 }
@@ -119,8 +120,8 @@ TEST(HermesFaults, HeavyReorderingPreservesTimestampOrder)
     int committed = 0;
     for (int round = 0; round < 5; ++round) {
         for (NodeId n = 0; n < 5; ++n) {
-            cluster.write(n, 99, "r" + std::to_string(round) + "n"
-                          + std::to_string(n), [&committed] { ++committed; });
+            cluster.write(n, 99, test::strCat("r", round, "n", n),
+                          [&committed] { ++committed; });
         }
     }
     cluster.runFor(50_ms);

@@ -10,6 +10,7 @@
 #include "app/cluster.hh"
 #include "support/cluster_fixture.hh"
 #include "hermes/key_state.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -70,7 +71,7 @@ TEST(HermesOpts, O2VirtualIdsStayDisjointAndCorrect)
     cluster.start();
     for (int i = 0; i < 30; ++i) {
         ASSERT_TRUE(cluster.writeSync(i % 3, 50 + i % 7,
-                                      "v" + std::to_string(i)));
+                                      test::strCat("v", i)));
     }
     cluster.runFor(2_ms); // let the final VAL broadcasts land
     for (int k = 0; k < 7; ++k) {
@@ -185,14 +186,14 @@ TEST(HermesOpts, SerializedAblationStillCorrect)
     int committed = 0;
     cluster.runtime().submit(0, 0, [&] {
         for (Key k = 0; k < 6; ++k)
-            cluster.replica(0).write(k, "s" + std::to_string(k),
+            cluster.replica(0).write(k, test::strCat("s", k),
                                      [&committed] { ++committed; });
     });
     cluster.runFor(50_ms);
     EXPECT_EQ(committed, 6);
     for (Key k = 0; k < 6; ++k)
         EXPECT_EQ(cluster.readSync(1, k).value_or("?"),
-                  "s" + std::to_string(k));
+                  test::strCat("s", k));
 }
 
 TEST(HermesOpts, SerializedAblationLimitsPipelining)

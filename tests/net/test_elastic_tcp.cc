@@ -25,6 +25,7 @@
 #include "common/random.hh"
 #include "store/wal.hh"
 #include "support/temp_dir.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -135,8 +136,8 @@ TEST(ElasticTcp, HelloTeachesSlotOwnersMatchingLegacyHash)
             << "key " << key;
 
     for (Key key = 1; key <= 12; ++key) {
-        ASSERT_TRUE(client.write(key, "v" + std::to_string(key)));
-        EXPECT_EQ(client.read(key).value_or("?"), "v" + std::to_string(key));
+        ASSERT_TRUE(client.write(key, test::strCat("v", key)));
+        EXPECT_EQ(client.read(key).value_or("?"), test::strCat("v", key));
     }
 }
 
@@ -155,7 +156,7 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
     KvClient client(deployment.portOf(0, 0));
     ASSERT_TRUE(client.connected());
     for (Key key = 1; key <= 64; ++key)
-        ASSERT_TRUE(client.write(key, "pre-" + std::to_string(key)));
+        ASSERT_TRUE(client.write(key, test::strCat("pre-", key)));
 
     std::vector<uint32_t> moving =
         slotsOwnedPrefix(deployment.slotMap(), 0, 128);
@@ -168,9 +169,9 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
     // route through the redirect to wherever the slot lives now.
     for (Key key = 1; key <= 64; ++key) {
         EXPECT_EQ(client.read(key).value_or("?"),
-                  "pre-" + std::to_string(key))
+                  test::strCat("pre-", key))
             << "key " << key;
-        ASSERT_TRUE(client.write(key, "post-" + std::to_string(key)));
+        ASSERT_TRUE(client.write(key, test::strCat("post-", key)));
     }
     EXPECT_EQ(client.mapEpoch(), 2u); // the reroute taught the new map
 
@@ -182,13 +183,13 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
     Key moved_key = keyInSlots(moving);
     EXPECT_EQ(fresh.routedShard(moved_key), 1u);
     EXPECT_EQ(fresh.read(moved_key).value_or("?"),
-              "post-" + std::to_string(moved_key));
+              test::strCat("post-", moved_key));
 
     // The destination group REALLY holds the moved data: ask it with a
     // shard-local client (no cross-group reroute possible).
     KvClient dest_local(deployment.portOf(1, 0));
     EXPECT_EQ(dest_local.read(moved_key).value_or("?"),
-              "post-" + std::to_string(moved_key));
+              test::strCat("post-", moved_key));
 }
 
 TEST(ElasticTcp, AbortedMigrationServesParkedOpsAtTheSource)
@@ -318,7 +319,7 @@ TEST(ElasticTcp, FutureEpochStampRejectedBeforeIndexing)
         request.shard = 1;
         request.numShards = kShards;
         request.mapEpoch = epoch;
-        request.value = "epoch-" + std::to_string(epoch);
+        request.value = test::strCat("epoch-", epoch);
         auto reply = raw.call(request, 5_s);
         ASSERT_TRUE(reply);
         auto &r = static_cast<net::ClientReplyMsg &>(*reply);
@@ -400,7 +401,7 @@ TEST(ElasticTcp, AddShardMigrateInRemoveShardRoundTrip)
 
     KvClient client(deployment.portOf(0, 0));
     for (Key key = 1; key <= 48; ++key)
-        ASSERT_TRUE(client.write(key, "v" + std::to_string(key)));
+        ASSERT_TRUE(client.write(key, test::strCat("v", key)));
 
     uint32_t fresh_shard = deployment.addShard();
     EXPECT_EQ(fresh_shard, 2u);
@@ -415,7 +416,7 @@ TEST(ElasticTcp, AddShardMigrateInRemoveShardRoundTrip)
 
     Key moved_key = keyInSlots(handed);
     EXPECT_EQ(client.read(moved_key).value_or("?"),
-              "v" + std::to_string(moved_key));
+              test::strCat("v", moved_key));
     ASSERT_TRUE(client.write(moved_key, "on-the-newcomer"));
     KvClient newcomer_local(deployment.portOf(2, 0));
     EXPECT_EQ(newcomer_local.read(moved_key).value_or("?"),
@@ -434,7 +435,7 @@ TEST(ElasticTcp, AddShardMigrateInRemoveShardRoundTrip)
     for (Key key = 1; key <= 48; ++key) {
         if (key == moved_key)
             continue;
-        EXPECT_EQ(after.read(key).value_or("?"), "v" + std::to_string(key))
+        EXPECT_EQ(after.read(key).value_or("?"), test::strCat("v", key))
             << "key " << key;
     }
 }
@@ -562,17 +563,15 @@ TEST(ElasticTcp, AcceptanceHistorySpansLiveMigrationAndSourceCrash)
                         op.result = *got;
                 } else if (dice < 0.9) {
                     op.kind = app::HistOp::Kind::Write;
-                    op.arg = "c" + std::to_string(c) + "-"
-                             + std::to_string(i);
+                    op.arg = test::strCat("c", c, "-", i);
                     completed = client.write(op.key, op.arg, 20_s);
                 } else {
                     op.kind = app::HistOp::Kind::Cas;
-                    op.arg = "c" + std::to_string(c) + "-"
-                             + std::to_string(i);
+                    op.arg = test::strCat("c", c, "-", i);
                     if (rng.nextBool(0.5))
                         op.expected = Value{};
                     else
-                        op.expected = "alien-" + std::to_string(rng.next());
+                        op.expected = test::strCat("alien-", rng.next());
                     auto seen = client.casObserve(op.key, op.expected,
                                                  op.arg, 20_s);
                     completed = seen.has_value();

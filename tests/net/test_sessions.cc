@@ -25,6 +25,7 @@
 #include "app/lin_checker.hh"
 #include "app/tcp_service.hh"
 #include "common/random.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -76,7 +77,7 @@ TEST(Sessions, PipelinedOpsCompleteByToken)
     std::vector<uint64_t> writes;
     for (int i = 0; i < kOps; ++i)
         writes.push_back(
-            session.writeAsync(1 + i % 10, "w" + std::to_string(i)));
+            session.writeAsync(1 + i % 10, test::strCat("w", i)));
     EXPECT_EQ(session.inflight(), static_cast<size_t>(kOps));
     for (uint64_t token : writes) {
         auto result = session.wait(token);
@@ -95,7 +96,7 @@ TEST(Sessions, PipelinedOpsCompleteByToken)
         auto result = session.wait(reads[i]);
         ASSERT_TRUE(result.has_value());
         EXPECT_TRUE(result->completed);
-        EXPECT_EQ(result->value, "w" + std::to_string(90 + i));
+        EXPECT_EQ(result->value, test::strCat("w", 90 + i));
     }
 
     // CAS through the session: a winning and a losing one, the loser
@@ -137,7 +138,7 @@ TEST(Sessions, ServerStopsReadingOverLimitSession)
 
     constexpr int kOps = 500;
     for (int i = 0; i < kOps; ++i)
-        flood.writeAsync(1 + i % 16, "f" + std::to_string(i), 60_s);
+        flood.writeAsync(1 + i % 16, test::strCat("f", i), 60_s);
     EXPECT_EQ(flood.waitAll(), static_cast<size_t>(kOps))
         << "a paused session must resume once replies drain";
 
@@ -149,7 +150,7 @@ TEST(Sessions, ServerStopsReadingOverLimitSession)
 
     KvClient check(service.portOf(2));
     EXPECT_EQ(check.read(1 + (kOps - 16) % 16).value_or("?"),
-              "f" + std::to_string(kOps - 16));
+              test::strCat("f", kOps - 16));
 }
 
 TEST(Sessions, CreditReturnsFlushOnQuietLinks)
@@ -171,7 +172,7 @@ TEST(Sessions, CreditReturnsFlushOnQuietLinks)
     KvClient client(service.portOf(0));
     ASSERT_TRUE(client.connected());
     for (int i = 0; i < 20; ++i) {
-        ASSERT_TRUE(client.write(1 + i % 5, "q" + std::to_string(i), 5_s))
+        ASSERT_TRUE(client.write(1 + i % 5, test::strCat("q", i), 5_s))
             << "write " << i << " starved: credits never came back";
     }
     EXPECT_EQ(client.read(1).value_or("?"), "q15");
@@ -320,17 +321,15 @@ TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)
             token = s.readAsync(key, 5_s);
         } else if (dice < 0.9) {
             op.kind = app::HistOp::Kind::Write;
-            op.arg = "s" + std::to_string(c) + "-"
-                     + std::to_string(rng.next());
+            op.arg = test::strCat("s", c, "-", rng.next());
             token = s.writeAsync(key, op.arg, 5_s);
         } else {
             op.kind = app::HistOp::Kind::Cas;
-            op.arg = "s" + std::to_string(c) + "-"
-                     + std::to_string(rng.next());
+            op.arg = test::strCat("s", c, "-", rng.next());
             if (rng.nextBool(0.5))
                 op.expected = Value{};
             else
-                op.expected = "alien-" + std::to_string(rng.next());
+                op.expected = test::strCat("alien-", rng.next());
             token = s.casAsync(key, op.expected, op.arg, 5_s);
         }
         outstanding[c].push_back(Tracked{token, std::move(op)});

@@ -21,6 +21,7 @@
 #include "app/lin_checker.hh"
 #include "app/tcp_service.hh"
 #include "common/random.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -82,10 +83,10 @@ TEST(ShardedTcp, HelloNegotiatesDeploymentMap)
     // Ops route to the owning group, whichever shard that is.
     for (uint32_t s = 0; s < 2; ++s) {
         Key key = keyOwnedBy(s, 2);
-        ASSERT_TRUE(client.write(key, "shard-" + std::to_string(s)));
+        ASSERT_TRUE(client.write(key, test::strCat("shard-", s)));
         EXPECT_EQ(client.lastStatus(), net::ClientReplyMsg::Status::Ok);
         EXPECT_EQ(client.read(key).value_or("?"),
-                  "shard-" + std::to_string(s));
+                  test::strCat("shard-", s));
     }
 
     // Each value really lives in its own group and nowhere else: ask the
@@ -93,7 +94,7 @@ TEST(ShardedTcp, HelloNegotiatesDeploymentMap)
     for (uint32_t s = 0; s < 2; ++s) {
         KvClient local(deployment.portOf(s, 0));
         EXPECT_EQ(local.read(keyOwnedBy(s, 2)).value_or("?"),
-                  "shard-" + std::to_string(s));
+                  test::strCat("shard-", s));
     }
 }
 
@@ -117,7 +118,7 @@ TEST(ShardedTcp, StaleMapClientConvergesOnRealDeployment)
     EXPECT_EQ(stale.numShards(), 1u);
 
     for (Key key = 1; key <= 40; ++key) {
-        ASSERT_TRUE(stale.write(key, "v" + std::to_string(key)))
+        ASSERT_TRUE(stale.write(key, test::strCat("v", key)))
             << "key " << key << " (shard "
             << app::shardOfKey(key, kShards) << ") status "
             << static_cast<int>(stale.lastStatus());
@@ -127,13 +128,13 @@ TEST(ShardedTcp, StaleMapClientConvergesOnRealDeployment)
     EXPECT_EQ(stale.numShards(), kShards);
 
     for (Key key = 1; key <= 40; ++key)
-        EXPECT_EQ(stale.read(key).value_or("?"), "v" + std::to_string(key));
+        EXPECT_EQ(stale.read(key).value_or("?"), test::strCat("v", key));
 
     // Cross-check through an independent fresh client: the values landed
     // on the groups the deployment map says own them.
     KvClient fresh(deployment.portOf(0, 1));
     for (Key key = 1; key <= 40; ++key)
-        EXPECT_EQ(fresh.read(key).value_or("?"), "v" + std::to_string(key));
+        EXPECT_EQ(fresh.read(key).value_or("?"), test::strCat("v", key));
 }
 
 TEST(ShardedTcp, GarbageShardStampRejectedBeforeHashing)
@@ -227,19 +228,17 @@ TEST(ShardedTcp, EndToEndLinCheckedUnderConcurrentLoad)
                         op.result = *got;
                 } else if (dice < 0.9) {
                     op.kind = app::HistOp::Kind::Write;
-                    op.arg = "c" + std::to_string(c) + "-"
-                             + std::to_string(i);
+                    op.arg = test::strCat("c", c, "-", i);
                     completed = client.write(op.key, op.arg, 20_s);
                 } else {
                     op.kind = app::HistOp::Kind::Cas;
-                    op.arg = "c" + std::to_string(c) + "-"
-                             + std::to_string(i);
+                    op.arg = test::strCat("c", c, "-", i);
                     // Half expect genesis (may win on fresh keys), half
                     // expect a foreign value (exercise the failure path).
                     if (rng.nextBool(0.5))
                         op.expected = Value{};
                     else
-                        op.expected = "alien-" + std::to_string(rng.next());
+                        op.expected = test::strCat("alien-", rng.next());
                     auto seen =
                         client.casObserve(op.key, op.expected, op.arg, 20_s);
                     completed = seen.has_value();
@@ -408,7 +407,7 @@ TEST(ShardedTcp, KilledShardLeavesOthersServing)
     ASSERT_TRUE(client.connected());
     for (uint32_t s = 0; s < kShards; ++s)
         ASSERT_TRUE(client.write(keyOwnedBy(s, kShards),
-                                 "pre-" + std::to_string(s)));
+                                 test::strCat("pre-", s)));
 
     const uint32_t kDead = 3;
     deployment.crashShard(kDead);
@@ -419,11 +418,11 @@ TEST(ShardedTcp, KilledShardLeavesOthersServing)
             continue;
         Key key = keyOwnedBy(s, kShards);
         EXPECT_EQ(client.read(key).value_or("?"),
-                  "pre-" + std::to_string(s));
-        ASSERT_TRUE(client.write(key, "post-" + std::to_string(s)));
+                  test::strCat("pre-", s));
+        ASSERT_TRUE(client.write(key, test::strCat("post-", s)));
         KvClient fresh(deployment.portOf(s, 1));
         EXPECT_EQ(fresh.read(key).value_or("?"),
-                  "post-" + std::to_string(s));
+                  test::strCat("post-", s));
     }
 
     // The dead shard's keys fail (timeout/refused), and the failure does

@@ -15,6 +15,7 @@
 
 #include "app/cluster.hh"
 #include "app/tcp_service.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -87,7 +88,7 @@ TEST(TcpCluster, ManySequentialOpsBatchAndFlow)
     KvClient client(service.portOf(0));
     ASSERT_TRUE(client.connected());
     for (int i = 0; i < 200; ++i)
-        ASSERT_TRUE(client.write(i % 10, "v" + std::to_string(i)))
+        ASSERT_TRUE(client.write(i % 10, test::strCat("v", i)))
             << "write " << i;
     KvClient reader(service.portOf(1));
     EXPECT_EQ(reader.read(9).value_or("?"), "v199");
@@ -107,8 +108,7 @@ TEST(TcpCluster, ConcurrentClientsOnDifferentReplicas)
             KvClient client(service.portOf(t));
             for (int i = 0; i < 50; ++i) {
                 Key key = 100 + t; // distinct key per client
-                if (!client.write(key, "c" + std::to_string(t) + "i"
-                                  + std::to_string(i))) {
+                if (!client.write(key, test::strCat("c", t, "i", i))) {
                     ++failures;
                 }
             }
@@ -121,7 +121,7 @@ TEST(TcpCluster, ConcurrentClientsOnDifferentReplicas)
     KvClient reader(service.portOf(0));
     for (int t = 0; t < 3; ++t) {
         EXPECT_EQ(reader.read(100 + t).value_or("?"),
-                  "c" + std::to_string(t) + "i49");
+                  test::strCat("c", t, "i49"));
     }
 }
 

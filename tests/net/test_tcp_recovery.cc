@@ -21,6 +21,7 @@
 #include "common/random.hh"
 #include "store/wal.hh"
 #include "support/temp_dir.hh"
+#include "support/str_cat.hh"
 
 namespace hermes
 {
@@ -118,7 +119,7 @@ TEST(TcpRecovery, ShardedHistoryAcrossCrashRestartStaysLinearizable)
         op.kind = app::HistOp::Kind::Write;
         op.key = key;
         op.shard = app::shardOfKey(key, kShards);
-        op.arg = "pre-" + std::to_string(key);
+        op.arg = test::strCat("pre-", key);
         op.invoke = wallNowNs();
         ASSERT_TRUE(setup.write(key, op.arg));
         op.response = wallNowNs();
@@ -152,8 +153,7 @@ TEST(TcpRecovery, ShardedHistoryAcrossCrashRestartStaysLinearizable)
                         op.result = *got;
                 } else {
                     op.kind = app::HistOp::Kind::Write;
-                    op.arg = "c" + std::to_string(c) + "-"
-                             + std::to_string(i);
+                    op.arg = test::strCat("c", c, "-", i);
                     completed = client.write(op.key, op.arg, 20_s);
                 }
                 op.response = wallNowNs();
@@ -270,7 +270,7 @@ TEST(TcpRecovery, DrainFlushesWalAndStopsAccepting)
     constexpr Key kKeys = 40;
     for (Key key = 1; key <= kKeys; ++key) {
         ASSERT_TRUE(
-            client.write(key, "durable-" + std::to_string(key)));
+            client.write(key, test::strCat("durable-", key)));
     }
 
     deployment.drain();

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -101,13 +104,183 @@ TEST(KvStore, ForEachVisitsAllKeys)
         kvs.withKey(k, [](KeyRecord &rec) { rec.setValue("x"); });
     size_t visited = 0;
     uint64_t key_sum = 0;
-    kvs.forEach([&](Key k, const KeyMeta &, std::string_view v) {
+    kvs.forEach([&](Key k) {
         ++visited;
         key_sum += k;
-        EXPECT_EQ(v, "x");
+        EXPECT_EQ(kvs.read(k).value, "x");
     });
     EXPECT_EQ(visited, 10u);
     EXPECT_EQ(key_sum, 145u); // 10+...+19
+}
+
+/** Keys of a full scan from @p from, in visiting order. */
+std::vector<Key>
+scanKeys(const KvStore &kvs, ScanCursor from = {})
+{
+    std::vector<Key> keys;
+    ScanStep step = kvs.scan(from, SIZE_MAX,
+                             [&keys](Key k, const KeyMeta &, ValueRef) {
+                                 keys.push_back(k);
+                             });
+    EXPECT_FALSE(step.more);
+    EXPECT_EQ(step.visited, keys.size());
+    return keys;
+}
+
+TEST(KvStore, ScanResumesAtEveryCursorVisitingEachKeyOnce)
+{
+    KvStore kvs(16, 16); // 16 buckets for 192 keys: long chains
+    static constexpr Key kKeys = 192;
+    for (Key k = 0; k < kKeys; ++k)
+        kvs.withKey(k, [k](KeyRecord &rec) {
+            rec.setValue(std::to_string(k));
+        });
+    const std::vector<Key> order = scanKeys(kvs);
+    ASSERT_EQ(order.size(), kKeys);
+
+    // Every position: seek there, resume, and get exactly the rest.
+    for (size_t p = 0; p <= kKeys; ++p) {
+        ScanStep at = kvs.seek(p);
+        EXPECT_EQ(at.visited, p);
+        EXPECT_EQ(at.more, p < kKeys);
+        std::vector<Key> rest = scanKeys(kvs, at.next);
+        EXPECT_TRUE(std::equal(rest.begin(), rest.end(), order.begin() + p,
+                               order.end()))
+            << "position " << p;
+    }
+
+    // Every chunk size: chunked steps visit each key once, with values,
+    // and the last step is the one reporting no more (a store that is a
+    // multiple of the chunk size gets no trailing empty step).
+    for (size_t chunk = 1; chunk <= kKeys + 1; ++chunk) {
+        std::vector<int> seen(kKeys, 0);
+        ScanCursor cursor;
+        size_t steps = 0;
+        for (bool more = true; more;) {
+            ScanStep step = kvs.scan(
+                cursor, chunk,
+                [&seen](Key k, const KeyMeta &, ValueRef v) {
+                    ASSERT_LT(k, kKeys);
+                    EXPECT_EQ(v, std::to_string(k));
+                    ++seen[k];
+                });
+            EXPECT_EQ(step.visited,
+                      step.more ? chunk : (kKeys - 1) % chunk + 1);
+            ++steps;
+            more = step.more;
+            cursor = step.next;
+        }
+        EXPECT_EQ(steps, (kKeys + chunk - 1) / chunk) << "chunk " << chunk;
+        for (Key k = 0; k < kKeys; ++k)
+            EXPECT_EQ(seen[k], 1) << "chunk " << chunk << " key " << k;
+    }
+}
+
+TEST(KvStore, ScanOfEmptyStoreVisitsNothing)
+{
+    KvStore kvs(16, 16);
+    ScanStep step = kvs.scan({}, 64, [](Key, const KeyMeta &, ValueRef) {
+        ADD_FAILURE() << "empty store yielded an entry";
+    });
+    EXPECT_EQ(step.visited, 0u);
+    EXPECT_FALSE(step.more);
+}
+
+TEST(KvStore, InsertIntoScannedChainRepeatsButNeverSkips)
+{
+    KvStore kvs(1, 16); // one bucket: every key shares one chain
+    for (Key k = 0; k < 10; ++k)
+        kvs.withKey(k, [](KeyRecord &rec) { rec.setValue("x"); });
+
+    std::vector<Key> visited;
+    auto collect = [&visited](Key k, const KeyMeta &, ValueRef) {
+        visited.push_back(k);
+    };
+    ScanStep first = kvs.scan({}, 4, collect);
+    ASSERT_EQ(first.visited, 4u);
+    ASSERT_TRUE(first.more);
+
+    // Prepended behind the cursor: the resumed scan starts one entry
+    // earlier, so it repeats the last entry it already visited.
+    kvs.withKey(100, [](KeyRecord &rec) { rec.setValue("new"); });
+    ScanStep rest = kvs.scan(first.next, SIZE_MAX, collect);
+    EXPECT_FALSE(rest.more);
+
+    std::vector<int> seen(10, 0);
+    for (Key k : visited) {
+        EXPECT_NE(k, 100u) << "an entry inserted behind the cursor";
+        if (k < 10)
+            ++seen[k];
+    }
+    int repeats = 0;
+    for (Key k = 0; k < 10; ++k) {
+        EXPECT_GE(seen[k], 1) << "pre-existing key " << k << " skipped";
+        repeats += seen[k] - 1;
+    }
+    EXPECT_EQ(repeats, 1);
+    EXPECT_EQ(visited[4], visited[3]);
+}
+
+/** A chunked scanner racing writers and inserters never sees a torn entry. */
+TEST(KvStore, ChunkedScanRacingWritersNeverSeesTornValues)
+{
+    KvStore kvs(8, 64); // 8 buckets: the scanner walks chains writers grow
+    constexpr Key kHot = 16;
+    for (Key k = 0; k < kHot; ++k)
+        kvs.withKey(k, [](KeyRecord &rec) {
+            rec.setValue(std::string(48, 'A'));
+        });
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> torn{0};
+    std::atomic<uint64_t> scanned{0};
+    std::atomic<bool> scanning{false};
+    std::thread scanner([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            scanning.store(true, std::memory_order_release);
+            ScanCursor cursor;
+            for (bool more = true; more;) {
+                ScanStep step = kvs.scan(
+                    cursor, 3, [&](Key, const KeyMeta &meta, ValueRef v) {
+                        ++scanned;
+                        // A key is published before its first write
+                        // lands: empty at version 0 is whole, not torn.
+                        if (v.empty() && meta.ts.version == 0)
+                            return;
+                        char expected = 'A' + static_cast<char>(
+                            meta.ts.version % 26);
+                        if (v.size() != 48
+                                || v.view().find_first_not_of(expected)
+                                       != std::string_view::npos)
+                            ++torn;
+                    });
+                more = step.more;
+                cursor = step.next;
+            }
+        }
+    });
+
+    std::thread writer([&] {
+        while (!scanning.load(std::memory_order_acquire)) {
+        }
+        for (uint32_t v = 1; v <= 50000; ++v) {
+            Key key = v % kHot;
+            // Every 64th write also inserts a fresh key mid-scan.
+            if (v % 64 == 0)
+                key = 1000 + v;
+            kvs.withKey(key, [v](KeyRecord &rec) {
+                rec.meta().ts.version = v;
+                rec.setValue(
+                    std::string(48, 'A' + static_cast<char>(v % 26)));
+            });
+        }
+    });
+    writer.join();
+    stop.store(true, std::memory_order_release);
+    scanner.join();
+
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_GT(scanned.load(), 0u);
 }
 
 /**

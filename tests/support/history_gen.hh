@@ -30,6 +30,7 @@
 
 #include "app/history.hh"
 #include "common/random.hh"
+#include "support/str_cat.hh"
 
 namespace hermes::test
 {
@@ -37,7 +38,7 @@ namespace hermes::test
 inline Value
 tagValue(uint64_t tag)
 {
-    return "v" + std::to_string(tag);
+    return strCat("v", tag);
 }
 
 /**
