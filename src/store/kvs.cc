@@ -1,5 +1,6 @@
 #include "store/kvs.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -28,24 +29,38 @@ roundUpPow2(size_t v)
 KvStore::KvStore(size_t capacity_keys, size_t max_value_size)
     : numBuckets_(roundUpPow2(capacity_keys)),
       maxValueSize_(max_value_size),
+      // Room for whole words: the seqlock copies move 8 bytes at a time.
+      stride_(sizeof(Entry) + (max_value_size + 7) / 8 * 8),
+      slabBytes_(std::max(stride_, kSlabTarget / stride_ * stride_)),
       buckets_(numBuckets_),
       stripes_(kNumStripes)
 {
+    hermes_assert(max_value_size <= UINT32_MAX); // Entry::len is 32 bits
     for (auto &bucket : buckets_)
         bucket.store(nullptr, std::memory_order_relaxed);
 }
 
-KvStore::~KvStore()
+size_t
+KvStore::arenaBytes() const
 {
-    for (auto &bucket : buckets_) {
-        Entry *entry = bucket.load(std::memory_order_relaxed);
-        while (entry) {
-            Entry *next = entry->next;
-            entry->~Entry();
-            ::operator delete(entry);
-            entry = next;
-        }
+    SpinGuard guard(arenaLock_);
+    return slabs_.size() * slabBytes_;
+}
+
+void *
+KvStore::carveEntry()
+{
+    SpinGuard guard(arenaLock_);
+    if (slabNext_ == slabEnd_) {
+        // Left uninitialized, so a slab's pages become resident only as
+        // entries are carved from them.
+        slabs_.push_back(std::make_unique_for_overwrite<char[]>(slabBytes_));
+        slabNext_ = slabs_.back().get();
+        slabEnd_ = slabNext_ + slabBytes_;
     }
+    void *mem = slabNext_;
+    slabNext_ += stride_;
+    return mem;
 }
 
 KvStore::Entry *
@@ -64,10 +79,7 @@ KvStore::findEntry(Key key) const
 KvStore::Entry *
 KvStore::insertLocked(Key key)
 {
-    // Room for whole words: the seqlock copies move 8 bytes at a time.
-    void *mem =
-        ::operator new(sizeof(Entry) + (maxValueSize_ + 7) / 8 * 8);
-    auto *entry = new (mem) Entry();
+    auto *entry = new (carveEntry()) Entry();
     entry->key = key;
     std::atomic<Entry *> &head = buckets_[bucketOf(key)];
     entry->next = head.load(std::memory_order_relaxed);
@@ -83,7 +95,7 @@ KeyMeta
 KvStore::copyEntry(const Entry &entry, CopyValue &&copy_value) const
 {
     for (;;) {
-        uint64_t snapshot = entry.lock.readBegin();
+        uint32_t snapshot = entry.lock.readBegin();
         if (snapshot % 2 != 0)
             continue; // writer in progress; spin, writes are short
         KeyMeta meta;

@@ -12,13 +12,26 @@
  *    entry's seqlock around the mutation, so readers observe either the
  *    old or the new version, never a torn one.
  *
- * Safety of lock-free traversal rests on three store invariants:
- * entries are only ever *prepended* (head is published with release after
- * the entry is fully initialized), `next` pointers are immutable after
- * publication, and keys are never deleted — the replication protocols here
- * have no delete operation, matching the paper's read/write/RMW API.
+ * Safety of lock-free traversal rests on four store invariants:
+ *  - entries are only ever *prepended* (head is published with release
+ *    after the entry is fully initialized);
+ *  - `next` pointers are immutable after publication;
+ *  - keys are never deleted — the replication protocols here have no
+ *    delete operation, matching the paper's read/write/RMW API — so an
+ *    entry's memory lives as long as the store;
+ *  - the seqlock-guarded bytes (length, metadata, value) move only by
+ *    seqlockStore()/seqlockLoad() words.
  * Values live inline in the entry (capacity fixed at construction) so a
  * reader's copy can never chase storage a writer is reallocating.
+ *
+ * Memory layout: an entry is a 40-byte header followed by the value
+ * capacity rounded up to whole words; that stride is a multiple of 8.
+ * Since no entry is ever freed before the store, entries are not
+ * allocated one by one: they are carved, in insertion order, from
+ * store-owned slabs of about 256 KiB (a whole number of strides, or one
+ * stride if that is larger), and the slabs are freed all at once with
+ * the store. The store's footprint is therefore bounded by construction:
+ * at most size() strides plus one partly carved slab (arenaBytes()).
  */
 
 #ifndef HERMES_STORE_KVS_HH
@@ -88,7 +101,8 @@ class KeyRecord
         // empty value (possibly a null data()) copies no word.
         ValueCopyCounters::countStoreCopy();
         seqlockStore(data_, v.data(), v.size());
-        len_->store(v.size(), std::memory_order_relaxed);
+        len_->store(static_cast<uint32_t>(v.size()),
+                    std::memory_order_relaxed);
     }
 
     /** @return true if the key existed before this access. */
@@ -96,14 +110,14 @@ class KeyRecord
 
   private:
     friend class KvStore;
-    KeyRecord(const KeyMeta &meta, char *data, std::atomic<size_t> *len,
+    KeyRecord(const KeyMeta &meta, char *data, std::atomic<uint32_t> *len,
               size_t cap, bool existed)
         : meta_(meta), data_(data), len_(len), cap_(cap), existed_(existed)
     {}
 
     KeyMeta meta_;
     char *data_;
-    std::atomic<size_t> *len_;
+    std::atomic<uint32_t> *len_;
     size_t cap_;
     bool existed_;
 };
@@ -144,10 +158,9 @@ class KvStore
      * @param capacity_keys   expected number of distinct keys (sizes the
      *                        bucket array; exceeding it only lengthens
      *                        chains, it does not break the store)
-     * @param max_value_size  inline value capacity per entry
+     * @param max_value_size  inline value capacity per entry (< 4 GiB)
      */
     KvStore(size_t capacity_keys, size_t max_value_size);
-    ~KvStore();
 
     KvStore(const KvStore &) = delete;
     KvStore &operator=(const KvStore &) = delete;
@@ -243,6 +256,9 @@ class KvStore
     /** Inline value capacity. */
     size_t maxValueSize() const { return maxValueSize_; }
 
+    /** Bytes of entry slabs the store holds (see the layout note above). */
+    size_t arenaBytes() const;
+
     /**
      * Attach (or detach, with nullptr) the replica's write-ahead log.
      * Non-owning: the ReplicaHandle owns the Wal and wires its flush to
@@ -266,14 +282,16 @@ class KvStore
     struct Entry
     {
         Entry *next = nullptr; // immutable after publication
-        Seqlock lock;
         Key key = 0;
+        Seqlock lock;
         // Seqlock-guarded: len, meta and the value bytes, which follow
         // the struct inline, padded to whole words for seqlockStore().
-        std::atomic<size_t> len{0};
+        std::atomic<uint32_t> len{0};
         alignas(8) KeyMeta meta{};
     };
-    static_assert(sizeof(Entry) % 8 == 0, "inline value is word-aligned");
+    static_assert(sizeof(Entry) == 40, "lock and len share one word");
+    static_assert(std::is_trivially_destructible_v<Entry>,
+                  "slabs are freed without destroying their entries");
 
     char *
     entryData(Entry *entry) const
@@ -322,18 +340,33 @@ class KvStore
     template <typename Visit>
     ScanStep walk(ScanCursor from, size_t max_entries, Visit &&visit) const;
 
-    /** Allocate, initialize and publish a new entry (stripe lock held). */
+    /** Carve, initialize and publish a new entry (stripe lock held). */
     Entry *insertLocked(Key key);
+
+    /** Carve one entry stride from the current slab, starting a new slab
+     *  when it is used up. */
+    void *carveEntry();
 
     size_t numBuckets_;
     size_t maxValueSize_;
+    size_t stride_;    ///< bytes per entry: header + value words
+    size_t slabBytes_; ///< a whole number of strides
     std::vector<std::atomic<Entry *>> buckets_;
     mutable std::vector<Spinlock> stripes_;
     std::atomic<size_t> size_{0};
     Wal *wal_ = nullptr;
     std::atomic<KeyLockTable *> recoveryLocks_{nullptr};
 
+    // The entry arena. Inserters under different stripes carve from it
+    // concurrently, so the bump pointer and the slab list sit behind
+    // their own lock; readers never touch it.
+    mutable Spinlock arenaLock_;
+    std::vector<std::unique_ptr<char[]>> slabs_; ///< freed with the store
+    char *slabNext_ = nullptr;
+    char *slabEnd_ = nullptr;
+
     static constexpr size_t kNumStripes = 1024;
+    static constexpr size_t kSlabTarget = 256 << 10;
 };
 
 } // namespace hermes::store

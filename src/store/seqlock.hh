@@ -26,12 +26,22 @@ namespace hermes::store
  * A seqlock version counter. Writer mutual exclusion is *not* provided
  * here — the KVS serializes writers with striped spinlocks — so beginWrite
  * simply bumps to odd.
+ *
+ * The counter is 32 bits, the width of Linux's `seqcount_t`, so a KVS
+ * entry's counter and its 32-bit value length share one 8-byte word.
+ * Wrap-around cannot fool a reader that is merely slow: it checks the
+ * counter on both sides of its copy, so it accepts a torn copy only if,
+ * between the two loads, the counter advanced by exactly a multiple of
+ * 2^32 — the reader stalled mid-copy across exactly 2^31 (or 2·2^31, ...)
+ * writes to the same key, each write bumping the counter twice. At the
+ * ~100 ns a write costs that is a stall of minutes inside a copy of at
+ * most one value, landing on one exact count.
  */
 class Seqlock
 {
   public:
     /** Reader: snapshot the counter before copying the data. */
-    uint64_t
+    uint32_t
     readBegin() const
     {
         return seq_.load(std::memory_order_acquire);
@@ -42,7 +52,7 @@ class Seqlock
      * @return true if the copy is consistent (no concurrent write).
      */
     bool
-    readValidate(uint64_t snapshot) const
+    readValidate(uint32_t snapshot) const
     {
         std::atomic_thread_fence(std::memory_order_acquire);
         return snapshot % 2 == 0
@@ -65,7 +75,7 @@ class Seqlock
     }
 
   private:
-    std::atomic<uint64_t> seq_{0};
+    std::atomic<uint32_t> seq_{0};
 };
 
 /**

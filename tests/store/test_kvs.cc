@@ -349,29 +349,143 @@ TEST(KvStore, SeqlockReadersNeverSeeTornWrites)
     EXPECT_GT(reads.load(), 0u);
 }
 
-/** Concurrent inserters on distinct keys must not lose entries. */
+/**
+ * Inserters on every stripe roll the arena over several slabs while a
+ * reader runs point reads and chunked scans: every key lands once with
+ * its own value, and the reader never sees another key's value.
+ */
 TEST(KvStore, ConcurrentInsertions)
 {
-    KvStore kvs(1 << 14, 16);
+    KvStore kvs(1 << 14, 16); // 56-byte stride: ~9 slabs for 40k keys
     constexpr int kThreads = 8;
     constexpr int kPerThread = 5000;
+    static constexpr Key kKeys = Key{kThreads} * kPerThread;
+    std::atomic<bool> reading{false};
+    std::atomic<int> inserting{kThreads};
+    std::atomic<uint64_t> wrong{0};
+    std::atomic<uint64_t> scanned{0};
+    std::thread reader([&] {
+        // A key is published before its first write lands: a visible
+        // entry holds either nothing yet or its own key's value.
+        auto check = [&wrong](Key k, std::string_view v) {
+            if (k >= kKeys || (!v.empty() && v != std::to_string(k)))
+                ++wrong;
+        };
+        reading.store(true, std::memory_order_release);
+        Key probe = 0;
+        do {
+            probe = (probe + 7919) % kKeys;
+            ReadResult r = kvs.read(probe);
+            if (r.found)
+                check(probe, r.value);
+            ScanCursor cursor;
+            for (bool more = true; more;) {
+                ScanStep step = kvs.scan(
+                    cursor, 64, [&](Key k, const KeyMeta &, ValueRef v) {
+                        ++scanned;
+                        check(k, v.view());
+                    });
+                more = step.more;
+                cursor = step.next;
+            }
+        } while (inserting.load(std::memory_order_acquire) > 0);
+    });
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&kvs, t] {
+        threads.emplace_back([&kvs, &reading, &inserting, t] {
+            while (!reading.load(std::memory_order_acquire)) {
+            }
             for (int i = 0; i < kPerThread; ++i) {
                 Key k = static_cast<Key>(t) * kPerThread + i;
                 kvs.withKey(k, [k](KeyRecord &rec) {
                     rec.setValue(std::to_string(k));
                 });
             }
+            inserting.fetch_sub(1, std::memory_order_release);
         });
     }
     for (auto &t : threads)
         t.join();
-    EXPECT_EQ(kvs.size(), size_t{kThreads} * kPerThread);
-    for (int t = 0; t < kThreads; ++t) {
-        Key probe = static_cast<Key>(t) * kPerThread + 17;
-        EXPECT_EQ(kvs.read(probe).value, std::to_string(probe));
+    reader.join();
+    EXPECT_EQ(kvs.size(), kKeys);
+    for (Key k = 0; k < kKeys; ++k)
+        ASSERT_EQ(kvs.read(k).value, std::to_string(k)) << "key " << k;
+    std::vector<int> seen(kKeys, 0);
+    kvs.forEach([&seen](Key k) {
+        ASSERT_LT(k, kKeys);
+        ++seen[k];
+    });
+    for (Key k = 0; k < kKeys; ++k)
+        ASSERT_EQ(seen[k], 1) << "key " << k;
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_GT(scanned.load(), 0u);
+}
+
+/** Bytes one entry takes in the arena: the 40-byte header plus the
+ *  value capacity in whole words. */
+size_t
+entryStride(size_t max_value_size)
+{
+    return 40 + (max_value_size + 7) / 8 * 8;
+}
+
+constexpr size_t kSlab = 256 << 10;
+
+TEST(KvStore, KeysAcrossManySlabsReadBackAndScanOnce)
+{
+    KvStore kvs(64, 64); // 64 buckets: long chains through every slab
+    const Key keys = 6 * kSlab / entryStride(64); // > 5 slabs of entries
+    for (Key k = 0; k < keys; ++k)
+        kvs.withKey(k, [k](KeyRecord &rec) {
+            rec.setValue(std::to_string(k * 31));
+        });
+    ASSERT_EQ(kvs.size(), keys);
+    EXPECT_GE(kvs.arenaBytes(), 5 * kSlab);
+    for (Key k = 0; k < keys; ++k)
+        ASSERT_EQ(kvs.read(k).value, std::to_string(k * 31)) << "key " << k;
+
+    std::vector<int> seen(keys, 0);
+    ScanStep step = kvs.scan({}, SIZE_MAX,
+                             [&](Key k, const KeyMeta &, ValueRef v) {
+                                 ASSERT_LT(k, keys);
+                                 EXPECT_EQ(v, std::to_string(k * 31));
+                                 ++seen[k];
+                             });
+    EXPECT_EQ(step.visited, keys);
+    EXPECT_FALSE(step.more);
+    for (Key k = 0; k < keys; ++k)
+        ASSERT_EQ(seen[k], 1) << "key " << k;
+}
+
+/** An entry wider than the default slab gets a slab of its own. */
+TEST(KvStore, EntryLargerThanSlabGetsItsOwnSlab)
+{
+    constexpr size_t kCap = 512 << 10;
+    KvStore kvs(4, kCap);
+    for (Key k = 0; k < 3; ++k)
+        kvs.withKey(k, [k](KeyRecord &rec) {
+            rec.setValue(std::string(kCap, static_cast<char>('a' + k)));
+        });
+    EXPECT_EQ(kvs.arenaBytes(), 3 * entryStride(kCap));
+    for (Key k = 0; k < 3; ++k)
+        EXPECT_EQ(kvs.read(k).value,
+                  std::string(kCap, static_cast<char>('a' + k)));
+}
+
+/** The footprint bound: slabs hold the entries plus at most one slab. */
+TEST(KvStore, ArenaBytesBoundedBySizeTimesStridePlusOneSlab)
+{
+    for (size_t cap : {size_t{0}, size_t{1}, size_t{8}, size_t{64},
+                       size_t{1000}, size_t{4096}}) {
+        KvStore kvs(1024, cap);
+        EXPECT_EQ(kvs.arenaBytes(), 0u) << "an empty store holds no slab";
+        const size_t stride = entryStride(cap);
+        for (Key k = 0; k < 5000; ++k) {
+            kvs.withKey(k, [](KeyRecord &) {});
+            size_t entries = kvs.size() * stride;
+            ASSERT_GE(kvs.arenaBytes(), entries) << "cap " << cap;
+            ASSERT_LE(kvs.arenaBytes(), entries + kSlab) << "cap " << cap;
+        }
     }
 }
 
