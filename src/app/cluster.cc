@@ -1,12 +1,9 @@
 #include "app/cluster.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "app/slot_map.hh"
 #include "common/logging.hh"
-#include "hermes/key_state.hh"
 
 namespace hermes::app
 {
@@ -42,67 +39,14 @@ ShardMap::ShardMap(size_t shards, size_t replicas_per_shard)
     }
 }
 
-/**
- * Migration coordinator state: one live slot move, driven by timed
- * migrationStep() events until cutover.
- */
-struct SimCluster::Migration
-{
-    enum class Phase
-    {
-        Copy,   ///< snapshot + catch-up rounds; writes apply at source
-        Locked, ///< new writes park; final drain before cutover
-    };
-
-    std::vector<uint32_t> slots; ///< sorted, deduped, owned by `from`
-    std::vector<bool> moving;    ///< kNumSlots bitmap over `slots`
-    uint32_t from = 0;
-    uint32_t to = 0;
-    uint64_t gen = 0; ///< disambiguates stale completion wrappers
-    Phase phase = Phase::Copy;
-    std::set<Key> pending; ///< keys to copy this round (sorted: determinism)
-    std::set<Key> dirty;   ///< keys re-dirtied by writes since their copy
-    uint64_t inflight = 0; ///< moving-slot writes between submit and cb
-    int lockedWaitSteps = 0;
-    /** Timestamp last forwarded per key — the cutover scan's baseline. */
-    std::map<Key, Timestamp> copiedTs;
-    /**
-     * Locked-phase job-queue fences, one per live source replica: a
-     * write submitted BEFORE the lock engaged may still sit unexecuted
-     * in its node's FIFO, invisible to both the store and the inflight
-     * counter. Once the fence job behind it has run, the write's INV is
-     * applied locally and the cutover scan can see its non-Valid trace.
-     */
-    std::shared_ptr<size_t> fencesPending;
-
-    /** A write/cas blocked at the migration lock, replayed at cutover. */
-    struct Parked
-    {
-        bool isCas = false;
-        Key key = 0;
-        ValueRef value;
-        ValueRef expected;
-        ReplicaHandle::WriteCallback wcb;
-        ReplicaHandle::CasCallback ccb;
-    };
-    std::vector<Parked> parked;
-};
-
 namespace
 {
 
-/** Migration pacing: one work quantum per step, a batch of keys each. */
+/** Sim migration pacing: one work quantum per step, a batch of keys
+ *  each; the Locked phase aborts after 100 steps (10 ms). */
 constexpr DurationNs kMigrationStepNs = 100_us;
 constexpr size_t kMigrationCopyBatch = 64;
-/** Dirty-set size below which the coordinator takes the lock. */
-constexpr size_t kMigrationLockThreshold = 32;
-/**
- * Steps the Locked phase waits for in-flight writes to drain before
- * cutting over anyway. A crashed coordinator's write never completes
- * (and never acks, so nothing is owed); a live straggler that commits
- * after cutover is forwarded to the new owner before its ack fires.
- */
-constexpr int kMaxLockedWaitSteps = 100;
+constexpr int kMigrationLockedBound = 100;
 
 } // namespace
 
@@ -110,7 +54,8 @@ SimCluster::SimCluster(ClusterConfig config)
     : config_(std::move(config)),
       shardMap_(config_.shards ? config_.shards : 1, config_.nodes),
       slotMap_(SlotMap::uniform(
-          static_cast<uint32_t>(config_.shards ? config_.shards : 1)))
+          static_cast<uint32_t>(config_.shards ? config_.shards : 1))),
+      migration_(*this, kMigrationCopyBatch, kMigrationLockedBound)
 {
     runtime_ = std::make_unique<sim::SimRuntime>(shardMap_.totalNodes(),
                                                  config_.cost, config_.seed);
@@ -280,31 +225,24 @@ SimCluster::write(NodeId node, Key key, ValueRef value,
             cb = [] {};
         }
     }
-    if (migration_ && migration_->moving[slotOfKey(key)]) {
-        if (migration_->phase == Migration::Phase::Locked) {
-            // Migration lock: the final drain is under way; applying at
-            // the source now could outrun the transfer and be lost.
-            // Park the op — cutover resubmits it to the new owner.
-            Migration::Parked p;
-            p.key = key;
-            p.value = std::move(value);
-            p.wcb = std::move(cb);
-            migration_->parked.push_back(std::move(p));
-            ++writesParked_;
-            return;
-        }
-        // Copy phase: apply at the source (still the owner), but mark
-        // the key dirty both NOW (a copy already in flight may carry the
-        // pre-write value) and at COMPLETION (the copy step may have
-        // erased the dirty bit between submit and protocol commit — the
-        // lost-write race this re-mark closes).
-        uint32_t slot = slotOfKey(key);
-        uint32_t from = migration_->from;
-        uint64_t gen = migration_->gen;
-        migration_->dirty.insert(key);
-        ++migration_->inflight;
-        cb = [this, key, slot, from, gen, inner = std::move(cb)]() mutable {
-            movingOpFinish(key, slot, from, gen, std::move(inner));
+    Admission admission =
+        migration_.admit(key, true, node, incarnation(node));
+    if (admission.verdict == Admission::Verdict::Park) {
+        // Applying at the source now could outrun the final drain and be
+        // lost: the op re-runs wherever the map routes once the
+        // migration ends.
+        migration_.park([this, key, value = std::move(value),
+                         cb = std::move(cb)]() mutable {
+            NodeId owner = liveRouteNode(key);
+            if (owner != kInvalidNode) // group down: stays pending, legal
+                write(owner, key, std::move(value), std::move(cb));
+        });
+        return;
+    }
+    if (admission.verdict == Admission::Verdict::Track) {
+        cb = [this, key, admission, inner = std::move(cb)] {
+            migration_.finishTracked(key, admission);
+            inner();
         };
     }
     const sim::CostModel &cost = config_.cost;
@@ -321,29 +259,24 @@ SimCluster::cas(NodeId node, Key key, ValueRef expected, ValueRef desired,
                 ReplicaHandle::CasCallback cb)
 {
     hermes_assert(shardMap_.shardOfNode(node) == shardOf(key));
-    if (migration_ && migration_->moving[slotOfKey(key)]) {
-        if (migration_->phase == Migration::Phase::Locked) {
-            Migration::Parked p;
-            p.isCas = true;
-            p.key = key;
-            p.expected = std::move(expected);
-            p.value = std::move(desired);
-            p.ccb = std::move(cb);
-            migration_->parked.push_back(std::move(p));
-            ++writesParked_;
-            return;
-        }
-        uint32_t slot = slotOfKey(key);
-        uint32_t from = migration_->from;
-        uint64_t gen = migration_->gen;
-        migration_->dirty.insert(key);
-        ++migration_->inflight;
-        cb = [this, key, slot, from, gen,
-              inner = std::move(cb)](bool ok, const Value &v) mutable {
-            movingOpFinish(key, slot, from, gen,
-                           [inner = std::move(inner), ok, v] {
-                               inner(ok, v);
-                           });
+    Admission admission =
+        migration_.admit(key, true, node, incarnation(node));
+    if (admission.verdict == Admission::Verdict::Park) {
+        migration_.park([this, key, expected = std::move(expected),
+                         desired = std::move(desired),
+                         cb = std::move(cb)]() mutable {
+            NodeId owner = liveRouteNode(key);
+            if (owner != kInvalidNode)
+                cas(owner, key, std::move(expected), std::move(desired),
+                    std::move(cb));
+        });
+        return;
+    }
+    if (admission.verdict == Admission::Verdict::Track) {
+        cb = [this, key, admission,
+              inner = std::move(cb)](bool ok, const Value &seen) {
+            migration_.finishTracked(key, admission);
+            inner(ok, seen);
         };
     }
     const sim::CostModel &cost = config_.cost;
@@ -432,44 +365,8 @@ SimCluster::migrateSlots(std::vector<uint32_t> slots, uint32_t from,
     hermes_assert(from < shardMap_.numShards());
     hermes_assert(to < shardMap_.numShards());
     hermes_assert(from != to);
-    if (migration_)
-        return; // one at a time; callers poll migrationActive()
-
-    // Keep only slots `from` actually owns, sorted and deduped so the
-    // whole transfer is a deterministic function of the request.
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    std::vector<uint32_t> owned;
-    for (uint32_t s : slots) {
-        if (s < kNumSlots && slotMap_.ownerOfSlot(s) == from)
-            owned.push_back(s);
-    }
-    if (owned.empty())
-        return;
-
-    auto m = std::make_unique<Migration>();
-    m->slots = std::move(owned);
-    m->moving.assign(kNumSlots, false);
-    for (uint32_t s : m->slots)
-        m->moving[s] = true;
-    m->from = from;
-    m->to = to;
-    m->gen = ++migrationGen_;
-
-    // Snapshot manifest: every key in a moving slot on ANY live source
-    // replica (a replica that missed a VAL still stores the committed
-    // bytes; the union guards against a lagging lowest-id survivor).
-    // std::set keeps the copy order sorted — determinism.
-    for (NodeId n : shardMap_.nodesOf(from)) {
-        if (!runtime_->alive(n))
-            continue;
-        replicas_[n]->kvStore().forEach([&](Key k) {
-            if (m->moving[slotOfKey(k)])
-                m->pending.insert(k);
-        });
-    }
-    migration_ = std::move(m);
-    migrationStep();
+    if (migration_.begin(slotMap_, std::move(slots), from, to))
+        migrationStep();
 }
 
 void
@@ -481,7 +378,8 @@ SimCluster::scheduleMigration(TimeNs at, std::vector<uint32_t> slots,
     // adversarial by design).
     runtime_->events().scheduleAt(
         at, [this, slots = std::move(slots), from, to] {
-            if (migration_ || from == to || from >= shardMap_.numShards()
+            if (migration_.active() || from == to
+                    || from >= shardMap_.numShards()
                     || to >= shardMap_.numShards()) {
                 return;
             }
@@ -490,271 +388,74 @@ SimCluster::scheduleMigration(TimeNs at, std::vector<uint32_t> slots,
 }
 
 void
-SimCluster::forwardKeyToShard(Key key, uint32_t src, uint32_t dst,
-                              std::function<void()> done)
+SimCluster::migrationStep()
 {
-    // Read from the lowest-id live NON-SHADOW source replica. Committed
-    // data is on every operational replica (commits need all live ACKs),
-    // so any of those serves; lowest-id keeps the transfer
-    // deterministic. A crash-restarted shadow is excluded: its store is
-    // mid-catch-up and may still miss writes committed while it was
-    // down — copying from it would teleport stale values to the
-    // destination.
-    NodeId reader = kInvalidNode;
-    for (NodeId n : shardMap_.nodesOf(src)) {
+    // The coordinator only ends inside step(), so a scheduled step can
+    // never outlive its migration.
+    if (migration_.step())
+        runtime_->events().scheduleAfter(kMigrationStepNs,
+                                         [this] { migrationStep(); });
+}
+
+std::vector<MigrationRuntime::Replica>
+SimCluster::sourceReplicas(uint32_t shard)
+{
+    std::vector<Replica> live;
+    for (NodeId n : shardMap_.nodesOf(shard)) {
         if (!runtime_->alive(n))
             continue;
         proto::HermesReplica *h = replicas_[n]->hermes();
-        if (h && h->isShadow())
-            continue;
-        reader = n;
-        break;
+        live.push_back({n, incarnation(n), h && h->isShadow(),
+                        &replicas_[n]->kvStore()});
     }
-    if (reader == kInvalidNode) {
-        // No operational source replica right now: nothing can be read.
-        // The copy is skipped — NOT silently forgotten: the cutover bar
-        // is migrationQuiesced()'s verification scan, which refuses to
-        // pass while no operational source exists, and the bounded
-        // Locked-phase wait then ABORTS the migration rather than cut
-        // over (moving ownership would strand the source's WAL-only
-        // records behind the recovery ownership filter — acknowledged
-        // writes permanently lost on both sides).
-        if (done)
-            done();
-        return;
-    }
-    store::ReadResult r = replicas_[reader]->kvStore().read(key);
-    if (!r.found) {
-        if (done)
-            done();
-        return;
-    }
-    if (migration_ && migration_->moving[slotOfKey(key)])
-        migration_->copiedTs[key] = r.meta.ts;
+    return live;
+}
 
+void
+SimCluster::copyToDestination(uint32_t shard,
+                              const std::vector<Entry> &entries)
+{
     std::vector<NodeId> targets;
-    for (NodeId n : shardMap_.nodesOf(dst)) {
+    for (NodeId n : shardMap_.nodesOf(shard)) {
         if (runtime_->alive(n))
             targets.push_back(n);
     }
-    if (targets.empty()) {
-        if (done)
-            done();
-        return;
-    }
-    auto remaining = std::make_shared<size_t>(targets.size());
-    ValueRef value = ValueRef::copyOf(r.value);
-    for (NodeId n : targets) {
-        runtime_->submit(n, config_.cost.kvsOpNs,
-                         [this, n, key, value, ts = r.meta.ts,
-                          flags = r.meta.flags, remaining, done] {
-                             replicas_[n]->applyMigratedEntry(key, value, ts,
-                                                              flags);
-                             if (--*remaining == 0 && done)
-                                 done();
-                         });
-    }
-}
-
-void
-SimCluster::movingOpFinish(Key key, uint32_t slot, uint32_t from,
-                           uint64_t gen, std::function<void()> deliver)
-{
-    if (migration_ && migration_->gen == gen) {
-        // Still mid-move: the committed value may postdate the copy of
-        // this key — re-dirty so a catch-up round re-sends it.
-        --migration_->inflight;
-        migration_->dirty.insert(key);
-    }
-    uint32_t owner = slotMap_.ownerOfSlot(slot);
-    if (owner == from) {
-        deliver();
-        return;
-    }
-    // Straggler: the commit outlived the cutover (bounded Locked-phase
-    // wait expired, or a later migration moved the slot again). Forward
-    // the final value to the new owner BEFORE acknowledging — once the
-    // ack fires the write must be visible wherever reads now route.
-    forwardKeyToShard(key, from, owner, std::move(deliver));
-}
-
-void
-SimCluster::migrationStep()
-{
-    Migration &m = *migration_;
-
-    // Copy a batch from the front of the pending set. Erase from dirty
-    // too: this copy will carry any value a completed write left, and
-    // writes still in flight re-dirty themselves at completion.
-    size_t copied = 0;
-    while (!m.pending.empty() && copied < kMigrationCopyBatch) {
-        Key key = *m.pending.begin();
-        m.pending.erase(m.pending.begin());
-        m.dirty.erase(key);
-        forwardKeyToShard(key, m.from, m.to, nullptr);
-        ++copied;
-    }
-
-    if (m.pending.empty()) {
-        if (m.phase == Migration::Phase::Copy) {
-            // Catch-up round: everything written since its copy. Once
-            // the delta is small, take the lock — new writes park, so
-            // the NEXT drain is the last.
-            if (m.dirty.size() <= kMigrationLockThreshold) {
-                m.phase = Migration::Phase::Locked;
-                issueMigrationFences();
-            }
-            m.pending.swap(m.dirty);
-        } else if (!m.dirty.empty()) {
-            // Writes that slipped in before the lock engaged (already
-            // in flight at lock time) committed and re-dirtied keys.
-            m.pending.swap(m.dirty);
-        } else if (m.lockedWaitSteps >= kMaxLockedWaitSteps) {
-            bool source_up = false;
-            for (NodeId n : shardMap_.nodesOf(m.from)) {
-                if (!runtime_->alive(n))
-                    continue;
-                proto::HermesReplica *h = replicas_[n]->hermes();
-                if (h && h->isShadow())
-                    continue;
-                source_up = true;
-                break;
-            }
-            if (!source_up) {
-                // The whole source group is down (or still mid-catch-up
-                // as shadows): nothing can be read, re-copied or
-                // verified, and cutting over would strand every
-                // uncopied acknowledged write behind the post-cutover
-                // WAL recovery filter. Abort — ownership stays with the
-                // source, whose WALs hold the complete data.
-                abortMigration();
-                return;
-            }
-            // Bounded wait expired: a crashed replica's fence will
-            // never land, or a key is wedged non-Valid (its VAL lost
-            // AND its coordinator dead — healed later by a replay).
-            // One best-effort re-copy of everything the scan still
-            // flags, then cut over; a tracked write completing after
-            // this is forwarded by movingOpFinish.
-            migrationQuiesced();
-            for (Key key : m.pending)
-                forwardKeyToShard(key, m.from, m.to, nullptr);
-            finishMigration();
-            return;
-        } else if (m.fencesPending && *m.fencesPending > 0) {
-            ++m.lockedWaitSteps; // pre-lock submissions still in FIFOs
-        } else if (m.inflight == 0 && migrationQuiesced()) {
-            // Locked, drained, fenced, and the verification scan found
-            // every moving key Valid everywhere at exactly the
-            // timestamp last copied: the destination provably holds
-            // every acknowledged write. Cut over.
-            finishMigration();
-            return;
-        } else {
-            // Scan queued re-copies into pending, or an in-flight
-            // write's trace is still visible: keep draining.
-            ++m.lockedWaitSteps;
+    for (const Entry &e : entries) {
+        for (NodeId n : targets) {
+            runtime_->submit(n, config_.cost.kvsOpNs, [this, n, e] {
+                replicas_[n]->applyMigratedEntry(e.key, e.value, e.ts,
+                                                 e.flags);
+            });
         }
     }
-
-    runtime_->events().scheduleAfter(
-        kMigrationStepNs, [this, gen = m.gen] {
-            if (migration_ && migration_->gen == gen)
-                migrationStep();
-        });
 }
 
 void
-SimCluster::issueMigrationFences()
+SimCluster::fence(NodeId replica, std::function<void()> landed)
 {
-    Migration &m = *migration_;
-    std::vector<NodeId> nodes;
-    for (NodeId n : shardMap_.nodesOf(m.from)) {
-        if (runtime_->alive(n))
-            nodes.push_back(n);
-    }
-    m.fencesPending = std::make_shared<size_t>(nodes.size());
-    for (NodeId n : nodes)
-        runtime_->submit(n, 0, [p = m.fencesPending] { --*p; });
+    runtime_->submit(replica, 0, std::move(landed));
 }
 
-bool
-SimCluster::migrationQuiesced()
+uint64_t
+SimCluster::incarnation(NodeId id) const
 {
-    Migration &m = *migration_;
-    // Live operational source replicas. Shadows are excluded on both
-    // sides of the scan: their stores are mid-catch-up (WAL-restored
-    // Invalid entries are not in-flight-write traces), and they are
-    // never a write coordinator while shadow.
-    std::vector<NodeId> sources;
-    for (NodeId n : shardMap_.nodesOf(m.from)) {
-        if (!runtime_->alive(n))
-            continue;
-        proto::HermesReplica *h = replicas_[n]->hermes();
-        if (h && h->isShadow())
-            continue;
-        sources.push_back(n);
-    }
-    if (sources.empty()) {
-        // No operational source replica: nothing can be read, verified
-        // or healed, so the scan can prove NOTHING about the destination
-        // holding every acknowledged write — pre-migration commits may
-        // exist only in the source WALs, which the post-cutover recovery
-        // filter would skip. Never quiesced; the bounded Locked-phase
-        // wait aborts the migration if the group stays down.
-        return false;
-    }
-
-    // Every key currently in a moving slot, on any operational source
-    // replica — a fresh manifest, because writes before the lock may
-    // have CREATED keys the snapshot never saw.
-    std::set<Key> current;
-    for (NodeId n : sources) {
-        replicas_[n]->kvStore().forEach([&](Key k) {
-            if (m.moving[slotOfKey(k)])
-                current.insert(k);
-        });
-    }
-
-    bool quiesced = true;
-    for (Key key : current) {
-        // An in-flight write leaves a non-Valid trace on at least its
-        // coordinator from local INV-apply until commit — and by ack
-        // time its value is in EVERY live replica's store. So all-Valid
-        // across the group means no moving key has an unfinished write.
-        for (NodeId n : sources) {
-            store::ReadResult r = replicas_[n]->kvStore().read(key);
-            if (r.found
-                    && static_cast<proto::KeyState>(r.meta.state)
-                           != proto::KeyState::Valid) {
-                quiesced = false;
-            }
-        }
-        // Timestamp check against the last forwarded copy: an untracked
-        // write (submitted before the migration began) that committed
-        // between this key's copy and now moved the store timestamp.
-        store::ReadResult r = replicas_[sources.front()]->kvStore().read(key);
-        if (!r.found)
-            continue;
-        auto it = m.copiedTs.find(key);
-        if (it == m.copiedTs.end() || !(it->second == r.meta.ts)) {
-            m.pending.insert(key);
-            quiesced = false;
-        }
-    }
-    return quiesced;
+    return runtime_->alive(id) ? runtime_->incarnation(id) + 1 : 0;
 }
 
 void
-SimCluster::finishMigration()
+SimCluster::nudge(NodeId replica, Key key)
 {
-    Migration &m = *migration_;
+    runtime_->submit(replica, config_.cost.kvsOpNs, [this, replica, key] {
+        replicas_[replica]->read(key, [](const Value &) {});
+    });
+}
 
-    // Install the epoch+1 map: from this instant routing (shardOf,
-    // routeNode, liveRouteNode) answers the new owner.
-    slotMap_ = slotMap_.withSlotsMovedTo(m.slots, m.to);
-    slotsMigrated_ += m.slots.size();
-    ++migrationsCompleted_;
+void
+SimCluster::installSuccessor(const std::vector<uint32_t> &slots, uint32_t to)
+{
+    // From this instant routing (shardOf, routeNode, liveRouteNode)
+    // answers the new owner.
+    slotMap_ = slotMap_.withSlotsMovedTo(slots, to);
 
     // Stamp every live node's WAL with the new map epoch so records
     // appended after the cutover are attributable to the new ownership
@@ -769,51 +470,6 @@ SimCluster::finishMigration()
             if (store::Wal *w = replicas_[n]->wal())
                 w->setMapEpoch(epoch);
         });
-    }
-
-    // Release the lock and resubmit the parked writes to the new owner.
-    // Per-node FIFO puts them after the final drain's install jobs on
-    // each destination replica, so they commit over the migrated state.
-    std::vector<Migration::Parked> parked = std::move(m.parked);
-    uint32_t to = m.to;
-    migration_.reset();
-    for (Migration::Parked &p : parked) {
-        NodeId node = liveNodeOfShard(to, 0);
-        if (node == kInvalidNode)
-            continue; // dest group down: op stays pending, legal
-        if (p.isCas) {
-            cas(node, p.key, std::move(p.expected), std::move(p.value),
-                std::move(p.ccb));
-        } else {
-            write(node, p.key, std::move(p.value), std::move(p.wcb));
-        }
-    }
-}
-
-void
-SimCluster::abortMigration()
-{
-    Migration &m = *migration_;
-    ++migrationsAborted_;
-
-    // Ownership never moved — the map, the WAL recovery filter and the
-    // routing all still answer the source. Parked ops are resubmitted
-    // there: with the migration gone they apply normally. A fully-down
-    // source group has no live node to take them; those ops simply stay
-    // pending, which is legal — none of them was ever acknowledged.
-    std::vector<Migration::Parked> parked = std::move(m.parked);
-    uint32_t from = m.from;
-    migration_.reset();
-    for (Migration::Parked &p : parked) {
-        NodeId node = liveNodeOfShard(from, 0);
-        if (node == kInvalidNode)
-            continue;
-        if (p.isCas) {
-            cas(node, p.key, std::move(p.expected), std::move(p.value),
-                std::move(p.ccb));
-        } else {
-            write(node, p.key, std::move(p.value), std::move(p.wcb));
-        }
     }
 }
 

@@ -7,7 +7,7 @@
  * Sharding (the scale-out layer): the key space is partitioned by a
  * stable hash into `shards` shards, each served by its own replica group
  * with its own membership/RM state. Groups never exchange messages;
- * client operations are routed to the owning group by ShardMap. With
+ * client operations are routed to the owning group by the SlotMap. With
  * shards == 1 the cluster degenerates to the paper's single Hermes
  * group, bit-for-bit.
  */
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "app/migration.hh"
 #include "app/replica_handle.hh"
 #include "app/slot_map.hh"
 #include "sim/runtime.hh"
@@ -37,11 +38,11 @@ namespace hermes::app
 uint32_t shardOfKey(Key key, size_t num_shards);
 
 /**
- * Key → shard id → replica node-id set. Shard `s` of `S` owns the keys
- * with shardOfKey(key, S) == s and is served by the contiguous node-id
- * block [s*R, (s+1)*R) for R replicas per shard. Contiguous blocks keep
- * global node ids dense (the sim indexes CPUs by id) and make
- * shard-of-node a division.
+ * Node-block geometry: shard `s` of `S` is served by the contiguous
+ * node-id block [s*R, (s+1)*R) for R replicas per shard. Contiguous
+ * blocks keep global node ids dense (the sim indexes CPUs by id) and
+ * make shard-of-node a division. Which shard owns a KEY is the
+ * cluster's SlotMap's business (SimCluster::shardOf / routeNode).
  */
 class ShardMap
 {
@@ -51,13 +52,6 @@ class ShardMap
     size_t numShards() const { return groups_.size(); }
     size_t replicasPerShard() const { return replicasPerShard_; }
     size_t totalNodes() const { return groups_.size() * replicasPerShard_; }
-
-    /** The shard owning @p key. */
-    uint32_t
-    shardOf(Key key) const
-    {
-        return shardOfKey(key, groups_.size());
-    }
 
     /** Global node ids of @p shard 's replica group. */
     const NodeSet &nodesOf(uint32_t shard) const { return groups_.at(shard); }
@@ -74,13 +68,6 @@ class ShardMap
     shardOfNode(NodeId node) const
     {
         return static_cast<uint32_t>(node / replicasPerShard_);
-    }
-
-    /** Route: the @p replica_index -th replica of @p key 's group. */
-    NodeId
-    nodeFor(Key key, size_t replica_index) const
-    {
-        return nodesOf(shardOf(key)).at(replica_index % replicasPerShard_);
     }
 
   private:
@@ -134,7 +121,7 @@ struct ClusterConfig
  * way the paper's worker threads do. The caller (or routeNode) must pick
  * a node in the target key's shard group.
  */
-class SimCluster
+class SimCluster : private MigrationRuntime
 {
   public:
     explicit SimCluster(ClusterConfig config);
@@ -205,21 +192,11 @@ class SimCluster
     // ---- Live slot migration (Hermes only) ----
 
     /**
-     * Start a live migration of @p slots from shard @p from to shard
-     * @p to. The coordinator copies a snapshot of every key in the
-     * moving slots to all live destination replicas, then drains
-     * catch-up deltas (keys re-dirtied by writes racing the transfer)
-     * in rounds; once the dirty set is small it takes the migration
-     * lock — new writes to moving slots park instead of applying — does
-     * the final drain, and cuts over by installing the epoch+1 map and
-     * resubmitting the parked writes to the destination. Writes whose
-     * protocol commit straddles the cutover are forwarded to the new
-     * owner before their acknowledgement fires, so no acknowledged
-     * write is ever lost. If every source replica is lost mid-move the
-     * migration ABORTS instead of cutting over (see abortMigration) —
-     * ownership, and with it the WAL recovery filter, stays at the
-     * source. Runs as scheduled events: advance the sim (runFor) until
-     * migrationActive() clears. Slots not owned by @p from are ignored;
+     * Start moving @p slots from shard @p from to shard @p to under the
+     * shared coordinator (app/migration.hh): it cuts over only on a
+     * passing verification scan and aborts at the Locked-phase bound.
+     * Runs as scheduled events: advance the sim (runFor) until
+     * migrationActive() clears. Slots @p from does not own are ignored;
      * one migration at a time.
      */
     void migrateSlots(std::vector<uint32_t> slots, uint32_t from,
@@ -232,13 +209,24 @@ class SimCluster
     void scheduleMigration(TimeNs at, std::vector<uint32_t> slots,
                            uint32_t from, uint32_t to);
 
-    bool migrationActive() const { return migration_ != nullptr; }
-    uint64_t slotsMigrated() const { return slotsMigrated_; }
-    uint64_t migrationsCompleted() const { return migrationsCompleted_; }
-    /** Migrations abandoned without a cutover (source group lost). */
-    uint64_t migrationsAborted() const { return migrationsAborted_; }
-    /** Writes parked at the migration lock across all migrations. */
-    uint64_t migrationWritesParked() const { return writesParked_; }
+    const MigrationCoordinator &migration() const { return migration_; }
+    bool migrationActive() const { return migration_.active(); }
+    uint64_t slotsMigrated() const { return migration_.slotsMigrated(); }
+    uint64_t
+    migrationsCompleted() const
+    {
+        return migration_.migrationsCompleted();
+    }
+    uint64_t
+    migrationsAborted() const
+    {
+        return migration_.migrationsAborted();
+    }
+    uint64_t
+    migrationWritesParked() const
+    {
+        return migration_.migrationWritesParked();
+    }
 
     /** Advance simulated time. */
     void runFor(DurationNs d) { runtime_->runFor(d); }
@@ -273,58 +261,30 @@ class SimCluster
     bool converged(Key key) const;
 
   private:
-    struct Migration;
-
     /** Per-node ReplicaOptions: shard-group base, batching, WAL path. */
     ReplicaOptions optionsForNode(uint32_t shard, NodeId id) const;
 
-    /** One timed migration work quantum (copy batch / drain / cutover). */
+    /** One timed migration work quantum; reschedules itself. */
     void migrationStep();
-    void finishMigration();
 
-    /**
-     * Abandon the migration without moving ownership: the map stays at
-     * its epoch, parked ops are resubmitted to the (still-owning)
-     * source. Taken when the Locked-phase wait expires with no
-     * operational source replica left — cutover would strand every
-     * uncopied acknowledged write behind the recovery ownership filter.
-     */
-    void abortMigration();
+    /** Node @p id 's life: 0 while down, else restarts + 1. */
+    uint64_t incarnation(NodeId id) const;
 
-    /** Fence every live source replica's job queue (see Migration). */
-    void issueMigrationFences();
-
-    /**
-     * Cutover verification scan: true iff every key in a moving slot is
-     * Valid on all live operational source replicas (no in-flight write
-     * trace) AND its store timestamp matches the last copy we forwarded.
-     * Keys with newer commits are queued for re-copy as a side effect.
-     */
-    bool migrationQuiesced();
-
-    /**
-     * Copy @p key 's current (value, ts) from the lowest-id live replica
-     * of @p src onto every live replica of @p dst as install jobs;
-     * @p done (optional) fires after the last install executed.
-     */
-    void forwardKeyToShard(Key key, uint32_t src, uint32_t dst,
-                           std::function<void()> done);
-
-    /** Completion of a write/cas submitted against a mid-move slot. */
-    void movingOpFinish(Key key, uint32_t slot, uint32_t from, uint64_t gen,
-                        std::function<void()> deliver);
+    // MigrationRuntime: the coordinator's view of the sim.
+    std::vector<Replica> sourceReplicas(uint32_t shard) override;
+    void copyToDestination(uint32_t shard,
+                           const std::vector<Entry> &entries) override;
+    void fence(NodeId replica, std::function<void()> landed) override;
+    void nudge(NodeId replica, Key key) override;
+    void installSuccessor(const std::vector<uint32_t> &slots,
+                          uint32_t to) override;
 
     ClusterConfig config_;
     ShardMap shardMap_;
     SlotMap slotMap_;
     std::unique_ptr<sim::SimRuntime> runtime_;
     std::vector<std::unique_ptr<ReplicaHandle>> replicas_;
-    std::unique_ptr<Migration> migration_;
-    uint64_t migrationGen_ = 0;
-    uint64_t slotsMigrated_ = 0;
-    uint64_t migrationsCompleted_ = 0;
-    uint64_t migrationsAborted_ = 0;
-    uint64_t writesParked_ = 0;
+    MigrationCoordinator migration_;
 };
 
 } // namespace hermes::app

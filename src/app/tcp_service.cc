@@ -39,22 +39,10 @@ steadyNowNs()
 
 } // namespace
 
-/** Source-side interception state of one live slot migration. */
-struct TcpKvService::MigrationState
-{
-    uint64_t gen = 0;
-    std::vector<bool> moving;         ///< slot → mid-move?
-    bool locked = false;              ///< parked phase reached
-    std::set<Key> dirty;              ///< keys to re-copy (catch-up)
-    size_t inflight = 0;              ///< tracked commits in flight
-    struct Parked
-    {
-        NodeId node;
-        net::ClientConnId conn;
-        std::shared_ptr<net::Message> msg;
-    };
-    std::vector<Parked> parked;       ///< ops held for the cutover
-};
+/** TCP migration pacing: a step every 500 µs of wall time, each copying
+ *  everything pending; the Locked phase aborts after 30 s of steps. */
+constexpr auto kMigrationStep = std::chrono::microseconds(500);
+constexpr int kMigrationLockedBound = 30'000'000 / 500;
 
 TcpKvService::TcpKvService(Protocol protocol, size_t nodes,
                            ReplicaOptions options, net::TcpConfig config,
@@ -260,104 +248,12 @@ TcpKvService::installMap(const SlotMap &map, ShardAddressMap ports)
     stampWalEpochs(map.epoch);
 }
 
-void
-TcpKvService::beginMigration(const std::vector<uint32_t> &slots)
-{
-    auto state = std::make_unique<MigrationState>();
-    state->gen = ++migrationGen_;
-    state->moving.assign(kNumSlots, false);
-    for (uint32_t slot : slots)
-        state->moving.at(slot) = true;
-    std::lock_guard<std::mutex> guard(mapMutex_);
-    hermes_assert(!migration_);
-    migration_ = std::move(state);
-}
-
-std::set<Key>
-TcpKvService::takeMigrationDirty()
+std::mutex *
+TcpKvService::attachMigration(MigrationCoordinator *migration)
 {
     std::lock_guard<std::mutex> guard(mapMutex_);
-    if (!migration_)
-        return {};
-    std::set<Key> dirty;
-    dirty.swap(migration_->dirty);
-    return dirty;
-}
-
-size_t
-TcpKvService::migrationInflight() const
-{
-    std::lock_guard<std::mutex> guard(mapMutex_);
-    return migration_ ? migration_->inflight : 0;
-}
-
-void
-TcpKvService::lockMigration()
-{
-    std::lock_guard<std::mutex> guard(mapMutex_);
-    if (migration_)
-        migration_->locked = true;
-}
-
-void
-TcpKvService::finishMigration(const SlotMap &map, ShardAddressMap ports)
-{
-    std::vector<MigrationState::Parked> parked;
-    {
-        std::lock_guard<std::mutex> guard(mapMutex_);
-        hermes_assert(map.epoch > slotMap_->epoch);
-        slotMap_ = std::make_shared<const SlotMap>(map);
-        deploymentMap_ = std::move(ports);
-        if (migration_) {
-            parked = std::move(migration_->parked);
-            migration_.reset();
-        }
-    }
-    stampWalEpochs(map.epoch);
-    // Answer every parked op with WrongShard + the successor map: the
-    // op was never executed here, and the rejection carries everything
-    // the client needs to re-issue it at the new owner.
-    for (const MigrationState::Parked &p : parked) {
-        if (!cluster_.running(p.node))
-            continue; // its client lost the socket anyway
-        auto &request = static_cast<ClientRequestMsg &>(*p.msg);
-        ClientReplyMsg reply;
-        reply.reqId = request.reqId;
-        reply.shard = request.shard;
-        reply.ok = false;
-        reply.status = ClientReplyMsg::Status::WrongShard;
-        reply.mapShards = map.numShards;
-        reply.mapShard = shardId_;
-        reply.mapEpoch = map.epoch;
-        reply.mapPorts = advertisedMap();
-        reply.slotOwners = map.owner;
-        cluster_.runOn(p.node, [&] {
-            cluster_.replyToClient(p.node, p.conn, reply);
-        });
-    }
-}
-
-void
-TcpKvService::abortMigration()
-{
-    std::vector<MigrationState::Parked> parked;
-    {
-        std::lock_guard<std::mutex> guard(mapMutex_);
-        if (!migration_)
-            return;
-        parked = std::move(migration_->parked);
-        migration_.reset();
-    }
-    // The map never changed, so each parked op re-enters the normal
-    // request path and serves at this group — with the interception
-    // state gone it is neither tracked nor re-parked.
-    for (const MigrationState::Parked &p : parked) {
-        if (!cluster_.running(p.node))
-            continue; // its client lost the socket anyway
-        cluster_.runOn(p.node, [&] {
-            handleClientFrame(p.node, p.conn, p.msg);
-        });
-    }
+    migration_ = migration;
+    return &mapMutex_;
 }
 
 bool
@@ -461,40 +357,34 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
         return;
     }
 
-    // Live-migration interception: ops landing on a mid-move slot.
-    // While the transfer copies (Copy phase), writes and CAS ops are
-    // tracked — dirtied so the catch-up rounds re-copy their key, and
-    // counted until their protocol commit completes. Once the
-    // migration locks, EVERY op on a moving slot parks; the cutover
-    // answers it with WrongShard + the successor map.
-    bool tracked = false;
+    // Live-migration admission: Serve, Track or Park.
     bool cutoverRaced = false;
-    uint64_t gen = 0;
+    Admission admission;
     {
         std::lock_guard<std::mutex> guard(mapMutex_);
-        // Re-validate under the SAME lock the cutover swaps the map and
-        // clears the migration under: the ownership check above ran
-        // against a lock-free snapshot, and finishMigration() may have
-        // installed the successor map since — in which case migration_
-        // is already null and the stale snapshot would wave this op
-        // through to execute (and acknowledge) at the OLD owner while
-        // readers route to the new one: a silently lost write. Epoch
-        // equality plus live-map ownership here makes the ownership and
-        // migration checks one atomic decision.
+        // Re-validate under the SAME lock the cutover swaps the map
+        // under: the ownership check above ran against a lock-free
+        // snapshot, and the successor map may have been installed since
+        // — the stale snapshot would wave this op through to execute
+        // (and acknowledge) at the OLD owner while readers route to the
+        // new one: a silently lost write. Epoch equality plus live-map
+        // ownership here makes the ownership and migration checks one
+        // atomic decision.
         if (slotMap_->epoch != map->epoch
                 || slotMap_->ownerOf(request.key) != shardId_) {
             cutoverRaced = true;
-        } else if (migration_
-                   && migration_->moving[slotOfKey(request.key)]) {
-            if (migration_->locked) {
-                migration_->parked.push_back({node, conn, msg});
+        } else if (migration_) {
+            admission = migration_->admit(
+                request.key, request.op != ClientRequestMsg::Op::Read, node,
+                cluster_.incarnation(node));
+            if (admission.verdict == Admission::Verdict::Park) {
+                migration_->park([this, node, conn, msg] {
+                    if (cluster_.running(node)) // else the socket is gone
+                        cluster_.runOn(node, [&] {
+                            handleClientFrame(node, conn, msg);
+                        });
+                });
                 return;
-            }
-            if (request.op != ClientRequestMsg::Op::Read) {
-                migration_->dirty.insert(request.key);
-                ++migration_->inflight;
-                tracked = true;
-                gen = migration_->gen;
             }
         }
     }
@@ -502,19 +392,13 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
         rejectWrongShard(slotMap());
         return;
     }
-    // Commit-completion hook for tracked ops: re-dirty the key (its
-    // committed value postdates whatever the transfer copied) and
-    // release the in-flight count the locked phase drains on. Runs
-    // BEFORE the client sees the acknowledgement.
-    auto moveDone = [this, key = request.key, tracked, gen] {
-        if (!tracked)
+    // A tracked op reports its commit before the client sees the ack.
+    auto moveDone = [this, key = request.key, admission] {
+        if (admission.verdict != Admission::Verdict::Track)
             return;
         std::lock_guard<std::mutex> guard(mapMutex_);
-        if (migration_ && migration_->gen == gen) {
-            migration_->dirty.insert(key);
-            if (migration_->inflight > 0)
-                --migration_->inflight;
-        }
+        if (migration_)
+            migration_->finishTracked(key, admission);
     };
 
     switch (request.op) {
@@ -574,7 +458,8 @@ ShardedTcpDeployment::ShardedTcpDeployment(Protocol protocol, size_t shards,
                                            net::TcpConfig config)
     : protocol_(protocol), baseOptions_(options), baseConfig_(config),
       replicasPerShard_(replicas_per_shard),
-      slotMap_(SlotMap::uniform(static_cast<uint32_t>(shards)))
+      slotMap_(SlotMap::uniform(static_cast<uint32_t>(shards))),
+      migration_(*this, SIZE_MAX, kMigrationLockedBound)
 {
     hermes_assert(shards > 0 && replicas_per_shard > 0);
     for (size_t s = 0; s < shards; ++s) {
@@ -613,235 +498,109 @@ ShardedTcpDeployment::stop()
         group->stop();
 }
 
-void
-ShardedTcpDeployment::copyKeys(const std::set<Key> &keys, uint32_t from,
-                               uint32_t to,
-                               std::map<Key, Timestamp> &copied)
+bool
+ShardedTcpDeployment::beginMigration(std::vector<uint32_t> slots,
+                                     uint32_t from, uint32_t to)
 {
-    if (keys.empty())
-        return;
-    TcpKvService &src = *groups_[from];
-    TcpKvService &dst = *groups_[to];
-
-    struct Entry
-    {
-        Key key;
-        Value value;
-        Timestamp ts;
-        uint8_t flags;
-    };
-    std::vector<Entry> batch;
-    {
-        // Read phase, under the source's admin lock so a concurrent
-        // restartReplica cannot destroy the handle mid-read. The store
-        // read itself is the seqlocked lock-free path — safe against
-        // the replica's own loop thread writing concurrently.
-        std::lock_guard<std::mutex> admin(src.adminLock());
-        NodeId reader = kInvalidNode;
-        for (size_t r = 0; r < src.numNodes(); ++r) {
-            auto id = static_cast<NodeId>(r);
-            // Never read from a shadow: mid state-transfer its store is
-            // an arbitrary prefix of the group's history and could
-            // teleport stale values onto the destination.
-            if (src.replicaRunning(id) && !src.replicaIsShadow(id)) {
-                reader = id;
-                break;
-            }
-        }
-        if (reader == kInvalidNode)
-            return; // no operational source right now; caller retries
-        for (Key key : keys) {
-            store::ReadResult r = src.replica(reader).kvStore().read(key);
-            if (!r.found)
-                continue;
-            copied[key] = r.meta.ts;
-            batch.push_back({key, r.value, r.meta.ts, r.meta.flags});
-        }
+    hermes_assert(from < groups_.size() && to < groups_.size());
+    hermes_assert(from != to);
+    if (migration_.active())
+        return false;
+    // Only the source admits through the coordinator, under its own map
+    // mutex; every other group is detached first, so no request path
+    // reads the coordinator under a lock it is not guarded by.
+    std::mutex *guard = nullptr;
+    for (size_t s = 0; s < groups_.size(); ++s) {
+        std::mutex *g =
+            groups_[s]->attachMigration(s == from ? &migration_ : nullptr);
+        if (s == from)
+            guard = g;
     }
-    if (batch.empty())
-        return;
-
-    // Install phase: every live destination replica adopts the entries
-    // on its own loop (newest-timestamp-wins, so racing deltas and
-    // re-sends are idempotent). A crashed destination replica is healed
-    // later by its WAL replay + shadow sync from a live peer.
-    std::lock_guard<std::mutex> admin(dst.adminLock());
-    for (size_t r = 0; r < dst.numNodes(); ++r) {
-        auto id = static_cast<NodeId>(r);
-        if (!dst.replicaRunning(id))
-            continue;
-        dst.cluster().runOn(id, [&] {
-            for (const Entry &e : batch)
-                dst.replica(id).applyMigratedEntry(
-                    e.key, ValueRef::copyOf(e.value), e.ts, e.flags);
-        });
-    }
-}
-
-std::set<Key>
-ShardedTcpDeployment::verifyMoving(uint32_t from,
-                                   const std::vector<bool> &moving,
-                                   const std::map<Key, Timestamp> &copied)
-{
-    TcpKvService &src = *groups_[from];
-    std::lock_guard<std::mutex> admin(src.adminLock());
-
-    std::vector<NodeId> sources;
-    for (size_t r = 0; r < src.numNodes(); ++r) {
-        auto id = static_cast<NodeId>(r);
-        if (src.replicaRunning(id) && !src.replicaIsShadow(id))
-            sources.push_back(id);
-    }
-    if (sources.empty())
-        return {};
-
-    // Fresh manifest: keys can appear during the move (first write to a
-    // fresh key in a moving slot), so the scan must not trust the
-    // snapshot-time key list.
-    std::set<Key> keys;
-    for (NodeId id : sources) {
-        src.replica(id).kvStore().forEach([&](Key key) {
-            if (moving[slotOfKey(key)])
-                keys.insert(key);
-        });
-    }
-
-    // A key passes only when it is Valid on EVERY operational source
-    // replica (no write mid-commit anywhere — by Hermes' invariant an
-    // acknowledged write's value is in every live replica's store, and
-    // until its VAL lands somewhere that somewhere is non-Valid) AND
-    // the stored timestamp is exactly the one the transfer last copied.
-    std::set<Key> stale;
-    for (Key key : keys) {
-        bool ok = true;
-        for (NodeId id : sources) {
-            store::ReadResult r = src.replica(id).kvStore().read(key);
-            if (r.found
-                    && static_cast<proto::KeyState>(r.meta.state)
-                           != proto::KeyState::Valid) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok) {
-            store::ReadResult r =
-                src.replica(sources.front()).kvStore().read(key);
-            auto it = copied.find(key);
-            if (r.found
-                    && (it == copied.end() || !(it->second == r.meta.ts)))
-                ok = false;
-        }
-        if (!ok)
-            stale.insert(key);
-    }
-    return stale;
+    std::scoped_lock admin(groups_[from]->adminLock(),
+                           groups_[to]->adminLock());
+    return migration_.begin(slotMap_, std::move(slots), from, to, guard);
 }
 
 size_t
 ShardedTcpDeployment::migrateSlots(std::vector<uint32_t> slots,
                                    uint32_t from, uint32_t to)
 {
-    hermes_assert(from < groups_.size() && to < groups_.size());
-    hermes_assert(from != to);
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    std::erase_if(slots, [&](uint32_t slot) {
-        return slot >= kNumSlots || slotMap_.ownerOfSlot(slot) != from;
+    uint64_t before = migration_.slotsMigrated();
+    for (bool live = beginMigration(std::move(slots), from, to); live;) {
+        std::this_thread::sleep_for(kMigrationStep);
+        std::scoped_lock admin(groups_[from]->adminLock(),
+                               groups_[to]->adminLock());
+        live = migration_.step();
+    }
+    return migration_.slotsMigrated() - before;
+}
+
+std::vector<MigrationRuntime::Replica>
+ShardedTcpDeployment::sourceReplicas(uint32_t shard)
+{
+    TcpKvService &group = *groups_[shard];
+    std::vector<Replica> live;
+    for (size_t r = 0; r < group.numNodes(); ++r) {
+        auto id = static_cast<NodeId>(r);
+        // The store itself is read from this thread: the seqlocked
+        // lock-free path is safe against the replica's loop writing.
+        if (group.replicaRunning(id))
+            live.push_back({id, group.cluster().incarnation(id),
+                            group.replicaIsShadow(id),
+                            &group.replica(id).kvStore()});
+    }
+    return live;
+}
+
+void
+ShardedTcpDeployment::copyToDestination(uint32_t shard,
+                                        const std::vector<Entry> &entries)
+{
+    // Every live destination replica adopts the entries on its own loop
+    // (newest-timestamp-wins, so racing deltas and re-sends are
+    // idempotent). A crashed destination replica is healed later by its
+    // WAL replay + shadow sync from a live peer.
+    TcpKvService &dst = *groups_[shard];
+    for (size_t r = 0; r < dst.numNodes(); ++r) {
+        auto id = static_cast<NodeId>(r);
+        if (!dst.replicaRunning(id))
+            continue;
+        dst.cluster().runOn(id, [&] {
+            for (const Entry &e : entries)
+                dst.replica(id).applyMigratedEntry(e.key, e.value, e.ts,
+                                                   e.flags);
+        });
+    }
+}
+
+void
+ShardedTcpDeployment::nudge(NodeId replica, Key key)
+{
+    TcpKvService &src = *groups_[migration_.from()];
+    src.cluster().post(replica, [&src, replica, key] {
+        src.replica(replica).read(key, [](const Value &) {});
     });
-    if (slots.empty())
-        return 0;
+}
 
-    TcpKvService &src = *groups_[from];
-    std::vector<bool> moving(kNumSlots, false);
-    for (uint32_t slot : slots)
-        moving[slot] = true;
-
-    src.beginMigration(slots);
-
-    // Snapshot: every key currently present in a moving slot, unioned
-    // over the source replicas (a key missing from one replica mid-
-    // write exists on another), copied onto every live destination
-    // replica. Writes racing this re-dirty their key via interception.
-    std::set<Key> manifest;
-    {
-        std::lock_guard<std::mutex> admin(src.adminLock());
-        for (size_t r = 0; r < src.numNodes(); ++r) {
-            auto id = static_cast<NodeId>(r);
-            if (!src.replicaRunning(id))
-                continue;
-            src.replica(id).kvStore().forEach([&](Key key) {
-                if (moving[slotOfKey(key)])
-                    manifest.insert(key);
-            });
-        }
-    }
-    std::map<Key, Timestamp> copied;
-    copyKeys(manifest, from, to, copied);
-
-    // Catch-up rounds: drain keys re-dirtied by writes that raced the
-    // copy, until the delta is small enough to lock.
-    for (int round = 0; round < 16; ++round) {
-        std::set<Key> dirty = src.takeMigrationDirty();
-        copyKeys(dirty, from, to, copied);
-        if (dirty.size() <= 32)
-            break;
-    }
-
-    // Locked phase: new ops on moving slots park. Give tracked commits
-    // a bounded window to complete — a commit whose replica crashed
-    // mid-flight never calls back, and the verification scan below is
-    // what actually guarantees no acknowledged write is left behind.
-    src.lockMigration();
-    auto inflight_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (src.migrationInflight() > 0
-           && std::chrono::steady_clock::now() < inflight_deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // Final drain + cutover verification: loop until one pass finds no
-    // re-dirtied key AND every moving key is Valid on all operational
-    // source replicas at exactly the last-copied timestamp. The scan
-    // re-copies what it flags, so each round makes progress; Hermes'
-    // replay timer heals keys a crashed coordinator left Invalid.
-    auto verify_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    for (;;) {
-        std::set<Key> dirty = src.takeMigrationDirty();
-        copyKeys(dirty, from, to, copied);
-        std::set<Key> stale = verifyMoving(from, moving, copied);
-        copyKeys(stale, from, to, copied);
-        if (dirty.empty() && stale.empty())
-            break;
-        if (std::chrono::steady_clock::now() > verify_deadline) {
-            // A pathological fault schedule kept keys dirty or
-            // non-Valid past the deadline: the destination is not
-            // proven to hold every acknowledged write, and cutting
-            // over anyway could silently lose one. Abort — ownership
-            // stays at the source (whose data is complete by
-            // definition), parked ops are served there, and the caller
-            // may retry the move once the group heals.
-            src.abortMigration();
-            return 0;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-
-    // Cutover: epoch+1 with the moved slots repointed. Destination
-    // first — it must recognize its new ownership before any client is
-    // redirected at it — then the bystander groups, then the source
-    // last via finishMigration, which also answers the parked ops with
-    // WrongShard + this map. Until the source installs it, ops on the
-    // moved slots keep parking there (never serving stale data), so no
-    // window exists in which both groups serve the same slot.
+void
+ShardedTcpDeployment::installSuccessor(const std::vector<uint32_t> &slots,
+                                       uint32_t to)
+{
+    // Epoch+1 with the moved slots repointed. Destination first — it
+    // must recognize its new ownership before any client is redirected
+    // at it — then the bystander groups, then the source last. Until the
+    // source installs it, ops on the moved slots park there (never
+    // serving stale data), so no window exists in which both groups
+    // serve the same slot.
+    uint32_t from = migration_.from();
     SlotMap next = slotMap_.withSlotsMovedTo(slots, to);
     groups_[to]->installMap(next, map_);
     for (size_t s = 0; s < groups_.size(); ++s) {
         if (s != from && s != to)
             groups_[s]->installMap(next, map_);
     }
-    src.finishMigration(next, map_);
+    groups_[from]->installMap(next, map_);
     slotMap_ = next;
-    return slots.size();
 }
 
 uint32_t

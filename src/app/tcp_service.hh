@@ -24,10 +24,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "app/migration.hh"
 #include "app/replica_handle.hh"
 #include "app/slot_map.hh"
 #include "net/client_msgs.hh"
@@ -100,43 +100,14 @@ class TcpKvService
      */
     void installMap(const SlotMap &map, ShardAddressMap ports);
 
-    // ---- Live-migration hooks (source-group side) ----------------------
-    // Driven by ShardedTcpDeployment::migrateSlots; the service's part is
-    // the request-path interception: while a migration is active, writes
-    // and CAS ops landing on a moving slot are tracked (dirtied for the
-    // catch-up rounds, counted while their protocol commit is in flight),
-    // and once the migration locks, EVERY op on a moving slot parks —
-    // answered only at cutover, with WrongShard + the successor map, so
-    // the client's reroute loop re-issues it at the destination.
-
-    /** Arm interception for @p slots (one migration at a time). */
-    void beginMigration(const std::vector<uint32_t> &slots);
-
-    /** Drain the set of keys re-dirtied by writes racing the transfer. */
-    std::set<Key> takeMigrationDirty();
-
-    /** Tracked write/CAS ops whose protocol commit is still in flight. */
-    size_t migrationInflight() const;
-
-    /** Enter the locked phase: ops on moving slots park from here on. */
-    void lockMigration();
-
     /**
-     * Cutover: install the successor map and answer every parked op
-     * with WrongShard + that map. Ends the migration.
+     * Admit this group's requests through @p migration (nullptr
+     * detaches), under the lock of the ownership check. Parked ops
+     * re-enter handleClientFrame when the move ends: served here after
+     * an abort, answered WrongShard + the new map after a cutover.
+     * @return that lock: the coordinator's guard.
      */
-    void finishMigration(const SlotMap &map, ShardAddressMap ports);
-
-    /**
-     * Abandon the migration WITHOUT moving ownership: drop the
-     * interception state (map and epoch untouched) and run every parked
-     * op through the normal request path — this group still owns the
-     * slots, so they serve here as if the migration never started. The
-     * coordinator calls this when the cutover verification cannot prove
-     * the destination holds every acknowledged write; keeping the old
-     * map is the safe degraded outcome.
-     */
-    void abortMigration();
+    std::mutex *attachMigration(MigrationCoordinator *migration);
 
     /**
      * Serializes admin choreography against each other: restartReplica
@@ -188,8 +159,6 @@ class TcpKvService
     void drain();
 
   private:
-    struct MigrationState;
-
     void handleClientFrame(NodeId node, net::ClientConnId conn,
                            const std::shared_ptr<net::Message> &msg);
 
@@ -214,8 +183,7 @@ class TcpKvService
     mutable std::mutex mapMutex_;
     std::shared_ptr<const SlotMap> slotMap_;
     ShardAddressMap deploymentMap_;
-    std::unique_ptr<MigrationState> migration_;
-    uint64_t migrationGen_ = 0;
+    MigrationCoordinator *migration_ = nullptr;
     std::mutex adminMutex_;
 };
 
@@ -228,7 +196,7 @@ class TcpKvService
  * WrongShard, so any replica of any shard can bootstrap or correct a
  * client's routing.
  */
-class ShardedTcpDeployment
+class ShardedTcpDeployment : private MigrationRuntime
 {
   public:
     ShardedTcpDeployment(Protocol protocol, size_t shards,
@@ -250,27 +218,35 @@ class ShardedTcpDeployment
     const SlotMap &slotMap() const { return slotMap_; }
 
     /**
-     * Live slot migration over real sockets: move @p slots from shard
-     * @p from to shard @p to while concurrent clients keep operating.
-     * Blocks the calling thread through the whole move — snapshot copy
-     * from a live source replica's seqlocked store onto every live
-     * destination replica, catch-up rounds draining keys re-dirtied by
-     * racing writes, then the locked phase: new ops on moving slots
-     * park, in-flight commits drain, and a verification scan proves
-     * every moving key Valid on all live operational source replicas at
-     * exactly the last-copied timestamp (re-copying stragglers until it
-     * holds). Cutover installs the epoch+1 map destination-first and
-     * answers parked ops with WrongShard + that map, which the client
-     * reroute loop turns into a retry at the new owner. If verification
-     * cannot prove the transfer complete within its deadline (a fault
-     * schedule keeping keys dirty or non-Valid), the migration ABORTS:
-     * ownership never moves, parked ops are served at the source, and 0
-     * is returned — never a cutover with unverified keys. Safe to run
-     * against concurrent restartReplica on either group. Slots not
-     * owned by @p from are ignored. @return slots actually moved.
+     * Live slot migration over real sockets while clients keep
+     * operating: blocks, stepping the shared coordinator
+     * (app/migration.hh) every 500 µs. It cuts over only on a passing
+     * verification scan, answering parked ops with WrongShard + the new
+     * map; if the scan cannot pass within 30 s it aborts and returns 0.
+     * Safe against concurrent restartReplica on either group. Slots
+     * @p from does not own are ignored. @return slots actually moved.
      */
     size_t migrateSlots(std::vector<uint32_t> slots, uint32_t from,
                         uint32_t to);
+
+    /** migrateSlots without the stepping. @return whether it started. */
+    bool beginMigration(std::vector<uint32_t> slots, uint32_t from,
+                        uint32_t to);
+
+    /** The migration coordinator (phase, lock(), abort()). */
+    MigrationCoordinator &migration() { return migration_; }
+    uint64_t slotsMigrated() const { return migration_.slotsMigrated(); }
+    uint64_t
+    migrationsCompleted() const
+    {
+        return migration_.migrationsCompleted();
+    }
+    uint64_t migrationsAborted() const { return migration_.migrationsAborted(); }
+    uint64_t
+    migrationWritesParked() const
+    {
+        return migration_.migrationWritesParked();
+    }
 
     /**
      * Grow the deployment: start a new replica group serving a brand-new
@@ -321,23 +297,14 @@ class ShardedTcpDeployment
     }
 
   private:
-    /**
-     * Copy every key of @p keys from a live non-shadow replica of
-     * @p from onto every live replica of @p to, recording the copied
-     * timestamp per key in @p copied (the cutover verification bar).
-     */
-    void copyKeys(const std::set<Key> &keys, uint32_t from, uint32_t to,
-                  std::map<Key, Timestamp> &copied);
-
-    /**
-     * Verification scan: keys in @p moving slots that are non-Valid on
-     * some live operational source replica, or whose store timestamp
-     * disagrees with the last copy — i.e. committed writes the transfer
-     * has not carried over yet. Empty = safe to cut over.
-     */
-    std::set<Key> verifyMoving(uint32_t from,
-                               const std::vector<bool> &moving,
-                               const std::map<Key, Timestamp> &copied);
+    // MigrationRuntime, called with both groups' admin locks held: a
+    // concurrent restartReplica never destroys a handle in use.
+    std::vector<Replica> sourceReplicas(uint32_t shard) override;
+    void copyToDestination(uint32_t shard,
+                           const std::vector<Entry> &entries) override;
+    void nudge(NodeId replica, Key key) override;
+    void installSuccessor(const std::vector<uint32_t> &slots,
+                          uint32_t to) override;
 
     Protocol protocol_;
     ReplicaOptions baseOptions_;
@@ -346,6 +313,7 @@ class ShardedTcpDeployment
     std::vector<std::unique_ptr<TcpKvService>> groups_;
     ShardAddressMap map_;
     SlotMap slotMap_;
+    MigrationCoordinator migration_;
 };
 
 /**

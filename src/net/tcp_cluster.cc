@@ -288,6 +288,7 @@ class TcpCluster::NodeLoop
     void
     startThread()
     {
+        ++lives_;
         thread_ = std::thread([this] { run(); });
     }
 
@@ -324,6 +325,7 @@ class TcpCluster::NodeLoop
     restartThread()
     {
         hermes_assert(!thread_.joinable() && stop_.load());
+        ++lives_; // before stop_ clears: a reader never sees the old life
         stop_.store(false);
         rejoin_ = true;
         thread_ = std::thread([this] { run(); });
@@ -334,6 +336,10 @@ class TcpCluster::NodeLoop
     {
         return thread_.joinable() && !stop_.load();
     }
+
+    /** 0 while down, else the count of thread starts (atomics only, so
+     *  any thread may ask). */
+    uint64_t incarnation() const { return stop_.load() ? 0 : lives_.load(); }
 
     /** Loop-thread only: close the listener so no new peer or client
      *  connection is ever accepted again (drain phase 1). */
@@ -1141,6 +1147,7 @@ class TcpCluster::NodeLoop
     int wakePipe_[2] = {-1, -1};
     std::thread thread_;
     std::atomic<bool> stop_{false};
+    std::atomic<uint64_t> lives_{0};
     bool rejoin_ = false; ///< next run() re-dials the FULL mesh
 
     std::map<int, Conn> conns_;
@@ -1267,6 +1274,12 @@ bool
 TcpCluster::running(NodeId id) const
 {
     return loops_.at(id)->running();
+}
+
+uint64_t
+TcpCluster::incarnation(NodeId id) const
+{
+    return loops_.at(id)->incarnation();
 }
 
 void

@@ -199,6 +199,10 @@ class TcpCluster
     /** True while node @p id 's loop thread is running. */
     bool running(NodeId id) const;
 
+    /** Node @p id 's life: 0 while its loop is down, otherwise a value
+     *  that changes on every crash and restart. */
+    uint64_t incarnation(NodeId id) const;
+
     /**
      * Graceful shutdown: every loop first stops accepting new
      * connections, then runs one final flush (the Env flush hook —

@@ -103,6 +103,9 @@ class SimRuntime
 
     bool alive(NodeId node) const { return cpus_[node].alive; }
 
+    /** Restarts of @p node so far: its current life. */
+    uint64_t incarnation(NodeId node) const { return cpus_[node].incarnation; }
+
     /** Cumulative crash()/restart() counts (explorer coverage signals). */
     uint64_t crashCount() const { return crashes_; }
     uint64_t restartCount() const { return restarts_; }

@@ -1,6 +1,8 @@
 /**
  * @file
- * Elastic sharding: SlotMap unit properties, live slot migration in the
+ * Elastic sharding: SlotMap unit properties, the shared migration state
+ * machine behind a fake runtime (verified cutover, abort at the bound,
+ * crash-aware fences, replay nudges), live slot migration in the
  * simulated cluster (snapshot + catch-up + locked cutover), the
  * crash-fault matrix across the move (source mid-snapshot, destination
  * mid-catch-up, WAL crash-restart straddling the cutover), and the
@@ -16,8 +18,11 @@
 #include "app/cluster.hh"
 #include "app/driver.hh"
 #include "app/lin_checker.hh"
+#include "app/migration.hh"
 #include "app/slot_map.hh"
 #include "app/workload.hh"
+#include "hermes/key_state.hh"
+#include "store/kvs.hh"
 #include "store/wal.hh"
 #include "support/cluster_fixture.hh"
 #include "support/str_cat.hh"
@@ -33,7 +38,9 @@ using app::DriverConfig;
 using app::DriverResult;
 using app::HistOp;
 using app::kNumSlots;
+using app::Admission;
 using app::LoadDriver;
+using app::MigrationCoordinator;
 using app::Protocol;
 using app::SimCluster;
 using app::SlotMap;
@@ -108,6 +115,259 @@ TEST(SlotMapTest, ShardCountGrowsWithoutMovingData)
     for (uint32_t slot = 0; slot < kNumSlots; ++slot)
         EXPECT_EQ(grown.ownerOfSlot(slot), map.ownerOfSlot(slot));
     EXPECT_TRUE(grown.slotsOwnedBy(2).empty());
+}
+
+// ---------------------------------------------------------------------
+// The shared state machine, behind a fake runtime
+// ---------------------------------------------------------------------
+
+/**
+ * A source group of bare stores (replica i is node i) and a destination
+ * that records what it is sent. Fences land only when a test says so; a
+ * replica's life is whatever the test sets (0 = down).
+ */
+class FakeRuntime : public app::MigrationRuntime
+{
+  public:
+    explicit FakeRuntime(size_t replicas)
+    {
+        for (size_t i = 0; i < replicas; ++i) {
+            stores.push_back(std::make_unique<store::KvStore>(256, 64));
+            lives.push_back(1);
+        }
+    }
+
+    /** Store @p key at @p version with @p state on replica @p only, or
+     *  on every replica when @p only is kInvalidNode. */
+    void
+    put(Key key, uint32_t version,
+        proto::KeyState state = proto::KeyState::Valid,
+        NodeId only = kInvalidNode)
+    {
+        for (NodeId n = 0; n < stores.size(); ++n) {
+            if (only != kInvalidNode && n != only)
+                continue;
+            stores[n]->withKey(key, [&](store::KeyRecord &rec) {
+                rec.meta().ts = Timestamp{version, 0};
+                rec.meta().state = static_cast<uint8_t>(state);
+                rec.setValue(test::strCat("v", version));
+            });
+        }
+    }
+
+    void
+    landFences()
+    {
+        for (auto &landed : fences)
+            landed();
+        fences.clear();
+    }
+
+    std::vector<Replica>
+    sourceReplicas(uint32_t) override
+    {
+        std::vector<Replica> live;
+        for (NodeId n = 0; n < stores.size(); ++n) {
+            if (lives[n] != 0)
+                live.push_back({n, lives[n], false, stores[n].get()});
+        }
+        return live;
+    }
+
+    void
+    copyToDestination(uint32_t, const std::vector<Entry> &entries) override
+    {
+        for (const Entry &e : entries) {
+            copiedTs[e.key] = e.ts;
+            ++copies[e.key];
+        }
+    }
+
+    void
+    fence(NodeId, std::function<void()> landed) override
+    {
+        fences.push_back(std::move(landed));
+    }
+
+    void
+    nudge(NodeId replica, Key key) override
+    {
+        nudges.emplace_back(replica, key);
+    }
+
+    void
+    installSuccessor(const std::vector<uint32_t> &, uint32_t) override
+    {
+        ++cutovers;
+    }
+
+    std::vector<std::unique_ptr<store::KvStore>> stores;
+    std::vector<uint64_t> lives;
+    std::vector<std::function<void()>> fences;
+    std::map<Key, Timestamp> copiedTs;
+    std::map<Key, int> copies;
+    std::vector<std::pair<NodeId, Key>> nudges;
+    int cutovers = 0;
+};
+
+class MigrationMachine : public ::testing::Test
+{
+  protected:
+    /** The @p n -th key (from 0) that shard 0 owns under map_. */
+    Key
+    keyOfShard0(int n) const
+    {
+        for (Key k = 0;; ++k) {
+            if (map_.ownerOf(k) == 0 && n-- == 0)
+                return k;
+        }
+    }
+
+    /** Start moving all of shard 0 to shard 1 and step to the lock. */
+    void
+    lockAfterFirstCopy(MigrationCoordinator &m)
+    {
+        ASSERT_TRUE(m.begin(map_, map_.slotsOwnedBy(0), 0, 1));
+        ASSERT_TRUE(m.step()); // copies everything, dirty set empty
+        ASSERT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+    }
+
+    SlotMap map_ = SlotMap::uniform(2);
+};
+
+TEST_F(MigrationMachine, CutsOverOnlyAfterStaleKeysAreRecopiedAndScanPasses)
+{
+    FakeRuntime rt(2);
+    Key a = keyOfShard0(0), b = keyOfShard0(1);
+    rt.put(a, 2);
+    rt.put(b, 2);
+    MigrationCoordinator m(rt, 64, 100);
+    lockAfterFirstCopy(m);
+    EXPECT_EQ(rt.copies[a], 1);
+    EXPECT_EQ(rt.copies[b], 1);
+
+    // Unlanded fences hold the final drain: no scan, no cutover.
+    EXPECT_TRUE(m.step());
+    EXPECT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+
+    // A write admitted before the migration commits after a's copy.
+    rt.put(a, 4);
+    rt.landFences();
+    EXPECT_TRUE(m.step()); // the scan flags a and queues its re-copy
+    EXPECT_EQ(m.phase(), MigrationCoordinator::Phase::Verify);
+    EXPECT_EQ(rt.cutovers, 0);
+    EXPECT_EQ(rt.copies[a], 1);
+
+    EXPECT_FALSE(m.step()); // re-copies a; the scan passes; cutover
+    EXPECT_EQ(rt.copies[a], 2);
+    EXPECT_EQ(rt.copiedTs[a], (Timestamp{4, 0}));
+    EXPECT_EQ(rt.copies[b], 1);
+    EXPECT_EQ(rt.cutovers, 1);
+    EXPECT_FALSE(m.active());
+    EXPECT_EQ(m.migrationsCompleted(), 1u);
+    EXPECT_EQ(m.migrationsAborted(), 0u);
+    EXPECT_EQ(m.slotsMigrated(), map_.slotsOwnedBy(0).size());
+}
+
+TEST_F(MigrationMachine, AbortsAtTheBoundAndHandsParkedOpsBackToTheSource)
+{
+    FakeRuntime rt(2);
+    Key a = keyOfShard0(0);
+    rt.put(a, 2);
+    MigrationCoordinator m(rt, 64, 20);
+    lockAfterFirstCopy(m);
+    rt.landFences();
+
+    // A write reaching the lock parks; a read is never parked.
+    Admission write = m.admit(a, true, 0, rt.lives[0]);
+    ASSERT_EQ(write.verdict, Admission::Verdict::Park);
+    bool delivered = false;
+    m.park([&] {
+        delivered = true;
+        // Re-run after the migration ended: admission serves it now.
+        EXPECT_EQ(m.admit(a, true, 0, rt.lives[0]).verdict,
+                  Admission::Verdict::Serve);
+    });
+    EXPECT_EQ(m.admit(a, false, 0, rt.lives[0]).verdict,
+              Admission::Verdict::Serve);
+    EXPECT_EQ(m.migrationWritesParked(), 1u);
+
+    // A key wedged non-Valid on one source replica never verifies.
+    rt.put(a, 2, proto::KeyState::Invalid, 1);
+    int steps = 1;
+    while (m.step())
+        ASSERT_LE(++steps, 100) << "no abort at the bound";
+    EXPECT_EQ(steps, 21); // 20 Locked steps, then the abort
+
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(rt.cutovers, 0);
+    EXPECT_EQ(m.migrationsAborted(), 1u);
+    EXPECT_EQ(m.migrationsCompleted(), 0u);
+    EXPECT_EQ(m.slotsMigrated(), 0u);
+    EXPECT_EQ(rt.copies[a], 1) << "a non-Valid key was re-copied";
+}
+
+TEST_F(MigrationMachine, EndedIncarnationReleasesFencesAndInflightWrites)
+{
+    FakeRuntime rt(3);
+    Key a = keyOfShard0(0);
+    rt.put(a, 2);
+    MigrationCoordinator m(rt, 64, 100);
+    ASSERT_TRUE(m.begin(map_, map_.slotsOwnedBy(0), 0, 1));
+    // A write tracked at replica 1 before the lock, still committing.
+    Admission tracked = m.admit(a, true, 1, rt.lives[1]);
+    ASSERT_EQ(tracked.verdict, Admission::Verdict::Track);
+    ASSERT_TRUE(m.step());
+    ASSERT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+    ASSERT_EQ(rt.fences.size(), 3u);
+
+    // Replica 2's fence never lands: it holds the lock while 2 lives.
+    rt.fences[0]();
+    rt.fences[1]();
+    EXPECT_TRUE(m.step());
+    EXPECT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+
+    // Replica 2 crashes: its fence resolves, but the write in flight at
+    // the live replica 1 still holds.
+    rt.lives[2] = 0;
+    EXPECT_TRUE(m.step());
+    EXPECT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+
+    // Replica 1 crash-restarts: the write died with its old life, never
+    // acknowledged. Nothing holds; the scan passes; cutover.
+    rt.lives[1] = 2;
+    EXPECT_FALSE(m.step());
+    EXPECT_EQ(rt.cutovers, 1);
+    EXPECT_EQ(m.migrationsAborted(), 0u);
+}
+
+TEST_F(MigrationMachine, NudgesFromLockedStepTenOncePerNonValidKeyPerStep)
+{
+    FakeRuntime rt(2);
+    Key a = keyOfShard0(0), b = keyOfShard0(1);
+    rt.put(a, 2);
+    rt.put(b, 2);
+    rt.put(b, 2, proto::KeyState::Invalid, 1); // left by a dead writer
+    MigrationCoordinator m(rt, 64, 100);
+    lockAfterFirstCopy(m);
+    rt.landFences();
+
+    for (int step = 0; step < 15; ++step) {
+        size_t before = rt.nudges.size();
+        ASSERT_TRUE(m.step());
+        size_t nudged = rt.nudges.size() - before;
+        if (step < MigrationCoordinator::kNudgeAfterSteps) {
+            EXPECT_EQ(nudged, 0u) << "step " << step;
+            continue;
+        }
+        ASSERT_EQ(nudged, 1u) << "step " << step;
+        EXPECT_EQ(rt.nudges.back(), std::make_pair(NodeId{1}, b));
+    }
+
+    // The replay heals b: the next scan passes.
+    rt.put(b, 2);
+    EXPECT_FALSE(m.step());
+    EXPECT_EQ(rt.cutovers, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -248,6 +508,45 @@ TEST(LiveMigration, SourceGroupDownAbortsInsteadOfCuttingOver)
     EXPECT_EQ(cluster.slotMap().epoch, 1u);
     for (uint32_t slot : moving)
         EXPECT_EQ(cluster.slotMap().ownerOfSlot(slot), 0u);
+}
+
+TEST(LiveMigration, SourceCrashJustAfterLockCutsOverVerified)
+{
+    // A source replica crash-stops right after the lock engages, taking
+    // its unlanded fence with it. The fence must not hold the lock: the
+    // scan over the survivors passes and the move cuts over, verified,
+    // well before the Locked-phase bound (10 ms).
+    SimCluster cluster(test::shardedConfig(Protocol::Hermes, 2, 3));
+    cluster.start();
+    for (Key key = 0; key < 100; ++key) {
+        ASSERT_TRUE(cluster.writeSync(cluster.routeNode(key), key,
+                                      test::strCat("v", key)));
+    }
+
+    // Few enough keys for one copy batch: the first step copies them
+    // all, finds nothing dirty and engages the lock.
+    std::vector<uint32_t> moving = cluster.slotMap().slotsOwnedBy(0);
+    moving.resize(64);
+    cluster.migrateSlots(moving, 0, 1);
+    ASSERT_EQ(cluster.migration().phase(),
+              MigrationCoordinator::Phase::Locked);
+    NodeId victim = cluster.shardMap().nodesOf(0).back();
+    cluster.crash(victim);
+
+    TimeNs crashed_at = cluster.now();
+    while (cluster.migrationActive() && cluster.now() < crashed_at + 5_ms)
+        cluster.runFor(100_us);
+    EXPECT_FALSE(cluster.migrationActive())
+        << "the dead replica's fence held the lock";
+    EXPECT_EQ(cluster.migrationsAborted(), 0u);
+    EXPECT_EQ(cluster.migrationsCompleted(), 1u);
+    EXPECT_EQ(cluster.slotMap().epoch, 2u);
+    for (Key key = 0; key < 100; ++key) {
+        EXPECT_EQ(cluster.readSync(cluster.liveRouteNode(key), key)
+                      .value_or("?"),
+                  test::strCat("v", key))
+            << "key " << key;
+    }
 }
 
 // ---------------------------------------------------------------------

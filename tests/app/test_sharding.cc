@@ -1,6 +1,7 @@
 /**
  * @file
- * Sharded key-space partitioning: ShardMap totality/stability properties,
+ * Sharded key-space partitioning: key placement (the uniform SlotMap) and
+ * node-block geometry (ShardMap) properties,
  * end-to-end sharded runs whose per-shard histories compose under the
  * linearizability checker (P-compositionality), sharded baselines, and
  * per-shard fault isolation (a crash in one shard leaves the others'
@@ -14,6 +15,7 @@
 #include "app/cluster.hh"
 #include "app/driver.hh"
 #include "app/lin_checker.hh"
+#include "app/slot_map.hh"
 #include "app/workload.hh"
 #include "support/cluster_fixture.hh"
 #include "support/str_cat.hh"
@@ -31,6 +33,7 @@ using app::LoadDriver;
 using app::Protocol;
 using app::ShardMap;
 using app::SimCluster;
+using app::SlotMap;
 
 // ---------------------------------------------------------------------
 // ShardMap properties
@@ -39,25 +42,25 @@ using app::SimCluster;
 TEST(ShardMapTest, EveryKeyMapsToExactlyOneShard)
 {
     for (size_t shards : {1, 2, 4, 8, 13}) {
-        ShardMap map(shards, 3);
+        SlotMap map = SlotMap::uniform(static_cast<uint32_t>(shards));
         for (Key key = 0; key < 10000; ++key) {
-            uint32_t shard = map.shardOf(key);
+            uint32_t shard = map.ownerOf(key);
             ASSERT_LT(shard, shards) << "key " << key;
-            // shardOf is a function: querying twice must agree.
-            ASSERT_EQ(shard, map.shardOf(key));
+            // ownerOf is a function: querying twice must agree.
+            ASSERT_EQ(shard, map.ownerOf(key));
         }
     }
 }
 
 TEST(ShardMapTest, MappingIsStableAcrossInstancesAndConfigs)
 {
-    // Two maps with the same config (as two nodes would build) agree on
-    // every key; the free-function hash they share agrees too.
-    ShardMap first(8, 3);
-    ShardMap second(8, 5); // different replication, same shard count
+    // Two maps with the same shard count (as two nodes would build)
+    // agree on every key; the free-function hash they share agrees too.
+    SlotMap first = SlotMap::uniform(8);
+    SlotMap second = SlotMap::uniform(8);
     for (Key key = 0; key < 10000; ++key) {
-        EXPECT_EQ(first.shardOf(key), second.shardOf(key));
-        EXPECT_EQ(first.shardOf(key), app::shardOfKey(key, 8));
+        EXPECT_EQ(first.ownerOf(key), second.ownerOf(key));
+        EXPECT_EQ(first.ownerOf(key), app::shardOfKey(key, 8));
     }
 }
 
@@ -91,11 +94,11 @@ TEST(ShardMapTest, MappingMatchesFrozenSpec)
 TEST(ShardMapTest, ShardsAreReasonablyBalanced)
 {
     const size_t shards = 4;
-    ShardMap map(shards, 3);
+    SlotMap map = SlotMap::uniform(shards);
     std::vector<size_t> counts(shards, 0);
     const size_t keys = 40000;
     for (Key key = 0; key < keys; ++key)
-        ++counts[map.shardOf(key)];
+        ++counts[map.ownerOf(key)];
     for (size_t s = 0; s < shards; ++s) {
         EXPECT_GT(counts[s], keys / shards / 2) << "shard " << s;
         EXPECT_LT(counts[s], keys / shards * 2) << "shard " << s;
@@ -120,10 +123,13 @@ TEST(ShardMapTest, GroupsPartitionTheNodeIdSpace)
     }
     EXPECT_EQ(seen.size(), shards * replicas);
     // Routing lands inside the owning group, for every replica slot.
+    SimCluster cluster(test::shardedConfig(Protocol::Hermes, shards,
+                                           replicas));
+    SlotMap owners = SlotMap::uniform(shards);
     for (Key key = 0; key < 1000; ++key) {
         for (size_t r = 0; r < replicas; ++r) {
-            NodeId node = map.nodeFor(key, r);
-            EXPECT_EQ(map.shardOfNode(node), map.shardOf(key));
+            NodeId node = cluster.routeNode(key, r);
+            EXPECT_EQ(map.shardOfNode(node), owners.ownerOf(key));
         }
     }
 }

@@ -162,6 +162,8 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
         slotsOwnedPrefix(deployment.slotMap(), 0, 128);
     ASSERT_EQ(deployment.migrateSlots(moving, 0, 1), moving.size());
     EXPECT_EQ(deployment.slotMap().epoch, 2u);
+    EXPECT_EQ(deployment.migrationsCompleted(), 1u);
+    EXPECT_EQ(deployment.slotsMigrated(), moving.size()); // 128 slots
     for (uint32_t slot : moving)
         EXPECT_EQ(deployment.slotMap().ownerOfSlot(slot), 1u);
 
@@ -215,8 +217,8 @@ TEST(ElasticTcp, AbortedMigrationServesParkedOpsAtTheSource)
 
     // Arm and lock the source group's interception directly (the
     // coordinator's part of a move that will fail verification).
-    deployment.shard(0).beginMigration(moving);
-    deployment.shard(0).lockMigration();
+    ASSERT_TRUE(deployment.beginMigration(moving, 0, 1));
+    deployment.migration().lock();
 
     // A write on a locked moving slot parks: it must NOT complete until
     // the abort releases it.
@@ -230,7 +232,7 @@ TEST(ElasticTcp, AbortedMigrationServesParkedOpsAtTheSource)
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     EXPECT_FALSE(done) << "locked-slot write was not parked";
 
-    deployment.shard(0).abortMigration();
+    deployment.migration().abort();
     writer.join();
     EXPECT_TRUE(ok) << "parked write was not acknowledged after abort";
 
