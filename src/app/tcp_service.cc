@@ -300,6 +300,16 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
     // the client's hello requested; we are running on the serving
     // node's loop thread, so reading the transport state is safe).
     if (request.op == ClientRequestMsg::Op::Hello) {
+        // A §3.4 shadow serves nothing yet: its answer waits until the
+        // state transfer ends, so a session that failed over away from
+        // this replica returns only once it serves again.
+        proto::HermesReplica *hermes = replica.hermes();
+        if (hermes != nullptr && hermes->isShadow()) {
+            cluster_.env(node).setTimer(1_ms, [this, node, conn, msg] {
+                handleClientFrame(node, conn, msg);
+            });
+            return;
+        }
         ClientReplyMsg reply;
         reply.reqId = req_id;
         reply.shard = shard;
@@ -718,7 +728,7 @@ KvClient::casObserve(Key key, Value expected, Value desired,
 
 KvSessionClient::KvSessionClient(uint16_t seed_port, uint32_t credits,
                                  size_t num_shards)
-    : requestedCredits_(credits)
+    : requestedCredits_(credits), seedPort_(seed_port)
 {
     net::registerClientCodecs();
     if (num_shards > 0)
@@ -726,8 +736,8 @@ KvSessionClient::KvSessionClient(uint16_t seed_port, uint32_t credits,
     // Generous dial budget: the seed is the bootstrap, a service still
     // binding deserves the wait. dial() pipelines the session's HELLO,
     // so the window grant and the shard map stream in with the first
-    // replies — nothing here blocks on them.
-    seed_ = dial(seed_port, 100);
+    // replies — nothing here blocks on them. It also sets seed_.
+    dial(seed_port, 100);
 }
 
 KvSessionClient::~KvSessionClient()
@@ -796,6 +806,7 @@ KvSessionClient::dial(uint16_t port, int connect_attempts)
     }
     if (!ok) {
         close(fd);
+        holdoff_[port] = steadyNowNs() + kRedialHoldoff;
         return nullptr;
     }
     int flags = fcntl(fd, F_GETFL, 0);
@@ -805,6 +816,9 @@ KvSessionClient::dial(uint16_t port, int connect_attempts)
     conn->fd = fd;
     conn->port = port;
     conn->alive = true;
+    conn->dialedAt = steadyNowNs();
+    if (port == seedPort_)
+        seed_ = conn; // a redialed seed (home back after a restart)
     // Believed window until the HELLO grant answers: what we asked for,
     // or optimistic when we asked for the default. Overshooting is safe
     // by design — the server stops reading an over-limit session and
@@ -831,24 +845,84 @@ KvSessionClient::sendHello(const ConnPtr &conn)
     enqueue(token, conn);
 }
 
+size_t
+KvSessionClient::homeIndex(uint32_t shard) const
+{
+    // The seed's rank in its own shard: the seed itself there, the
+    // replica of the same rank in every other shard.
+    size_t rank = seedPort_;
+    for (const ShardPorts &ports : addrs_) {
+        auto seed = std::find(ports.begin(), ports.end(), seedPort_);
+        if (seed != ports.end()) {
+            rank = static_cast<size_t>(seed - ports.begin());
+            break;
+        }
+    }
+    return rank % addrs_[shard].size();
+}
+
+bool
+KvSessionClient::heldOff(uint16_t port, TimeNs now) const
+{
+    auto held = holdoff_.find(port);
+    return held != holdoff_.end() && now < held->second;
+}
+
+KvSessionClient::ConnPtr
+KvSessionClient::liveConnTo(uint16_t port) const
+{
+    // Sessions multiplex: shards sharing a replica after a map change,
+    // or the seed itself, share one socket — never dial a port twice.
+    for (const ConnPtr &conn : conns_)
+        if (conn->alive && conn->port == port)
+            return conn;
+    return nullptr;
+}
+
 KvSessionClient::ConnPtr
 KvSessionClient::connFor(uint32_t shard, TimeNs deadline)
 {
     auto it = route_.find(shard);
-    if (it != route_.end() && it->second->alive)
-        return it->second;
-    route_.erase(shard);
-    if (shard < addrs_.size()) {
-        for (uint16_t port : addrs_[shard]) {
-            // A connection to that replica may already exist (shards
-            // sharing a socket after a map change, or the seed itself):
-            // sessions multiplex, never dial a port twice.
-            for (const ConnPtr &conn : conns_) {
-                if (conn->alive && conn->port == port) {
-                    route_[shard] = conn;
-                    return conn;
-                }
-            }
+    if (it != route_.end() && it->second.conn->alive) {
+        const ConnPtr &conn = it->second.conn;
+        // A socket whose HELLO stays unanswered (a replica whose loop is
+        // down behind a listener still bound) is routed to only until
+        // it is overdue; then the shard re-resolves.
+        if (conn->ready || steadyNowNs() - conn->dialedAt < kHelloWait) {
+            if (!it->second.home)
+                probeHome(shard);
+            return conn;
+        }
+    }
+    if (it != route_.end())
+        route_.erase(it);
+    if (shard < addrs_.size() && !addrs_[shard].empty()) {
+        const ShardPorts &ports = addrs_[shard];
+        const size_t home = homeIndex(shard);
+        const TimeNs now = steadyNowNs();
+        auto portAt = [&](size_t i) {
+            return ports[(home + i) % ports.size()];
+        };
+        auto use = [&](const ConnPtr &conn, size_t i) {
+            route_[shard] = Route{conn, i == 0};
+            return conn;
+        };
+        // Home-first: a serving socket, else one still awaiting its
+        // HELLO answer that is not overdue.
+        for (size_t i = 0; i < ports.size(); ++i) {
+            ConnPtr conn = liveConnTo(portAt(i));
+            if (conn && conn->ready)
+                return use(conn, i);
+        }
+        for (size_t i = 0; i < ports.size(); ++i) {
+            ConnPtr conn = liveConnTo(portAt(i));
+            if (conn && now - conn->dialedAt < kHelloWait)
+                return use(conn, i);
+        }
+        for (size_t i = 0; i < ports.size(); ++i) {
+            uint16_t port = portAt(i);
+            if (liveConnTo(port) || heldOff(port, now))
+                continue;
             // Few dial attempts: the deployment is already up when a map
             // advertises it, so a refusing port is a dead replica — fail
             // over to the next one fast. Failed attempts sleep on the
@@ -857,18 +931,46 @@ KvSessionClient::connFor(uint32_t shard, TimeNs deadline)
             // spent: the seed fallback below still answers in time.
             TimeNs remaining = deadline - steadyNowNs();
             if (remaining <= 0)
-                continue;
+                break;
             int attempts = static_cast<int>(
                 std::min<TimeNs>(3, remaining / 20_ms + 1));
-            if (ConnPtr conn = dial(port, attempts)) {
-                route_[shard] = conn;
-                return conn;
-            }
+            if (ConnPtr conn = dial(port, attempts))
+                return use(conn, i);
+        }
+        // Nothing better: an overdue socket may still answer.
+        for (size_t i = 0; i < ports.size(); ++i) {
+            if (ConnPtr conn = liveConnTo(portAt(i)))
+                return use(conn, i);
         }
     }
     // No (live) address: fall back to the seed — uncached, so the next
     // op re-resolves — whose WrongShard reply teaches the route.
     return connected() ? seed_ : nullptr;
+}
+
+void
+KvSessionClient::probeHome(uint32_t shard)
+{
+    TimeNs now = steadyNowNs();
+    if (now < nextHomeProbe_ || shard >= addrs_.size()
+            || addrs_[shard].empty())
+        return;
+    nextHomeProbe_ = now + kHomeProbe;
+    uint16_t home = addrs_[shard][homeIndex(shard)];
+    if (liveConnTo(home) || heldOff(home, now))
+        return; // a probe already waits on its HELLO answer
+    // One attempt, no backoff sleep: its HELLO answer, whenever home
+    // serves again, re-resolves the route (handleReply).
+    dial(home, 1);
+}
+
+uint16_t
+KvSessionClient::servingPort(uint32_t shard) const
+{
+    auto it = route_.find(shard);
+    return it != route_.end() && it->second.conn->alive
+               ? it->second.conn->port
+               : 0;
 }
 
 uint64_t
@@ -909,18 +1011,25 @@ uint64_t
 KvSessionClient::issue(PendingOp op)
 {
     uint64_t token = nextReqId_++;
+    ops_.emplace(token, std::move(op));
+    reroute(token);
+    return token;
+}
+
+void
+KvSessionClient::reroute(uint64_t token)
+{
+    PendingOp &op = ops_.at(token);
     ConnPtr conn = connFor(routeShard(op.key), op.deadline);
     op.conn = conn;
-    ops_.emplace(token, std::move(op));
     if (!conn) {
         // No route anywhere (seed gone too): fail it immediately, the
         // token still redeems a (failed) result.
         complete(token, OpResult{ClientReplyMsg::Status::WrongShard,
                                  false, false, {}});
-        return token;
+        return;
     }
     enqueue(token, conn);
-    return token;
 }
 
 void
@@ -963,23 +1072,26 @@ KvSessionClient::encodeRequest(uint64_t token, PendingOp &op,
     msg.shard = op.sentShard;
     msg.numShards = static_cast<uint32_t>(shards);
     msg.mapEpoch = mapEpoch_;
-    msg.value = op.value;
-    msg.expected = op.expected;
+    // Ownerless views of the op's own strings, not copies: the message
+    // is encoded right here and dies before the op can.
+    msg.value = ValueRef(std::string_view(op.value), nullptr);
+    msg.expected = ValueRef(std::string_view(op.expected), nullptr);
 
     // One message per frame: u32 frame length, then a batch of count 1
     // (kind u8, count u16, u32 message length, message bytes) — the
-    // exact client framing TcpClient speaks.
-    std::vector<uint8_t> body;
-    net::encodeMessage(msg, body);
-    size_t frame_len = 1 + 2 + 4 + body.size();
+    // exact client framing TcpClient speaks. The message encodes
+    // straight into tx behind a reserved header, patched once its
+    // length is known.
+    constexpr size_t kHeader = 4 + 1 + 2 + 4;
     size_t base = conn.tx.size();
-    conn.tx.resize(base + 4 + 7);
-    leStore32(conn.tx.data() + base, static_cast<uint32_t>(frame_len));
-    conn.tx[base + 4] = net::kFrameBatch;
-    leStore16(conn.tx.data() + base + 5, 1);
-    leStore32(conn.tx.data() + base + 7,
-              static_cast<uint32_t>(body.size()));
-    conn.tx.insert(conn.tx.end(), body.begin(), body.end());
+    conn.tx.resize(base + kHeader);
+    net::encodeMessage(msg, conn.tx);
+    size_t body = conn.tx.size() - base - kHeader;
+    uint8_t *header = conn.tx.data() + base;
+    leStore32(header, static_cast<uint32_t>(1 + 2 + 4 + body));
+    header[4] = net::kFrameBatch;
+    leStore16(header + 5, 1);
+    leStore32(header + 7, static_cast<uint32_t>(body));
 }
 
 void
@@ -1127,6 +1239,12 @@ KvSessionClient::handleReply(const ConnPtr &conn,
     adoptMap(reply);
     if (reply.credits > 0 && !windowOverridden_)
         conn->window = reply.credits; // the HELLO grant
+    if (reply.reqId == conn->helloToken && !conn->ready) {
+        // The replica serves: a shard failed over away from it (or
+        // waiting on an overdue socket) re-resolves, home first.
+        conn->ready = true;
+        route_.clear();
+    }
     pumpSendq(conn);
 
     auto it = ops_.find(reply.reqId);
@@ -1188,26 +1306,38 @@ KvSessionClient::markDead(const ConnPtr &conn)
     conn->alive = false;
     close(conn->fd);
     conn->fd = -1;
+    holdoff_[conn->port] = steadyNowNs() + kRedialHoldoff;
     for (auto it = route_.begin(); it != route_.end();) {
-        if (it->second == conn)
+        if (it->second.conn == conn)
             it = route_.erase(it);
         else
             ++it;
     }
     conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
                  conns_.end());
-    // Fail everything queued or in flight on it; tokens still redeem.
+    // Ops it never sent, and reads, fail over; a write or CAS it sent
+    // may or may not have applied, so it completes not-completed (a
+    // replay elsewhere could apply it twice). Tokens still redeem.
+    std::vector<uint64_t> unsent(conn->sendq.begin(), conn->sendq.end());
+    std::sort(unsent.begin(), unsent.end());
     std::vector<uint64_t> doomed;
     for (const auto &kv : ops_)
         if (kv.second.conn == conn)
             doomed.push_back(kv.first);
     for (uint64_t token : doomed) {
-        if (ops_.at(token).internal) {
-            ops_.erase(token);
-            continue;
+        auto it = ops_.find(token);
+        if (it == ops_.end() || it->second.conn != conn)
+            continue; // settled by a nested markDead while rerouting
+        if (it->second.internal) {
+            ops_.erase(it);
+        } else if (it->second.op == ClientRequestMsg::Op::Read
+                   || std::binary_search(unsent.begin(), unsent.end(),
+                                         token)) {
+            reroute(token);
+        } else {
+            complete(token, OpResult{ClientReplyMsg::Status::Ok, false,
+                                     false, {}});
         }
-        complete(token, OpResult{ClientReplyMsg::Status::Ok, false,
-                                 false, {}});
     }
 }
 

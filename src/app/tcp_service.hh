@@ -340,12 +340,35 @@ class ShardedTcpDeployment : private MigrationRuntime
  * when the map gives no way forward: the new owner has no advertised
  * address, or nothing was learned since the op was sent and it
  * re-resolves to the shard that just rejected it.
+ *
+ * Within the owning shard, reads, writes and CAS all go to the
+ * session's *home* replica: the seed, when the seed serves that shard,
+ * else the replica of the seed's rank in its own shard (mod the shard's
+ * replica count) — stable per session and spread across sessions
+ * seeded at different replicas, so every replica serves local reads
+ * and coordinates writes (paper §3). A
+ * connection serves once its HELLO is answered, and a replica answers
+ * HELLO only while it is not a §3.4 shadow. When home dies the session
+ * fails over along the shard's address list, preferring serving
+ * connections; its port is not redialed for kRedialHoldoff. While
+ * failed over, the session probes home at most every kHomeProbe, and
+ * returns as soon as the probe's HELLO is answered. Ops a dead
+ * connection never sent, and reads, move to the failover replica;
+ * writes and CAS already sent complete not-completed (they may or may
+ * not have taken effect, so replaying them could apply one twice).
  */
 class KvSessionClient
 {
   public:
     /** Reroute attempts per op before surfacing RetriesExhausted. */
     static constexpr int kMaxRouteAttempts = 4;
+    /** A port whose connection died or refused is not redialed sooner. */
+    static constexpr DurationNs kRedialHoldoff = 50_ms;
+    /** While failed over, how often the session redials home. */
+    static constexpr DurationNs kHomeProbe = 20_ms;
+    /** A connection whose HELLO stays unanswered this long is passed
+     *  over for a fresh dial when the shard has no serving connection. */
+    static constexpr DurationNs kHelloWait = 200_ms;
 
     /** Completion of one async op. */
     struct OpResult
@@ -438,6 +461,10 @@ class KvSessionClient
      *  many sessions (call progress() on readiness). */
     std::vector<int> fds() const;
 
+    /** Port of the replica that serves this session's ops on @p shard
+     *  right now (0 = none resolved yet). */
+    uint16_t servingPort(uint32_t shard) const;
+
     /**
      * Test/bench hook: believe a window of @p w regardless of what the
      * server granted — how the credit-exhaustion suites over-drive a
@@ -456,6 +483,8 @@ class KvSessionClient
         uint32_t window = 0;   ///< believed credit window
         uint32_t inflight = 0; ///< sent, not yet completed/expired
         uint64_t helloToken = 0; ///< this socket's HELLO op
+        bool ready = false;      ///< HELLO answered: the replica serves
+        TimeNs dialedAt = 0;
         std::deque<uint64_t> sendq; ///< tokens awaiting window room
     };
     using ConnPtr = std::shared_ptr<SessionConn>;
@@ -476,13 +505,25 @@ class KvSessionClient
 
     ConnPtr dial(uint16_t port, int connect_attempts);
     /**
-     * Connection serving @p shard: cached, an existing socket to one of
-     * its replicas, dialed, or the seed fallback. Dialing is bounded by
-     * @p deadline — failed attempts cost real wall time (backoff
-     * sleeps), so a nearly-expired op dials less, and not at all once
-     * its budget is spent.
+     * Connection serving @p shard: cached, else the first serving socket
+     * in home-first order, else a fresh unanswered one, else a new dial
+     * (ports in holdoff skipped), else a stale unanswered socket, else
+     * the seed fallback. Dialing is bounded by @p deadline — failed
+     * attempts cost real wall time (backoff sleeps), so a nearly-expired
+     * op dials less, and not at all once its budget is spent.
      */
     ConnPtr connFor(uint32_t shard, TimeNs deadline);
+    /** Index of @p shard 's home replica in its address list. */
+    size_t homeIndex(uint32_t shard) const;
+    /** A live socket to @p port, or null. */
+    ConnPtr liveConnTo(uint16_t port) const;
+    /** Is @p port in its no-redial holdoff at @p now? */
+    bool heldOff(uint16_t port, TimeNs now) const;
+    /** Failed over on @p shard: dial home now and then, so its HELLO
+     *  answer can bring the session back. */
+    void probeHome(uint32_t shard);
+    /** Send queued op @p token by the current routing. */
+    void reroute(uint64_t token);
     void sendHello(const ConnPtr &conn);
     uint64_t issue(PendingOp op);
     void enqueue(uint64_t token, const ConnPtr &conn);
@@ -500,11 +541,21 @@ class KvSessionClient
     /** poll() all live sockets for up to @p timeout_ms. */
     void block(int timeout_ms);
 
+    /** A shard's resolved connection; home: it is the home replica's. */
+    struct Route
+    {
+        ConnPtr conn;
+        bool home = false;
+    };
+
     uint32_t requestedCredits_;
     bool windowOverridden_ = false;
-    ConnPtr seed_;
+    uint16_t seedPort_;
+    ConnPtr seed_;                   ///< the latest socket to seedPort_
     std::vector<ConnPtr> conns_;             ///< every live socket
-    std::map<uint32_t, ConnPtr> route_;      ///< shard -> connection
+    std::map<uint32_t, Route> route_;        ///< shard -> connection
+    std::map<uint16_t, TimeNs> holdoff_;     ///< port -> no redial before
+    TimeNs nextHomeProbe_ = 0;
     ShardAddressMap addrs_;
     size_t numShards_ = 1;
     uint32_t mapEpoch_ = 0;            ///< adopted map version (0 = none)

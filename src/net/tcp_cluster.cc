@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -48,6 +49,10 @@ std::atomic<uint64_t> g_max_session_inflight{0};
 
 /** Process-wide connect() attempts (see DialBackoff::dialAttempts). */
 std::atomic<uint64_t> g_dial_attempts{0};
+
+/** The NodeLoop whose run() owns the calling thread (null elsewhere):
+ *  how a loop tells its own thread from callers it must post() for. */
+thread_local const void *t_current_loop = nullptr;
 
 void
 noteSessionInflight(uint32_t inflight)
@@ -126,13 +131,23 @@ encodeBatchFrame(const std::vector<FramePtr> &messages,
     }
 }
 
+/** A credit frame: u32 length (5), kind, u32 credits returned. */
+constexpr size_t kCreditFrameBytes = 9;
+
+void
+storeCreditFrame(uint32_t credits, uint8_t *out)
+{
+    leStore32(out, 5);
+    out[4] = kFrameCredit;
+    leStore32(out + 5, credits);
+}
+
 void
 encodeCreditFrame(uint32_t credits, std::vector<uint8_t> &out)
 {
-    BufWriter writer(out);
-    writer.putU32(5);
-    writer.putU8(kFrameCredit);
-    writer.putU32(credits);
+    uint8_t frame[kCreditFrameBytes];
+    storeCreditFrame(credits, frame);
+    out.insert(out.end(), frame, frame + kCreditFrameBytes);
 }
 
 } // namespace
@@ -192,19 +207,18 @@ class TcpCluster::NodeLoop
         : cluster_(cluster), id_(id), numNodes_(num_nodes), config_(config),
           env_(*this)
     {
-        if (pipe(wakePipe_) != 0)
-            fatal("pipe() failed: %s", strerror(errno));
-        setNonBlocking(wakePipe_[0]);
+        wakeFd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+        if (wakeFd_ < 0)
+            fatal("eventfd() failed: %s", strerror(errno));
         epollFd_ = epoll_create1(0);
         if (epollFd_ < 0)
             fatal("epoll_create1() failed: %s", strerror(errno));
-        watch(wakePipe_[0], EPOLLIN);
+        watch(wakeFd_, EPOLLIN);
     }
 
     ~NodeLoop()
     {
-        close(wakePipe_[0]);
-        close(wakePipe_[1]);
+        close(wakeFd_);
         if (listenFd_ >= 0)
             close(listenFd_);
         close(epollFd_);
@@ -305,7 +319,8 @@ class TcpCluster::NodeLoop
         // recycled fd number.
         timerHeap_.clear();
         timerFns_.clear();
-        staged_.clear();
+        stagedFds_.clear();
+        resumable_.clear();
         {
             std::lock_guard<std::mutex> guard(injectMutex_);
             injected_.clear();
@@ -315,7 +330,7 @@ class TcpCluster::NodeLoop
     /**
      * Bring a crashed loop back up. The listener is still bound (run()'s
      * exit path deliberately keeps it) and the epoll instance — with the
-     * wake pipe and listener registrations — lives as long as the loop,
+     * wake eventfd and listener registrations — lives as long as the loop,
      * so the new thread only re-dials the mesh. Timers registered
      * between the join and this call (the replacement replica's
      * constructor arms its heartbeats through the loop Env) are kept:
@@ -353,20 +368,29 @@ class TcpCluster::NodeLoop
         listenFd_ = -1;
     }
 
+    /** True on this loop's own thread, while run() owns it. */
+    bool onLoop() const { return t_current_loop == this; }
+
+    /** Queue @p fn for the loop's next poll boundary. Only the post that
+     *  makes the queue non-empty signals: until the loop swaps the queue
+     *  out, that one signal covers every post behind it. */
     void
     post(std::function<void()> fn)
     {
+        bool first;
         {
             std::lock_guard<std::mutex> guard(injectMutex_);
+            first = injected_.empty();
             injected_.push_back(std::move(fn));
         }
-        wake();
+        if (first)
+            wake();
     }
 
     void
     runOnAndWait(std::function<void()> fn)
     {
-        if (std::this_thread::get_id() == thread_.get_id()) {
+        if (onLoop()) {
             fn(); // already on the loop; run inline to avoid self-deadlock
             return;
         }
@@ -399,37 +423,66 @@ class TcpCluster::NodeLoop
 
     LoopEnv &env() { return env_; }
 
+    /**
+     * Stage a reply frame for a client session. On the loop's own thread
+     * (every protocol callback) the frame is staged directly: no lock,
+     * no closure, no wake-up write. Other threads go through post().
+     * Either way the frame leaves only at the next flushStaged(), after
+     * the Env flush made its WAL records durable.
+     */
     void
     replyToClient(ClientConnId conn_id, FramePtr frame)
     {
-        post([this, conn_id, frame = std::move(frame)] {
-            auto it = clientConns_.find(conn_id);
-            if (it == clientConns_.end())
-                return;
-            int fd = it->second;
-            staged_[fd].push_back(std::move(frame));
-            Conn &conn = conns_[fd];
-            if (conn.inflight > 0)
-                --conn.inflight;
-            if (conn.paused && conn.inflight < conn.sessionCredits)
-                resumeSession(fd);
-        });
+        if (!onLoop()) {
+            post([this, conn_id, frame = std::move(frame)]() mutable {
+                stageReply(conn_id, std::move(frame));
+            });
+            return;
+        }
+        stageReply(conn_id, std::move(frame));
     }
 
-    /** Replies drained a paused session below its window: read again,
-     *  starting with whatever was left buffered at pause time. */
     void
-    resumeSession(int fd)
+    stageReply(ClientConnId conn_id, FramePtr frame)
     {
-        auto it = conns_.find(fd);
-        if (it == conns_.end())
+        auto it = clientConns_.find(conn_id);
+        if (it == clientConns_.end())
             return;
-        it->second.paused = false;
-        syncInterest(it->second);
-        // Frames already buffered never generate another poll event
-        // (level-triggering watches the socket, not our slab): parse
-        // them now. This may legitimately re-pause the session.
-        parseRx(fd);
+        int fd = it->second;
+        Conn &conn = conns_[fd];
+        stage(conn, std::move(frame));
+        if (conn.inflight > 0)
+            --conn.inflight;
+        // The reply may be running inside a parseRx (a synchronous read,
+        // a peer frame's commit): resuming here would re-enter it. Queue
+        // the session for the poll boundary instead.
+        if (conn.paused && conn.inflight < conn.sessionCredits)
+            resumable_.push_back(conn_id);
+    }
+
+    /** Poll boundary: read again from every session that replies
+     *  drained below its window, starting with whatever was left
+     *  buffered at pause time. */
+    void
+    resumeSessions()
+    {
+        std::vector<ClientConnId> ids;
+        ids.swap(resumable_);
+        for (ClientConnId id : ids) {
+            auto it = clientConns_.find(id);
+            if (it == clientConns_.end())
+                continue;
+            int fd = it->second;
+            Conn &conn = conns_[fd];
+            if (!conn.paused)
+                continue; // queued twice, or already resumed
+            conn.paused = false;
+            syncInterest(conn);
+            // Frames already buffered never generate another poll event
+            // (level-triggering watches the socket, not our slab): parse
+            // them now. This may legitimately re-pause the session.
+            parseRx(fd);
+        }
     }
 
     uint32_t
@@ -461,6 +514,7 @@ class TcpCluster::NodeLoop
         uint32_t sendCredits = 0;           // credits we hold toward peer
         uint32_t recvSinceCredit = 0;       // messages since credit return
         std::deque<FramePtr> creditWait;    // blocked on credits
+        std::vector<FramePtr> staged;       // this iteration's frames
         /**
          * Client-session flow control: requests delivered to the
          * service and not yet replied to. When it reaches the granted
@@ -511,8 +565,8 @@ class TcpCluster::NodeLoop
     void
     wake()
     {
-        uint8_t b = 1;
-        ssize_t rc = write(wakePipe_[1], &b, 1);
+        uint64_t one = 1;
+        ssize_t rc = write(wakeFd_, &one, sizeof(one));
         (void)rc;
     }
 
@@ -684,7 +738,6 @@ class TcpCluster::NodeLoop
         }
         if (!it->second.isPeer)
             clientConns_.erase(it->second.clientId);
-        staged_.erase(fd);
         close(fd);
         conns_.erase(it);
     }
@@ -710,25 +763,34 @@ class TcpCluster::NodeLoop
             return;
         }
         --conn.sendCredits;
-        staged_[it->second].push_back(std::move(frame));
+        stage(conn, std::move(frame));
+    }
+
+    /** Queue @p frame on @p conn for this iteration's flush. */
+    void
+    stage(Conn &conn, FramePtr frame)
+    {
+        if (conn.staged.empty())
+            stagedFds_.push_back(conn.fd);
+        conn.staged.push_back(std::move(frame));
     }
 
     /** Coalesce everything staged this iteration into batch frames.
-     *  Entries are erased after flushing: with thousands of mostly-idle
-     *  client sessions, iterating only the conns that actually staged
-     *  something keeps the poll boundary O(active), not O(connections). */
+     *  Only the conns that staged something are visited: with thousands
+     *  of mostly-idle client sessions the poll boundary stays
+     *  O(active), not O(connections). Each conn keeps its staging
+     *  vector's capacity, so a steady flow allocates nothing here. */
     void
     flushStaged()
     {
-        for (auto kv = staged_.begin(); kv != staged_.end();
-             kv = staged_.erase(kv)) {
-            if (kv->second.empty())
-                continue;
-            auto it = conns_.find(kv->first);
-            if (it == conns_.end())
-                continue;
-            writeStaged(it->second, kv->second);
+        for (int fd : stagedFds_) {
+            auto it = conns_.find(fd);
+            if (it == conns_.end() || it->second.staged.empty())
+                continue; // closed, or a recycled fd listed twice
+            writeStaged(it->second, it->second.staged);
+            it->second.staged.clear();
         }
+        stagedFds_.clear();
     }
 
     /**
@@ -738,6 +800,9 @@ class TcpCluster::NodeLoop
      * quiescent would permanently run its partner on a shrunken window
      * (the starvation bug) — batching still amortizes *within* an
      * iteration, it just can no longer withhold across idle time.
+     * Runs after flushStaged(), which already led every peer batch with
+     * its credit frame: only peers this iteration sent nothing to are
+     * left, and they get a standalone credit frame.
      */
     void
     returnPendingCredits()
@@ -762,18 +827,30 @@ class TcpCluster::NodeLoop
      * prefixes, each message's staged fixed fields AND its gathered
      * value buffers (KVS snapshots, receive slabs being relayed) go out
      * in a single syscall with no intermediate copy — the scatter/gather
-     * send half of the zero-copy value path. Falls back to the flatten
-     * path when ordering (a backlogged tx) or iovec limits require it.
+     * send half of the zero-copy value path. A peer's pending credit
+     * return leads the batch in the same syscall. Falls back to the
+     * flatten path when ordering (a backlogged tx) or iovec limits
+     * require it.
      */
     void
     writeStaged(Conn &conn, const std::vector<FramePtr> &messages)
     {
+        uint8_t credit[kCreditFrameBytes];
+        size_t creditLen = 0;
+        if (conn.isPeer && conn.recvSinceCredit > 0) {
+            storeCreditFrame(conn.recvSinceCredit, credit);
+            creditLen = kCreditFrameBytes;
+            conn.recvSinceCredit = 0;
+            g_credit_returns_flushed.fetch_add(1,
+                                               std::memory_order_relaxed);
+        }
         // A pending backlog must drain first to preserve byte order; and
         // the gathered iovec list must stay clear of IOV_MAX (1024).
-        size_t iovNeeded = 1;
+        size_t iovNeeded = 2;
         for (const FramePtr &m : messages)
             iovNeeded += 1 + m->iovecCount();
         if (!conn.tx.empty() || iovNeeded > 1000) {
+            conn.tx.insert(conn.tx.end(), credit, credit + creditLen);
             encodeBatchFrame(messages, conn.tx);
             tryWrite(conn);
             return;
@@ -787,11 +864,17 @@ class TcpCluster::NodeLoop
         header[4] = kFrameBatch;
         leStore16(header + 5, static_cast<uint16_t>(messages.size()));
 
-        std::vector<uint8_t> lens(4 * messages.size());
-        std::vector<iovec> iov;
+        // Member scratch, reused across flushes: a flush per peer and
+        // per replying session each iteration must not cost two mallocs.
+        std::vector<uint8_t> &lens = lensScratch_;
+        std::vector<iovec> &iov = iovScratch_;
+        lens.resize(4 * messages.size());
+        iov.clear();
         iov.reserve(iovNeeded);
+        if (creditLen > 0)
+            iov.push_back({credit, creditLen});
         iov.push_back({header, sizeof(header)});
-        size_t total = sizeof(header);
+        size_t total = creditLen + sizeof(header);
         for (size_t i = 0; i < messages.size(); ++i) {
             size_t msg_len = messages[i]->size();
             leStore32(lens.data() + 4 * i, static_cast<uint32_t>(msg_len));
@@ -809,20 +892,15 @@ class TcpCluster::NodeLoop
         hdr.msg_iov = iov.data();
         hdr.msg_iovlen = iov.size();
         ssize_t n = sendmsg(conn.fd, &hdr, MSG_NOSIGNAL);
-        if (n < 0) {
-            // Keep the frame queued on any failure (EAGAIN, EINTR, ...):
-            // poll retries it once writable, and a genuinely broken
-            // connection discards tx when the read path closes it —
-            // never silently drop messages between two live peers.
-            encodeBatchFrame(messages, conn.tx);
-            syncInterest(conn);
+        if (n >= 0 && static_cast<size_t>(n) == total)
             return;
-        }
-        if (static_cast<size_t>(n) == total)
-            return;
-        // Partial write: queue the unwritten tail for poll-driven retry.
-        g_partial_write_tails.fetch_add(1, std::memory_order_relaxed);
-        auto skip = static_cast<size_t>(n);
+        // Queue the unwritten bytes (all of them on a failure: EAGAIN,
+        // EINTR, ...) for poll-driven retry. A genuinely broken
+        // connection discards tx when the read path closes it — never
+        // silently drop messages between two live peers.
+        if (n > 0)
+            g_partial_write_tails.fetch_add(1, std::memory_order_relaxed);
+        size_t skip = n > 0 ? static_cast<size_t>(n) : 0;
         for (const iovec &v : iov) {
             if (skip >= v.iov_len) {
                 skip -= v.iov_len;
@@ -874,11 +952,17 @@ class TcpCluster::NodeLoop
         } else if (conn.rx.use_count() > 1) {
             conn.rx = std::make_shared<std::vector<uint8_t>>(*conn.rx);
         }
+        // Stop at the first short read: the socket is drained for now,
+        // and epoll is level-triggered, so anything arriving later raises
+        // another event. Reading on until EAGAIN costs one more syscall
+        // per readable event for nothing.
         uint8_t buf[65536];
         for (;;) {
             ssize_t n = read(fd, buf, sizeof(buf));
             if (n > 0) {
                 conn.rx->insert(conn.rx->end(), buf, buf + n);
+                if (static_cast<size_t>(n) < sizeof(buf))
+                    break;
             } else if (n == 0) {
                 closeConn(fd);
                 return;
@@ -993,7 +1077,7 @@ class TcpCluster::NodeLoop
             // Drain messages blocked on credits.
             while (conn.sendCredits > 0 && !conn.creditWait.empty()) {
                 --conn.sendCredits;
-                staged_[fd].push_back(std::move(conn.creditWait.front()));
+                stage(conn, std::move(conn.creditWait.front()));
                 conn.creditWait.pop_front();
             }
             return;
@@ -1065,9 +1149,10 @@ class TcpCluster::NodeLoop
         for (int i = 0; i < rc; ++i) {
             int fd = events[i].data.fd;
             uint32_t ev = events[i].events;
-            if (fd == wakePipe_[0]) {
-                uint8_t drain[256];
-                while (read(wakePipe_[0], drain, sizeof(drain)) > 0) {}
+            if (fd == wakeFd_) {
+                uint64_t signals;
+                ssize_t n = read(wakeFd_, &signals, sizeof(signals));
+                (void)n;
             } else if (fd == listenFd_) {
                 acceptNew();
             } else {
@@ -1084,9 +1169,12 @@ class TcpCluster::NodeLoop
     void
     run()
     {
+        t_current_loop = this;
         establishMesh();
-        if (stop_.load())
+        if (stop_.load()) {
+            t_current_loop = nullptr;
             return;
+        }
         if (node)
             node->start();
         env_.flush();
@@ -1097,13 +1185,14 @@ class TcpCluster::NodeLoop
                 break;
 
             // Injected cross-thread calls.
-            std::deque<std::function<void()>> injected;
             {
                 std::lock_guard<std::mutex> guard(injectMutex_);
-                injected.swap(injected_);
+                running_.swap(injected_);
             }
-            for (auto &fn : injected)
+            for (auto &fn : running_)
                 fn();
+            running_.clear(); // keeps its storage: no per-iteration malloc
+            resumeSessions();
 
             fireDueTimers();
 
@@ -1132,6 +1221,8 @@ class TcpCluster::NodeLoop
         conns_.clear();
         peerFd_.clear();
         clientConns_.clear();
+        resumable_.clear();
+        t_current_loop = nullptr;
         // The listener (still bound) and epoll instance survive for a
         // potential restartThread(); the destructor closes them.
     }
@@ -1144,7 +1235,7 @@ class TcpCluster::NodeLoop
 
     int listenFd_ = -1;
     int epollFd_ = -1;
-    int wakePipe_[2] = {-1, -1};
+    int wakeFd_ = -1;
     std::thread thread_;
     std::atomic<bool> stop_{false};
     std::atomic<uint64_t> lives_{0};
@@ -1153,11 +1244,17 @@ class TcpCluster::NodeLoop
     std::map<int, Conn> conns_;
     std::map<NodeId, int> peerFd_;
     std::map<ClientConnId, int> clientConns_;
-    std::map<int, std::vector<FramePtr>> staged_;
+    std::vector<int> stagedFds_; ///< conns with frames staged, this iteration
+    /** Paused sessions replies drained below their window, resumed at
+     *  the poll boundary (never from inside the parse that replied). */
+    std::vector<ClientConnId> resumable_;
+    std::vector<iovec> iovScratch_;      ///< writeStaged's gather list
+    std::vector<uint8_t> lensScratch_;   ///< writeStaged's length prefixes
     ClientConnId nextClientId_ = 1;
 
     std::mutex injectMutex_;
     std::deque<std::function<void()>> injected_;
+    std::deque<std::function<void()>> running_; ///< the batch being run
 
     std::vector<Timer> timerHeap_;
     std::map<TimerId, std::function<void()>> timerFns_;

@@ -9,8 +9,10 @@
  *    stalling to fill a batch, exactly Wings' policy.
  *  - *Credit-based flow control*: each directed peer link has a fixed
  *    credit window; sending consumes a credit, receivers return credits in
- *    batched explicit credit-update frames (implicit credits via responses
- *    are a degenerate case the protocols get for free).
+ *    batched explicit credit-update frames, led into the same send as
+ *    the receiver's own batch to that peer when it has one (implicit
+ *    credits via responses are a degenerate case the protocols get for
+ *    free).
  *  - *Broadcast primitive*: a series of unicasts sharing one encoded
  *    payload buffer.
  *  - *Zero-copy value path*: staged frames are scatter/gather
@@ -21,8 +23,9 @@
  *    socket and the KVS entry).
  *
  * Each node runs one event-loop thread (epoll + timer heap + an
- * injection queue for cross-thread calls). External clients connect to any node's
- * port and speak the same framing with a client hello.
+ * injection queue for cross-thread calls, signalled through an eventfd).
+ * External clients connect to any node's port and speak the same
+ * framing with a client hello.
  */
 
 #ifndef HERMES_NET_TCP_CLUSTER_HH
@@ -179,7 +182,12 @@ class TcpCluster
     /** Fire-and-forget variant of runOn(). */
     void post(NodeId id, std::function<void()> fn);
 
-    /** Send a reply frame to an external client connection of node. */
+    /**
+     * Send a reply frame to an external client connection of node. On
+     * the node's own loop thread the frame is staged at once; from any
+     * other thread it is posted. Either way it leaves at the loop's next
+     * flush, after the Env flush (the WAL group fsync).
+     */
     void replyToClient(NodeId id, ClientConnId conn, const Message &msg);
 
     /** Simulate a crash: kill node @p id 's loop and close its sockets. */

@@ -6,7 +6,9 @@
  * credit windows negotiated at HELLO and ENFORCED server-side (an
  * over-limit session's socket stops being read until replies drain),
  * the poll-boundary peer-credit flush, the reroute loop's dead ends
- * (a drained shard, a key no advertised address owns), and a
+ * (a drained shard, a key no advertised address owns), home-replica
+ * routing (sessions spread reads and writes over every replica, fail
+ * over when home dies and return once it serves again), and a
  * 1000-session deployment-wide run — mixed ops, one shard crashed
  * mid-run — whose shard-tagged history passes the linearizability
  * checker.
@@ -26,6 +28,7 @@
 #include "app/tcp_service.hh"
 #include "common/random.hh"
 #include "support/str_cat.hh"
+#include "support/temp_dir.hh"
 
 namespace hermes
 {
@@ -260,6 +263,157 @@ TEST(Sessions, ForeignKeyOnStandaloneGroupEndsWrongShard)
                                                  "home"));
     ASSERT_TRUE(owned.has_value());
     EXPECT_EQ(owned->status, net::ClientReplyMsg::Status::Ok);
+}
+
+/** Replica @p id 's Hermes counters, read on its loop. */
+proto::HermesStats
+statsOf(TcpKvService &group, NodeId id)
+{
+    proto::HermesStats stats;
+    group.cluster().runOn(
+        id, [&] { stats = group.replica(id).hermes()->stats(); });
+    return stats;
+}
+
+TEST(Sessions, ReadsAndWritesSpreadOverHomeReplicas)
+{
+    // The paper's symmetry (§3): any replica serves a read locally and
+    // coordinates a write. Sessions seeded at replicas 0, 1 and 2 home
+    // there, so every replica serves reads and issues writes, and none
+    // carries the bulk of the reads.
+    net::TcpConfig config;
+    config.basePort = kBasePort + 112;
+    ShardedTcpDeployment deployment(Protocol::Hermes, 1, 3, tcpOptions(),
+                                    config);
+    deployment.start();
+
+    std::vector<std::unique_ptr<KvSessionClient>> sessions;
+    for (NodeId seed = 0; seed < 3; ++seed) {
+        sessions.push_back(std::make_unique<KvSessionClient>(
+            deployment.portOf(0, seed)));
+        ASSERT_TRUE(sessions.back()->connected());
+    }
+    constexpr int kRounds = 40;
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::pair<KvSessionClient *, uint64_t>> tokens;
+        for (size_t s = 0; s < sessions.size(); ++s) {
+            Key key = 1 + (round * 3 + s) % 64;
+            tokens.emplace_back(sessions[s].get(),
+                                sessions[s]->writeAsync(
+                                    key, test::strCat("s", s, "-", round)));
+            for (int r = 0; r < 4; ++r)
+                tokens.emplace_back(sessions[s].get(),
+                                    sessions[s]->readAsync(key + r));
+        }
+        for (auto &[session, token] : tokens) {
+            auto result = session->wait(token);
+            ASSERT_TRUE(result && result->completed);
+            ASSERT_EQ(result->status, net::ClientReplyMsg::Status::Ok);
+        }
+    }
+    for (NodeId seed = 0; seed < 3; ++seed)
+        EXPECT_EQ(sessions[seed]->servingPort(0), deployment.portOf(0, seed))
+            << "session seeded at replica " << seed << " is not home";
+
+    uint64_t reads = 0;
+    std::vector<proto::HermesStats> stats;
+    for (NodeId r = 0; r < 3; ++r) {
+        stats.push_back(statsOf(deployment.shard(0), r));
+        reads += stats.back().readsCompleted;
+    }
+    ASSERT_GT(reads, 0u);
+    for (NodeId r = 0; r < 3; ++r) {
+        EXPECT_GT(stats[r].readsCompleted, 0u) << "replica " << r;
+        EXPECT_GT(stats[r].writesIssued, 0u) << "replica " << r;
+        EXPECT_LE(static_cast<double>(stats[r].readsCompleted) / reads, 0.45)
+            << "replica " << r << " served "
+            << stats[r].readsCompleted << " of " << reads << " reads";
+    }
+}
+
+TEST(Sessions, HomeFailsOverAndReturnsAfterRestart)
+{
+    // A session homed at replica 2 keeps a stream going while replica 2
+    // dies and is crash-restarted from its WAL: while it is down (its
+    // listener still bound, so a dial connects but nothing answers) and
+    // while it is a §3.4 shadow, ops are served by a survivor; once it
+    // serves again the session returns home. Every op completes Ok and
+    // the history linearizes.
+    test::TempDir dir("session-failover");
+    net::TcpConfig config;
+    config.basePort = kBasePort + 128;
+    ReplicaOptions options = tcpOptions();
+    options.wal.path = dir.path();
+    ShardedTcpDeployment deployment(Protocol::Hermes, 1, 3, options,
+                                    config);
+    deployment.start();
+    TcpKvService &group = deployment.shard(0);
+    const uint16_t home = deployment.portOf(0, 2);
+
+    KvSessionClient session(home);
+    ASSERT_TRUE(session.connected());
+    app::History history;
+    int seq = 0;
+    auto op = [&](bool write) {
+        app::HistOp rec;
+        rec.kind = write ? app::HistOp::Kind::Write : app::HistOp::Kind::Read;
+        rec.key = 1 + seq % 8;
+        rec.invoke = wallNowNs();
+        uint64_t token;
+        if (write) {
+            rec.arg = test::strCat("v", seq);
+            token = session.writeAsync(rec.key, rec.arg);
+        } else {
+            token = session.readAsync(rec.key);
+        }
+        ++seq;
+        auto result = session.wait(token);
+        rec.response = wallNowNs();
+        ASSERT_TRUE(result && result->completed) << "op " << seq;
+        ASSERT_EQ(result->status, net::ClientReplyMsg::Status::Ok);
+        rec.result = write ? Value{} : result->value;
+        history.add(std::move(rec));
+    };
+
+    for (int i = 0; i < 32; ++i)
+        op(i % 2 == 0);
+    EXPECT_EQ(session.servingPort(0), home);
+
+    // Home down: its socket closes under the session. Reads fail over
+    // (a write would wait for the view change below to commit).
+    group.crash(2);
+    session.progress(); // observe the close: nothing is in flight
+    for (int i = 0; i < 16; ++i) {
+        op(false);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_NE(session.servingPort(0), home) << "no failover while home is down";
+    EXPECT_NE(session.servingPort(0), 0);
+
+    // Rebuild replica 2 from its WAL; it rejoins as a shadow and syncs.
+    deployment.restartReplica(0, 2);
+    while (group.replicaIsShadow(2)) {
+        op(true);
+        op(false);
+    }
+
+    // Home serves again: the session's pending probe is answered and it
+    // goes back, so new reads count at replica 2.
+    TimeNs deadline = wallNowNs() + 5_s;
+    while (session.servingPort(0) != home && wallNowNs() < deadline) {
+        op(true);
+        op(false);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(session.servingPort(0), home) << "session never returned home";
+    uint64_t before = statsOf(group, 2).readsCompleted;
+    for (int i = 0; i < 20; ++i)
+        op(false);
+    EXPECT_GE(statsOf(group, 2).readsCompleted, before + 20);
+    EXPECT_TRUE(session.connected());
+
+    app::LinReport report = app::checkHistory(history);
+    EXPECT_TRUE(report.ok()) << report.detail;
 }
 
 TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)

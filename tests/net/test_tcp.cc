@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "app/cluster.hh"
 #include "app/tcp_service.hh"
@@ -409,6 +411,65 @@ TEST(TcpCluster, SurvivesFollowerKill)
     ASSERT_TRUE(client.write(1, "after-kill"));
     KvClient reader(service.portOf(1));
     EXPECT_EQ(reader.read(1).value_or("?"), "after-kill");
+}
+
+TEST(Tcp, ReplyDrainingPausedSessionResumesAtPollBoundary)
+{
+    // Replies are staged straight from the loop thread, often inside the
+    // very parse that delivered the request (a local read answers
+    // synchronously). A window-1 session pauses at every write; the
+    // write's commit drains it, and reading resumes at the next poll
+    // boundary, never by re-entering a parse. With one request in
+    // flight the server serves the session strictly in order: replies
+    // arrive in issue order and every read sees the write before it.
+    net::TcpConfig config;
+    config.basePort = freeBasePort(16);
+    config.clientSessionCredits = 1;
+    TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
+    service.start();
+    net::TcpCluster::resetSessionStats();
+
+    app::KvSessionClient session(service.portOf(1));
+    ASSERT_TRUE(session.connected());
+    session.awaitHello();
+    session.overrideWindow(1000); // flood; the server enforces 1
+
+    struct Issued
+    {
+        uint64_t token;
+        std::string expect; ///< reads: the value written just before
+    };
+    std::vector<Issued> issued;
+    constexpr int kWrites = 40;
+    for (int w = 0; w < kWrites; ++w) {
+        Key key = 1 + w % 4;
+        std::string value = test::strCat("p", w);
+        issued.push_back({session.writeAsync(key, value), ""});
+        for (int r = 0; r < 3; ++r)
+            issued.push_back({session.readAsync(key), value});
+    }
+
+    size_t next = 0; // replies so far form a prefix of the issue order
+    while (next < issued.size()) {
+        session.progress();
+        while (next < issued.size()) {
+            auto result = session.take(issued[next].token);
+            if (!result)
+                break;
+            ASSERT_TRUE(result->completed) << "op " << next;
+            if (!issued[next].expect.empty()) {
+                EXPECT_EQ(result->value, issued[next].expect)
+                    << "op " << next;
+            }
+            ++next;
+        }
+        for (size_t later = next + 1; later < issued.size(); ++later)
+            ASSERT_FALSE(session.take(issued[later].token))
+                << "op " << later << " answered before op " << next;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    EXPECT_GT(net::TcpCluster::sessionPauses(), 0u);
+    EXPECT_LE(net::TcpCluster::maxSessionInflight(), 1u);
 }
 
 } // namespace
