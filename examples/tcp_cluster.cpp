@@ -4,14 +4,16 @@
  * framing with opportunistic batching + credit flow control), serving
  * external blocking clients — the library as an adoptable KV service.
  * Part two shards the key space: a ShardedTcpDeployment of 2×3 replicas
- * behind an address map negotiated at client HELLO, with a deliberately
- * stale client healing itself through the WrongShard reroute loop.
+ * behind a slot map negotiated at client HELLO. The deployment then
+ * grows a third shard and migrates a key's slot to it, so a client's
+ * map goes stale for real and heals through the WrongShard reroute
+ * loop. Exits 1 if any read returns the wrong value.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
-#include "app/cluster.hh"
 #include "app/tcp_service.hh"
 
 using namespace hermes;
@@ -19,6 +21,20 @@ using namespace hermes;
 int
 main()
 {
+    // Every read the walkthrough prints is checked: a wrong value fails
+    // the run (exit 1).
+    bool correct = true;
+    auto checkedRead = [&correct](app::KvClient &client, Key key,
+                                  const std::string &want) {
+        std::string got = client.read(key).value_or("?");
+        if (got != want) {
+            std::printf("WRONG VALUE: read '%s', expected '%s'\n",
+                        got.c_str(), want.c_str());
+            correct = false;
+        }
+        return got;
+    };
+
     net::TcpConfig tcp;
     tcp.basePort = 19750;
     app::ReplicaOptions options;
@@ -39,7 +55,7 @@ main()
     alice.write(1, "written-via-node-0");
     std::printf("alice wrote key 1 at replica 0\n");
     std::printf("bob reads key 1 at replica 2: '%s'\n",
-                bob.read(1).value_or("?").c_str());
+                checkedRead(bob, 1, "written-via-node-0").c_str());
 
     bool locked = bob.cas(50, "", "bob").value_or(false);
     bool contended = alice.cas(50, "", "alice").value_or(true);
@@ -58,7 +74,9 @@ main()
                 "(%.0f us/op round trip)\n",
                 kOps, kOps / elapsed, elapsed / kOps * 1e6);
     std::printf("final read-back: '%s'\n",
-                bob.read(100 + (kOps - 1) % 50).value_or("?").c_str());
+                checkedRead(bob, 100 + (kOps - 1) % 50,
+                            "payload-" + std::to_string(kOps - 1))
+                    .c_str());
     service.stop();
     std::printf("service stopped.\n");
 
@@ -72,25 +90,36 @@ main()
         std::printf("  shard %u on ports %u-%u\n", s,
                     deployment.portOf(s, 0), deployment.portOf(s, 2));
 
-    // A fresh client learns the full shard -> address map at HELLO and
-    // routes every op to the group owning its key.
+    // A fresh client learns the slot map and the shard -> address map
+    // at HELLO and routes every op to the group owning its key.
     app::KvClient carol(deployment.portOf(0, 0));
-    carol.write(7, "routed-to-shard-" + std::to_string(
-                       app::shardOfKey(7, deployment.numShards())));
-    std::printf("carol wrote key 7 (owner: shard %u): '%s'\n",
-                app::shardOfKey(7, deployment.numShards()),
-                carol.read(7).value_or("?").c_str());
+    const uint32_t owner = deployment.slotMap().ownerOf(7);
+    const std::string value = "written-at-shard-" + std::to_string(owner);
+    carol.write(7, value);
+    std::printf("carol wrote key 7 (owner: shard %u): '%s'\n", owner,
+                checkedRead(carol, 7, value).c_str());
 
-    // A stale client that still believes the key space is unsharded: its
-    // first op lands on the wrong group, is rejected with WrongShard plus
-    // the authoritative map, and the client reconnects to the real owner
-    // and retries -- the reroute loop in action.
-    app::KvClient stale(deployment.portOf(1, 0), /*num_shards=*/1);
-    std::string healed_read = stale.read(7).value_or("?");
-    std::printf("stale client (thinks S=1) reads key 7: '%s' "
-                "(healed to S=%zu after one redirect)\n",
-                healed_read.c_str(), stale.numShards());
+    // Grow the deployment behind carol's back: a third shard joins
+    // owning no slots, then key 7's slot migrates to it. carol still
+    // holds the 2-shard map of epoch 1, so carol's next read of key 7
+    // goes to the old owner, which rejects it with WrongShard plus the
+    // live map; the client adopts that map and retries at the new owner.
+    const uint32_t added = deployment.addShard();
+    const size_t moved =
+        deployment.migrateSlots({app::slotOfKey(7)}, owner, added);
+    std::printf("added shard %u on ports %u-%u and moved %zu slot (key "
+                "7's) to it; map epoch now %u\n",
+                added, deployment.portOf(added, 0),
+                deployment.portOf(added, 2), moved,
+                deployment.slotMap().epoch);
+    std::printf("carol, still on map epoch %u (key 7 -> shard %u), "
+                "reads key 7: ",
+                carol.mapEpoch(), carol.routedShard(7));
+    const std::string healed = checkedRead(carol, 7, value);
+    std::printf("'%s' (healed to epoch %u, S=%zu, key 7 -> shard %u)\n",
+                healed.c_str(), carol.mapEpoch(), carol.numShards(),
+                carol.routedShard(7));
     deployment.stop();
     std::printf("deployment stopped.\n");
-    return 0;
+    return correct ? 0 : 1;
 }

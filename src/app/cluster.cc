@@ -1,7 +1,5 @@
 #include "app/cluster.hh"
 
-#include <algorithm>
-
 #include "app/slot_map.hh"
 #include "common/logging.hh"
 
@@ -113,68 +111,37 @@ SimCluster::crashRestartNode(NodeId id)
 {
     hermes_assert(config_.protocol == Protocol::Hermes);
     hermes_assert(!config_.walDir.empty());
-    uint32_t shard = shardMap_.shardOfNode(id);
-    if (runtime_->alive(id))
-        runtime_->crash(id);
+    restartFromWal(*this, shardMap_.nodesOf(shardMap_.shardOfNode(id)), id);
+}
 
-    // Lowest-id live survivor: stands in for the RM's view-change
-    // proposer and serves as the state-transfer source. A whole-group
-    // outage has no survivor — that scenario is a cold restart through a
-    // fresh SimCluster over the same walDir instead.
-    NodeId source = kInvalidNode;
-    for (NodeId n : shardMap_.nodesOf(shard)) {
-        if (n != id && runtime_->alive(n)) {
-            source = n;
-            break;
-        }
-    }
-    hermes_assert(source != kInvalidNode);
-    Epoch epoch = replicas_[source]->hermes()->view().epoch;
+void
+SimCluster::queueJob(NodeId id, RestartJob job)
+{
+    runtime_->submit(id, 0, [this, id, job = std::move(job)] {
+        job.run(*replicas_[id]);
+    });
+}
 
-    // Epoch+1, without the crashed node: Hermes commits need an ACK from
-    // every live view member, so the survivors must drop it from the
-    // view or every write in the shard stalls until the rejoin.
-    membership::MembershipView without{epoch + 1, {}};
-    for (NodeId n : shardMap_.nodesOf(shard)) {
-        if (n != id && runtime_->alive(n))
-            without.live.push_back(n);
-    }
-    for (NodeId n : without.live) {
-        runtime_->submit(n, 0, [this, n, without] {
-            replicas_[n]->injectView(without);
-        });
-    }
+Epoch
+SimCluster::viewEpoch(NodeId id)
+{
+    return replicas_[id]->hermes()->view().epoch;
+}
 
+void
+SimCluster::rebuild(NodeId id, const membership::MembershipView &view)
+{
     // Revive the CPU first — the replacement's construction then runs
     // against the fresh timer epoch — and destroy the old handle BEFORE
     // building the new one: its dtor clears the Env flush hook, which
     // would otherwise erase the replacement's registration.
     runtime_->restart(id);
     replicas_[id].reset();
-    // Built with the view that excludes it, the fresh replica starts as
-    // a shadow (serves nothing yet) and replays its WAL in the ctor:
-    // surviving records restore as Invalid at their original
-    // timestamps, healed below by state transfer or a §3.4 replay.
-    replicas_[id] = makeReplica(config_.protocol, runtime_->env(id),
-                                without, optionsForNode(shard, id));
+    replicas_[id] =
+        makeReplica(config_.protocol, runtime_->env(id), view,
+                    optionsForNode(shardMap_.shardOfNode(id), id));
     runtime_->attach(id, replicas_[id].get());
     runtime_->submit(id, 0, [this, id] { replicas_[id]->start(); });
-
-    // Epoch+2 re-admits the node; per-node FIFO job order guarantees the
-    // survivors see the shrink before the re-add. Then the reliable
-    // m-update-before-stream ordering of §3.4: sync starts only after
-    // the extended view is in.
-    membership::MembershipView with{epoch + 2, without.live};
-    with.live.push_back(id);
-    std::sort(with.live.begin(), with.live.end());
-    for (NodeId n : with.live) {
-        runtime_->submit(n, 0, [this, n, with] {
-            replicas_[n]->injectView(with);
-        });
-    }
-    runtime_->submit(id, 0, [this, id, source] {
-        replicas_[id]->hermes()->startShadowSync(source);
-    });
 }
 
 void

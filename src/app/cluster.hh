@@ -29,11 +29,11 @@ namespace hermes::app
 {
 
 /**
- * Stable key → shard hash. A pure function of (key, numShards): the same
- * on every node and across runs, which is what makes client-side routing
- * coordination-free. num_shards <= 1 (including 0, an unknown/garbage
- * client map) degenerates to shard 0 — callers never divide by a stamp;
- * services additionally reject a disagreeing count before hashing at all.
+ * The owner of @p key under the epoch-1 uniform slot map over
+ * @p num_shards shards (SlotMap::uniform), as a pure function: what
+ * workload generators and tests use to pick keys per shard. Routing
+ * itself always goes through a SlotMap, which migrations change.
+ * num_shards <= 1 (including 0) degenerates to shard 0.
  */
 uint32_t shardOfKey(Key key, size_t num_shards);
 
@@ -121,7 +121,7 @@ struct ClusterConfig
  * way the paper's worker threads do. The caller (or routeNode) must pick
  * a node in the target key's shard group.
  */
-class SimCluster : private MigrationRuntime
+class SimCluster : private MigrationRuntime, private RestartHost
 {
   public:
     explicit SimCluster(ClusterConfig config);
@@ -143,9 +143,9 @@ class SimCluster : private MigrationRuntime
     TimeNs now() const { return runtime_->now(); }
 
     /**
-     * The shard owning @p key under the cluster's LIVE slot map — equal
-     * to the uniform shardOfKey placement until a migration moves slots,
-     * after which routing follows the installed ownership.
+     * The shard owning @p key under the cluster's live slot map: the
+     * uniform epoch-1 map until a migration moves slots, after which
+     * routing follows the installed ownership.
      */
     uint32_t shardOf(Key key) const { return slotMap_.ownerOf(key); }
 
@@ -176,16 +176,14 @@ class SimCluster : private MigrationRuntime
     NodeId liveNodeOfShard(uint32_t shard, size_t replica_index) const;
 
     /** Crash-stop a node (CPU halted, network severed). */
-    void crash(NodeId id) { runtime_->crash(id); }
+    void crash(NodeId id) override { runtime_->crash(id); }
 
     /**
      * Crash-and-recover fault primitive (Hermes with walDir set only):
-     * crash-stop @p id if it is still alive, shrink its group's view so
-     * the survivors keep committing, then restart it as a fresh replica
-     * that replays its WAL and rejoins as a §3.4 shadow via state
-     * transfer from the lowest-id live survivor. The choreography is
-     * submitted as jobs — the caller advances the sim (runFor) to play
-     * it out; the node is operational once the transfer completes.
+     * restartFromWal (app/replica_handle.hh) on @p id 's group. Its
+     * steps are submitted as zero-cost jobs — the caller advances the
+     * sim (runFor) to play them out; the node is operational once the
+     * state transfer completes.
      */
     void crashRestartNode(NodeId id);
 
@@ -278,6 +276,12 @@ class SimCluster : private MigrationRuntime
     void nudge(NodeId replica, Key key) override;
     void installSuccessor(const std::vector<uint32_t> &slots,
                           uint32_t to) override;
+
+    // RestartHost: crashRestartNode's steps as sim jobs.
+    bool alive(NodeId id) override { return runtime_->alive(id); }
+    void queueJob(NodeId id, RestartJob job) override;
+    Epoch viewEpoch(NodeId id) override;
+    void rebuild(NodeId id, const membership::MembershipView &view) override;
 
     ClusterConfig config_;
     ShardMap shardMap_;

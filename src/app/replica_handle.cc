@@ -1,5 +1,7 @@
 #include "app/replica_handle.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hermes::app
@@ -359,6 +361,43 @@ makeReplica(Protocol protocol, net::Env &env, MembershipView initial,
         return std::make_unique<LockstepHandle>(env, initial, options);
     }
     panic("unknown protocol");
+}
+
+void
+RestartJob::run(ReplicaHandle &replica) const
+{
+    if (view)
+        replica.injectView(*view);
+    else
+        replica.hermes()->startShadowSync(syncSource);
+}
+
+void
+restartFromWal(RestartHost &host, const NodeSet &group, NodeId id)
+{
+    if (host.alive(id))
+        host.crash(id);
+    MembershipView without{0, {}};
+    for (NodeId n : group) {
+        if (n != id && host.alive(n))
+            without.live.push_back(n);
+    }
+    hermes_assert(!without.live.empty());
+    NodeId source = without.live.front();
+    Epoch epoch = host.viewEpoch(source);
+
+    without.epoch = epoch + 1;
+    for (NodeId n : without.live)
+        host.queueJob(n, RestartJob{without});
+    host.rebuild(id, without);
+
+    // The node's own FIFO queue puts the sync behind its epoch+2 view.
+    MembershipView with{epoch + 2, without.live};
+    with.live.push_back(id);
+    std::sort(with.live.begin(), with.live.end());
+    for (NodeId n : with.live)
+        host.queueJob(n, RestartJob{with});
+    host.queueJob(id, RestartJob{std::nullopt, source});
 }
 
 } // namespace hermes::app

@@ -173,6 +173,45 @@ makeReplica(Protocol protocol, net::Env &env,
             membership::MembershipView initial,
             const ReplicaOptions &options);
 
+/** One restartFromWal() step on one replica: inject `view`, or, when
+ *  it is unset, start the shadow sync from `syncSource`. */
+struct RestartJob
+{
+    std::optional<membership::MembershipView> view;
+    NodeId syncSource = kInvalidNode;
+
+    void run(ReplicaHandle &replica) const;
+};
+
+/** The runtime (sim or TCP) under restartFromWal(). */
+class RestartHost
+{
+  public:
+    virtual ~RestartHost() = default;
+    virtual bool alive(NodeId id) = 0;
+    virtual void crash(NodeId id) = 0;
+    /** Run @p job on @p id 's loop, after every job queued there before
+     *  it (a host may run it before returning). */
+    virtual void queueJob(NodeId id, RestartJob job) = 0;
+    virtual Epoch viewEpoch(NodeId id) = 0;
+    /** Replace @p id 's handle with one rebuilt from its WAL under
+     *  @p view, and start it. */
+    virtual void rebuild(NodeId id,
+                         const membership::MembershipView &view) = 0;
+};
+
+/**
+ * §3.4 crash-restart of Hermes replica @p id of @p group (ids
+ * ascending), for both runtimes. Crash @p id if alive; the lowest-id
+ * live survivor stands in for the RM's proposer and is the transfer
+ * source. The survivors shrink to epoch+1 without @p id (commits need
+ * every live member's ACK); @p id is rebuilt from its WAL as a shadow
+ * (records restore Invalid), re-admitted at epoch+2, and only then
+ * syncs: §3.4's m-update-before-stream order. A whole-group outage has
+ * no survivor; restart it cold over the same WAL instead.
+ */
+void restartFromWal(RestartHost &host, const NodeSet &group, NodeId id);
+
 } // namespace hermes::app
 
 #endif // HERMES_APP_REPLICA_HANDLE_HH

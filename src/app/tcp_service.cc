@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <thread>
 
-#include "app/cluster.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "hermes/key_state.hh"
@@ -48,13 +47,12 @@ TcpKvService::TcpKvService(Protocol protocol, size_t nodes,
                            ReplicaOptions options, net::TcpConfig config,
                            size_t num_shards, uint32_t shard_id)
     : cluster_(nodes, config), protocol_(protocol),
-      baseOptions_(std::move(options)),
-      numShards_(num_shards ? num_shards : 1), shardId_(shard_id),
+      baseOptions_(std::move(options)), shardId_(shard_id),
       slotMap_(std::make_shared<const SlotMap>(
           SlotMap::uniform(static_cast<uint32_t>(num_shards ? num_shards
                                                             : 1))))
 {
-    hermes_assert(shardId_ < numShards_);
+    hermes_assert(shardId_ < slotMap_->numShards);
     net::registerClientCodecs();
     if (!baseOptions_.wal.path.empty())
         std::filesystem::create_directories(baseOptions_.wal.path);
@@ -123,67 +121,42 @@ TcpKvService::restartReplica(NodeId id)
     hermes_assert(!baseOptions_.wal.path.empty());
     // Serialize against the migration coordinator: it reads replica
     // stores and injects install jobs from its own thread, and must
-    // never race the handle teardown below.
+    // never race the handle teardown in rebuild().
     std::lock_guard<std::mutex> admin(adminMutex_);
-    if (cluster_.running(id))
-        cluster_.crash(id);
+    restartFromWal(*this, membership::initialView(replicas_.size()).live,
+                   id);
+}
 
-    // Lowest-id live survivor: stands in for the RM's view-change
-    // proposer and serves as the state-transfer source.
-    NodeId source = kInvalidNode;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-        auto n = static_cast<NodeId>(i);
-        if (n != id && cluster_.running(n)) {
-            source = n;
-            break;
-        }
-    }
-    hermes_assert(source != kInvalidNode);
+void
+TcpKvService::queueJob(NodeId id, RestartJob job)
+{
+    cluster_.runOn(id, [&] { job.run(*replicas_[id]); });
+}
+
+Epoch
+TcpKvService::viewEpoch(NodeId id)
+{
     Epoch epoch = 0;
-    cluster_.runOn(source, [&] {
-        epoch = replicas_[source]->hermes()->view().epoch;
-    });
+    cluster_.runOn(id,
+                   [&] { epoch = replicas_[id]->hermes()->view().epoch; });
+    return epoch;
+}
 
-    // Epoch+1, without the crashed node: Hermes commits need an ACK
-    // from every live view member, so the survivors must drop it or
-    // every write in the group stalls until the rejoin completes.
-    membership::MembershipView without{epoch + 1, {}};
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-        auto n = static_cast<NodeId>(i);
-        if (n != id && cluster_.running(n))
-            without.live.push_back(n);
-    }
-    for (NodeId n : without.live)
-        cluster_.runOn(n, [&] { replicas_[n]->injectView(without); });
-
+void
+TcpKvService::rebuild(NodeId id, const membership::MembershipView &view)
+{
     // Destroy the old handle BEFORE building the new one: its dtor
     // clears the loop Env's flush hook (which would otherwise erase the
     // replacement's registration) and flushes + closes the old WAL
     // before the new one scans the same file. The loop thread is down,
-    // so constructing against its Env from this thread is safe. Built
-    // with the view that excludes it, the fresh replica starts as a
-    // shadow and replays its WAL in the ctor: surviving records restore
-    // as Invalid at their original timestamps, healed below by the
-    // state transfer.
+    // so constructing against its Env from this thread is safe.
     replicas_[id].reset();
     replicas_[id] =
-        makeReplica(protocol_, cluster_.env(id), without, optionsFor(id));
+        makeReplica(protocol_, cluster_.env(id), view, optionsFor(id));
     cluster_.attach(id, replicas_[id].get());
     // Re-dial the full mesh and run the replica's start(); returns once
     // the loop services injected calls again.
     cluster_.restart(id);
-
-    // Epoch+2 re-admits the node, then the reliable m-update-before-
-    // stream ordering of §3.4: sync starts only after the extended view
-    // is in everywhere.
-    membership::MembershipView with{epoch + 2, without.live};
-    with.live.push_back(id);
-    std::sort(with.live.begin(), with.live.end());
-    for (NodeId n : with.live)
-        cluster_.runOn(n, [&] { replicas_[n]->injectView(with); });
-    cluster_.runOn(id, [&] {
-        replicas_[id]->hermes()->startShadowSync(source);
-    });
 }
 
 void
@@ -281,18 +254,25 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
     uint32_t shard = request.shard;
     std::shared_ptr<const SlotMap> map = slotMap();
 
-    // Every reply carries the serving group's shard map (count + id)
-    // and the live map's epoch; HELLO and WrongShard replies
-    // additionally carry the full address map and the slot → owner
-    // table, which is what the client re-resolves its routing from.
-    auto stampMap = [this, map](ClientReplyMsg &reply) {
-        reply.mapShards = map->numShards;
+    // Every reply carries the map @p as it was served under (count,
+    // this group's id, epoch); HELLO and WrongShard replies additionally
+    // @p advertise the full address map and the slot → owner table,
+    // which is what the client re-resolves its routing from. @p fill
+    // sets the op's own fields.
+    auto respond = [this, node, conn, req_id, shard](
+                       const SlotMap &as, bool advertise, auto fill) {
+        ClientReplyMsg reply;
+        reply.reqId = req_id;
+        reply.shard = shard;
+        reply.mapShards = as.numShards;
         reply.mapShard = shardId_;
-        reply.mapEpoch = map->epoch;
-    };
-    auto advertise = [this, map](ClientReplyMsg &reply) {
-        reply.mapPorts = advertisedMap();
-        reply.slotOwners = map->owner;
+        reply.mapEpoch = as.epoch;
+        if (advertise) {
+            reply.mapPorts = advertisedMap();
+            reply.slotOwners = as.owner;
+        }
+        fill(reply);
+        cluster_.replyToClient(node, conn, reply);
     };
 
     // HELLO negotiation: no register op — the deployment map plus the
@@ -310,13 +290,9 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
             });
             return;
         }
-        ClientReplyMsg reply;
-        reply.reqId = req_id;
-        reply.shard = shard;
-        stampMap(reply);
-        advertise(reply);
-        reply.credits = cluster_.sessionCreditsOf(node, conn);
-        cluster_.replyToClient(node, conn, reply);
+        respond(*map, true, [&](ClientReplyMsg &reply) {
+            reply.credits = cluster_.sessionCreditsOf(node, conn);
+        });
         return;
     }
 
@@ -325,17 +301,10 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
     // raced this request (the snapshot would re-teach the client the very
     // routing the cutover just retired).
     auto rejectWrongShard = [&](const std::shared_ptr<const SlotMap> &as) {
-        ClientReplyMsg reply;
-        reply.reqId = req_id;
-        reply.shard = shard;
-        reply.ok = false;
-        reply.status = ClientReplyMsg::Status::WrongShard;
-        reply.mapShards = as->numShards;
-        reply.mapShard = shardId_;
-        reply.mapEpoch = as->epoch;
-        reply.mapPorts = advertisedMap();
-        reply.slotOwners = as->owner;
-        cluster_.replyToClient(node, conn, reply);
+        respond(*as, true, [](ClientReplyMsg &reply) {
+            reply.ok = false;
+            reply.status = ClientReplyMsg::Status::WrongShard;
+        });
     };
 
     // Map-epoch sanity FIRST, before the key is hashed or anything is
@@ -413,44 +382,29 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
 
     switch (request.op) {
       case ClientRequestMsg::Op::Read:
-        replica.read(request.key,
-                     [this, node, conn, req_id, shard,
-                      stampMap](const Value &value) {
-                         ClientReplyMsg reply;
-                         reply.reqId = req_id;
-                         reply.shard = shard;
-                         stampMap(reply);
-                         reply.value = value;
-                         cluster_.replyToClient(node, conn, reply);
-                     });
+        replica.read(request.key, [respond, map](const Value &value) {
+            respond(*map, false,
+                    [&](ClientReplyMsg &reply) { reply.value = value; });
+        });
         break;
       case ClientRequestMsg::Op::Write:
         // request.value is a ValueRef aliasing the transport's receive
         // slab: handing it down is a refcount bump, and the protocol's
         // own INV/chain/propose encode gathers from the same buffer.
         replica.write(request.key, request.value,
-                      [this, node, conn, req_id, shard, stampMap,
-                       moveDone] {
+                      [respond, map, moveDone] {
                           moveDone();
-                          ClientReplyMsg reply;
-                          reply.reqId = req_id;
-                          reply.shard = shard;
-                          stampMap(reply);
-                          cluster_.replyToClient(node, conn, reply);
+                          respond(*map, false, [](ClientReplyMsg &) {});
                       });
         break;
       case ClientRequestMsg::Op::Cas:
         replica.cas(request.key, request.expected, request.value,
-                    [this, node, conn, req_id, shard, stampMap,
-                     moveDone](bool ok, const Value &seen) {
+                    [respond, map, moveDone](bool ok, const Value &seen) {
                         moveDone();
-                        ClientReplyMsg reply;
-                        reply.reqId = req_id;
-                        reply.ok = ok;
-                        reply.shard = shard;
-                        stampMap(reply);
-                        reply.value = seen;
-                        cluster_.replyToClient(node, conn, reply);
+                        respond(*map, false, [&](ClientReplyMsg &reply) {
+                            reply.ok = ok;
+                            reply.value = seen;
+                        });
                     });
         break;
       case ClientRequestMsg::Op::Hello:
@@ -472,26 +426,30 @@ ShardedTcpDeployment::ShardedTcpDeployment(Protocol protocol, size_t shards,
       migration_(*this, SIZE_MAX, kMigrationLockedBound)
 {
     hermes_assert(shards > 0 && replicas_per_shard > 0);
-    for (size_t s = 0; s < shards; ++s) {
-        net::TcpConfig group = config;
-        group.basePort = static_cast<uint16_t>(
-            config.basePort + s * replicas_per_shard);
-        // Per-shard WAL subdirectory under the deployment's directory;
-        // the group then gives each replica its own file inside it.
-        ReplicaOptions group_options = options;
-        if (!options.wal.path.empty())
-            group_options.wal.path += "/shard" + std::to_string(s);
-        groups_.push_back(std::make_unique<TcpKvService>(
-            protocol, replicas_per_shard, std::move(group_options), group,
-            shards, static_cast<uint32_t>(s)));
-    }
-    map_.resize(shards);
-    for (size_t s = 0; s < shards; ++s) {
-        for (size_t r = 0; r < replicas_per_shard; ++r)
-            map_[s].push_back(groups_[s]->portOf(static_cast<NodeId>(r)));
-    }
+    for (size_t s = 0; s < shards; ++s)
+        addGroup(shards);
     for (auto &group : groups_)
         group->setDeploymentMap(map_);
+}
+
+void
+ShardedTcpDeployment::addGroup(size_t shards)
+{
+    size_t s = groups_.size();
+    net::TcpConfig config = baseConfig_;
+    config.basePort =
+        static_cast<uint16_t>(baseConfig_.basePort + s * replicasPerShard_);
+    // Per-shard WAL subdirectory under the deployment's directory; the
+    // group then gives each replica its own file inside it.
+    ReplicaOptions options = baseOptions_;
+    if (!options.wal.path.empty())
+        options.wal.path += "/shard" + std::to_string(s);
+    groups_.push_back(std::make_unique<TcpKvService>(
+        protocol_, replicasPerShard_, std::move(options), config, shards,
+        static_cast<uint32_t>(s)));
+    map_.emplace_back();
+    for (size_t r = 0; r < replicasPerShard_; ++r)
+        map_.back().push_back(groups_[s]->portOf(static_cast<NodeId>(r)));
 }
 
 void
@@ -554,7 +512,7 @@ ShardedTcpDeployment::sourceReplicas(uint32_t shard)
         auto id = static_cast<NodeId>(r);
         // The store itself is read from this thread: the seqlocked
         // lock-free path is safe against the replica's loop writing.
-        if (group.replicaRunning(id))
+        if (group.alive(id))
             live.push_back({id, group.cluster().incarnation(id),
                             group.replicaIsShadow(id),
                             &group.replica(id).kvStore()});
@@ -573,7 +531,7 @@ ShardedTcpDeployment::copyToDestination(uint32_t shard,
     TcpKvService &dst = *groups_[shard];
     for (size_t r = 0; r < dst.numNodes(); ++r) {
         auto id = static_cast<NodeId>(r);
-        if (!dst.replicaRunning(id))
+        if (!dst.alive(id))
             continue;
         dst.cluster().runOn(id, [&] {
             for (const Entry &e : entries)
@@ -617,18 +575,7 @@ uint32_t
 ShardedTcpDeployment::addShard()
 {
     auto s = static_cast<uint32_t>(groups_.size());
-    net::TcpConfig group_config = baseConfig_;
-    group_config.basePort = static_cast<uint16_t>(
-        baseConfig_.basePort + s * replicasPerShard_);
-    ReplicaOptions group_options = baseOptions_;
-    if (!baseOptions_.wal.path.empty())
-        group_options.wal.path += "/shard" + std::to_string(s);
-    groups_.push_back(std::make_unique<TcpKvService>(
-        protocol_, replicasPerShard_, std::move(group_options),
-        group_config, s + 1, s));
-    map_.emplace_back();
-    for (size_t r = 0; r < replicasPerShard_; ++r)
-        map_.back().push_back(groups_[s]->portOf(static_cast<NodeId>(r)));
+    addGroup(s + 1);
 
     // The newcomer owns ZERO slots under the successor map. Install it
     // on the new group BEFORE it serves (its constructor defaulted to a
@@ -664,14 +611,12 @@ ShardedTcpDeployment::removeShard()
 // KvClient
 // ---------------------------------------------------------------------
 
-KvClient::KvClient(uint16_t seed_port, size_t num_shards)
-    : session_(seed_port, /*credits=*/0, num_shards)
+KvClient::KvClient(uint16_t seed_port) : session_(seed_port)
 {
     // HELLO negotiation: adopt the deployment's map before the first op.
-    // A service that never answers leaves the unsharded default, and
+    // A service that never answers leaves the one-shard default, and
     // WrongShard replies teach the map later.
-    if (num_shards == 0)
-        session_.awaitHello();
+    session_.awaitHello();
 }
 
 std::optional<KvSessionClient::OpResult>
@@ -726,13 +671,10 @@ KvClient::casObserve(Key key, Value expected, Value desired,
 // KvSessionClient
 // ---------------------------------------------------------------------
 
-KvSessionClient::KvSessionClient(uint16_t seed_port, uint32_t credits,
-                                 size_t num_shards)
+KvSessionClient::KvSessionClient(uint16_t seed_port, uint32_t credits)
     : requestedCredits_(credits), seedPort_(seed_port)
 {
     net::registerClientCodecs();
-    if (num_shards > 0)
-        numShards_ = num_shards;
     // Generous dial budget: the seed is the bootstrap, a service still
     // binding deserves the wait. dial() pipelines the session's HELLO,
     // so the window grant and the shard map stream in with the first
@@ -1062,7 +1004,6 @@ KvSessionClient::encodeRequest(uint64_t token, PendingOp &op,
     // Stamp the routing at SEND time, under the map the client believes
     // right now — a reply that proves the stamp stale comes back as
     // WrongShard and reroutes this op individually.
-    size_t shards = numShards_ ? numShards_ : 1;
     op.sentShard = routeShard(op.key);
     op.sentMapGen = mapGen_;
     ClientRequestMsg msg;
@@ -1070,8 +1011,8 @@ KvSessionClient::encodeRequest(uint64_t token, PendingOp &op,
     msg.reqId = token;
     msg.key = op.key;
     msg.shard = op.sentShard;
-    msg.numShards = static_cast<uint32_t>(shards);
-    msg.mapEpoch = mapEpoch_;
+    msg.numShards = map_.numShards;
+    msg.mapEpoch = map_.epoch;
     // Ownerless views of the op's own strings, not copies: the message
     // is encoded right here and dies before the op can.
     msg.value = ValueRef(std::string_view(op.value), nullptr);
@@ -1166,14 +1107,6 @@ KvSessionClient::readAndParse(const ConnPtr &conn)
                    conn->rx.begin() + static_cast<long>(off));
 }
 
-uint32_t
-KvSessionClient::routeShard(Key key) const
-{
-    if (slotOwners_.size() == kNumSlots)
-        return slotOwners_[slotOfKey(key)];
-    return shardOfKey(key, numShards_ ? numShards_ : 1);
-}
-
 bool
 KvSessionClient::adoptMap(const ClientReplyMsg &reply)
 {
@@ -1185,25 +1118,23 @@ KvSessionClient::adoptMap(const ClientReplyMsg &reply)
     // the migration source and ping-pong. Equal epochs still teach —
     // independent deployments both sit at epoch 1 and differ only in
     // shard count / addresses.
-    if (reply.mapEpoch < mapEpoch_)
+    if (reply.mapEpoch < map_.epoch)
         return false;
     bool learned = false;
-    if (reply.mapEpoch > mapEpoch_) {
-        mapEpoch_ = reply.mapEpoch;
+    if (reply.mapEpoch > map_.epoch) {
+        map_.epoch = reply.mapEpoch;
         learned = true;
     }
-    if (reply.slotOwners.size() == kNumSlots
-            && reply.slotOwners != slotOwners_) {
-        slotOwners_ = reply.slotOwners;
-        route_.clear(); // ownership moved: re-resolve conns per slot map
-        learned = true;
-    }
-    if (reply.mapShards != numShards_) {
-        numShards_ = reply.mapShards;
-        if (reply.slotOwners.size() != kNumSlots)
-            slotOwners_.clear(); // stale generation's owners table
-        // Shard ids mean something different under the new count; the
-        // sockets stay up (they multiplex), only the routes re-resolve.
+    // Only HELLO and WrongShard replies carry the owner table; a new
+    // count without one means the uniform placement over that count.
+    bool table = reply.slotOwners.size() == kNumSlots;
+    if (reply.mapShards != map_.numShards
+            || (table && reply.slotOwners != map_.owner)) {
+        map_.numShards = reply.mapShards;
+        map_.owner = table ? reply.slotOwners
+                           : SlotMap::uniform(reply.mapShards).owner;
+        // Ownership moved: the sockets stay up (they multiplex), only
+        // the routes re-resolve.
         route_.clear();
         learned = true;
     }
@@ -1268,7 +1199,7 @@ KvSessionClient::handleReply(const ConnPtr &conn,
     // not installed the successor map yet), not a mis-route: retry
     // without consuming an attempt, bounded by the op deadline alone.
     uint32_t shard = routeShard(op.key);
-    if (reply.mapEpoch >= mapEpoch_) {
+    if (reply.mapEpoch >= map_.epoch) {
         bool reachable = shard < addrs_.size() && !addrs_[shard].empty();
         // Dead end: the map names no address for the owner, or nothing
         // was learned since the send and the same shard re-resolved —

@@ -41,7 +41,7 @@ using net::ShardAddressMap;
 using net::ShardPorts;
 
 /** A running replicated KV service on localhost TCP. */
-class TcpKvService
+class TcpKvService : private RestartHost
 {
   public:
     /**
@@ -118,7 +118,7 @@ class TcpKvService
     std::mutex &adminLock() { return adminMutex_; }
 
     /** True while replica @p id 's loop thread is running. */
-    bool replicaRunning(NodeId id) const { return cluster_.running(id); }
+    bool alive(NodeId id) override { return cluster_.running(id); }
 
     /** Is replica @p id a §3.4 shadow (mid state-transfer)? Queries on
      *  the replica's loop; a crashed replica counts as shadow (it is
@@ -134,20 +134,14 @@ class TcpKvService
     uint32_t shardId() const { return shardId_; }
 
     /** Kill one replica (closes its sockets, halts its loop). */
-    void crash(NodeId id) { cluster_.crash(id); }
+    void crash(NodeId id) override { cluster_.crash(id); }
 
     /**
-     * Crash-restart recovery over real sockets (Hermes + WAL only): if
-     * replica @p id is still running, kill its loop first; then shrink
-     * the survivors' view (epoch+1) so writes commit without it,
-     * rebuild the replica from its own WAL file (records restore as
-     * Invalid at their logged timestamps), restart the loop — which
-     * re-dials the full mesh itself — extend the view (epoch+2), and
-     * stream the §3.4 shadow state transfer from the lowest-id live
-     * survivor. Returns once the sync has been started; the caller
-     * polls isShadow() for completion. Whole-group outages have no
-     * survivor and are out of scope (cold restart = new service over
-     * the same WAL directory).
+     * Crash-restart recovery over real sockets (Hermes + WAL only):
+     * restartFromWal (app/replica_handle.hh) on this group, each step
+     * run on its replica's loop; the rebuilt loop re-dials the full
+     * mesh itself. Returns once the sync has been started; the caller
+     * polls replicaIsShadow() for completion.
      */
     void restartReplica(NodeId id);
 
@@ -172,11 +166,15 @@ class TcpKvService
     /** Stamp every replica's WAL with @p epoch (loop-safe). */
     void stampWalEpochs(uint32_t epoch);
 
+    // RestartHost: restartReplica's steps, each on its replica's loop.
+    void queueJob(NodeId id, RestartJob job) override;
+    Epoch viewEpoch(NodeId id) override;
+    void rebuild(NodeId id, const membership::MembershipView &view) override;
+
     net::TcpCluster cluster_;
     Protocol protocol_;
     ReplicaOptions baseOptions_;
     std::vector<std::unique_ptr<ReplicaHandle>> replicas_;
-    size_t numShards_;
     uint32_t shardId_;
     /** Guards slotMap_/deploymentMap_/migration_: read on every replica
      *  loop's request path, swapped by the coordinator thread. */
@@ -188,8 +186,9 @@ class TcpKvService
 };
 
 /**
- * S per-shard replica groups served from one process: group s runs the
- * keys with shardOfKey(key, S) == s on its own ports
+ * S per-shard replica groups served from one process: group s serves
+ * the slots the deployment's SlotMap gives it (the uniform map at
+ * start; migrateSlots moves them) on its own ports
  * (basePort + s*replicas … ), with one event-loop thread per replica —
  * thread-per-shard parallelism on a real network. Every group knows the
  * whole deployment's address map and advertises it at HELLO and on
@@ -297,6 +296,10 @@ class ShardedTcpDeployment : private MigrationRuntime
     }
 
   private:
+    /** Build the next shard's group (not started) under an @p shards
+     *  -shard map, and append its ports to map_. */
+    void addGroup(size_t shards);
+
     // MigrationRuntime, called with both groups' admin locks held: a
     // concurrent restartReplica never destroys a handle in use.
     std::vector<Replica> sourceReplicas(uint32_t shard) override;
@@ -331,9 +334,10 @@ class ShardedTcpDeployment : private MigrationRuntime
  * an external event loop (the 10-10k session bench) can multiplex
  * thousands of these clients off fds().
  *
- * Routing: each op goes to the owning shard under the client's current
- * map — negotiated at HELLO, re-resolved from any WrongShard rejection,
- * whose reply carries the authoritative count and address map. A
+ * Routing: each op goes to the owning shard under the client's adopted
+ * SlotMap — negotiated at HELLO, re-resolved from any WrongShard
+ * rejection, whose reply carries the authoritative slot owners and
+ * address map; before any map is adopted every op goes to the seed. A
  * rejected op adopts the advertised map and re-issues itself toward the
  * owning shard's address, concurrently with every other op, within its
  * own deadline and kMaxRouteAttempts. It completes WrongShard at once
@@ -386,17 +390,11 @@ class KvSessionClient
      * Connect to the deployment via the replica on @p seed_port. The
      * HELLO is pipelined, never waited on here (see awaitHello()).
      *
-     * @param credits    credit window to request at HELLO (0 = accept
-     *                   the server default). The grant comes back in
-     *                   the HELLO reply and caps this session's
-     *                   pipeline depth.
-     * @param num_shards 0 = learn the shard map from the HELLO reply;
-     *                   positive = route by the caller's (possibly
-     *                   stale) count until a reply teaches otherwise,
-     *                   as the deliberately-stale test clients do.
+     * @param credits credit window to request at HELLO (0 = accept the
+     *                server default). The grant comes back in the HELLO
+     *                reply and caps this session's pipeline depth.
      */
-    explicit KvSessionClient(uint16_t seed_port, uint32_t credits = 0,
-                             size_t num_shards = 0);
+    explicit KvSessionClient(uint16_t seed_port, uint32_t credits = 0);
     ~KvSessionClient();
 
     KvSessionClient(const KvSessionClient &) = delete;
@@ -436,15 +434,14 @@ class KvSessionClient
     /** The window granted at HELLO (requested value until it answers). */
     uint32_t grantedCredits() const;
 
-    size_t numShards() const { return numShards_; }
+    size_t numShards() const { return map_.numShards; }
     const ShardAddressMap &addressMap() const { return addrs_; }
 
     /** Epoch of the slot map the session has adopted (0 = none yet). */
-    uint32_t mapEpoch() const { return mapEpoch_; }
+    uint32_t mapEpoch() const { return map_.epoch; }
 
-    /** Route @p key: by the adopted slot-owner table when one is held
-     *  (it reflects migrations), else by the uniform shardOfKey hash. */
-    uint32_t routeShard(Key key) const;
+    /** The shard owning @p key under the adopted slot map. */
+    uint32_t routeShard(Key key) const { return map_.ownerOf(key); }
 
     /**
      * Test hook: feed an advertised map exactly as a reply would.
@@ -557,9 +554,9 @@ class KvSessionClient
     std::map<uint16_t, TimeNs> holdoff_;     ///< port -> no redial before
     TimeNs nextHomeProbe_ = 0;
     ShardAddressMap addrs_;
-    size_t numShards_ = 1;
-    uint32_t mapEpoch_ = 0;            ///< adopted map version (0 = none)
-    std::vector<uint16_t> slotOwners_; ///< adopted slot → shard table
+    /** The adopted slot map. Until a reply teaches one: epoch 0 with one
+     *  shard, so every op goes to the seed. */
+    SlotMap map_{0, 1, std::vector<uint16_t>(kNumSlots)};
     uint64_t mapGen_ = 0;    ///< bumped whenever adoptMap learns anything
     uint64_t nextReqId_ = 1; ///< per-session sequence numbers
     std::map<uint64_t, PendingOp> ops_;      ///< in flight or queued
@@ -582,15 +579,11 @@ class KvClient
         KvSessionClient::kMaxRouteAttempts;
 
     /**
-     * Connect to the deployment via the replica on @p seed_port.
-     *
-     * @param num_shards 0 (default) = wait (up to 2 s) for the seed's
-     *        HELLO reply, so the first op already routes by the
-     *        deployment's map; a positive count skips the wait and
-     *        routes by the caller's count until a reply teaches the
-     *        real one — deliberately stale clients in tests use this.
+     * Connect to the deployment via the replica on @p seed_port, and
+     * wait (up to 2 s) for the seed's HELLO reply, so the first op
+     * already routes by the deployment's map.
      */
-    explicit KvClient(uint16_t seed_port, size_t num_shards = 0);
+    explicit KvClient(uint16_t seed_port);
 
     bool connected() const { return session_.connected(); }
 

@@ -52,10 +52,10 @@ struct ClientRequestMsg : Message
     uint64_t reqId = 0;
     Key key = 0;
     /**
-     * Shard the client routed this key to (shardOfKey over the client's
-     * configured shard count; 0 when unsharded). Lets a sharded service
-     * detect a client with a stale shard map instead of silently serving
-     * the key from the wrong group, and is echoed in the reply.
+     * Shard the client routed this key to (its owner under the client's
+     * adopted slot map; 0 before any map is adopted). Lets a sharded
+     * service detect a client with a stale map instead of silently
+     * serving the key from the wrong group, and is echoed in the reply.
      */
     uint32_t shard = 0;
     /**
@@ -173,9 +173,9 @@ struct ClientReplyMsg : Message
      * Slot → owning-shard table of the advertised map. Populated on
      * HELLO replies and WrongShard rejections only (empty on the data
      * path: 2 KiB would dwarf a 32 B value); either empty or exactly
-     * kNumSlots entries. A client holding the table routes by slot
-     * ownership, which after a migration differs from the uniform
-     * shardOfKey placement.
+     * kNumSlots entries. Clients route by this table; a reply that
+     * changes the count without one teaches the uniform placement over
+     * the new count.
      */
     std::vector<uint16_t> slotOwners;
     ValueRef value;  ///< read result / CAS observed value

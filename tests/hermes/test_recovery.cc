@@ -5,12 +5,15 @@
  * rejoins through the §3.4 shadow state transfer, and the full history
  * — including writes acknowledged before the crash — stays
  * linearizable. Plus the cold-start path: a whole group restarted from
- * logs alone heals every key through timestamp-preserving replays.
+ * logs alone heals every key through timestamp-preserving replays, and
+ * the shared restart choreography's step order behind a fake host.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "app/cluster.hh"
 #include "app/driver.hh"
@@ -18,6 +21,7 @@
 #include "app/workload.hh"
 #include "store/wal.hh"
 #include "support/cluster_fixture.hh"
+#include "support/str_cat.hh"
 #include "support/temp_dir.hh"
 
 namespace hermes
@@ -40,6 +44,97 @@ durableConfig(const std::string &wal_dir, size_t nodes = 3)
     config.walDir = wal_dir;
     config.replica.hermesConfig.mlt = 200_us;
     return config;
+}
+
+/** A RestartHost that only records what restartFromWal asks of it. */
+class FakeRestartHost : public app::RestartHost
+{
+  public:
+    std::set<NodeId> down;
+    std::vector<std::string> steps;
+
+    bool alive(NodeId id) override { return down.count(id) == 0; }
+
+    void
+    crash(NodeId id) override
+    {
+        steps.push_back(test::strCat("crash ", id));
+        down.insert(id);
+    }
+
+    void
+    queueJob(NodeId id, app::RestartJob job) override
+    {
+        if (job.view)
+            steps.push_back(test::strCat("job ", id, ": ", show(*job.view)));
+        else
+            steps.push_back(
+                test::strCat("job ", id, ": sync from ", job.syncSource));
+    }
+
+    Epoch
+    viewEpoch(NodeId id) override
+    {
+        steps.push_back(test::strCat("epoch of ", id));
+        return 7;
+    }
+
+    void
+    rebuild(NodeId id, const membership::MembershipView &view) override
+    {
+        steps.push_back(test::strCat("rebuild ", id, ": ", show(view)));
+        down.erase(id);
+    }
+
+  private:
+    static std::string
+    show(const membership::MembershipView &view)
+    {
+        std::string out = test::strCat("view ", view.epoch, " {");
+        for (NodeId n : view.live)
+            out += test::strCat(" ", n);
+        return out + " }";
+    }
+};
+
+TEST(RecoveryChoreography, ShrinksRebuildsExtendsThenSyncsFromLowestSurvivor)
+{
+    // Group {4..7} (a shard with a non-zero id base); node 4 is down, so
+    // the lowest-id live survivor other than node 5 is node 6.
+    FakeRestartHost host;
+    host.down = {4};
+    app::restartFromWal(host, {4, 5, 6, 7}, 5);
+    const std::vector<std::string> expected = {
+        "crash 5",
+        "epoch of 6",
+        "job 6: view 8 { 6 7 }",
+        "job 7: view 8 { 6 7 }",
+        "rebuild 5: view 8 { 6 7 }",
+        "job 5: view 9 { 5 6 7 }",
+        "job 6: view 9 { 5 6 7 }",
+        "job 7: view 9 { 5 6 7 }",
+        "job 5: sync from 6",
+    };
+    EXPECT_EQ(host.steps, expected);
+}
+
+TEST(RecoveryChoreography, NodeAlreadyDownIsNotCrashedAgain)
+{
+    // The lowest id is the node itself: the source is the next one up.
+    FakeRestartHost host;
+    host.down = {0};
+    app::restartFromWal(host, {0, 1, 2}, 0);
+    const std::vector<std::string> expected = {
+        "epoch of 1",
+        "job 1: view 8 { 1 2 }",
+        "job 2: view 8 { 1 2 }",
+        "rebuild 0: view 8 { 1 2 }",
+        "job 0: view 9 { 0 1 2 }",
+        "job 1: view 9 { 0 1 2 }",
+        "job 2: view 9 { 0 1 2 }",
+        "job 0: sync from 1",
+    };
+    EXPECT_EQ(host.steps, expected);
 }
 
 TEST(WalRecovery, CrashRestartRecoversAckedWrites)

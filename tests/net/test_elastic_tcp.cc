@@ -25,6 +25,7 @@
 #include "common/random.hh"
 #include "store/wal.hh"
 #include "support/temp_dir.hh"
+#include "support/stale_map.hh"
 #include "support/str_cat.hh"
 
 namespace hermes
@@ -539,8 +540,10 @@ TEST(ElasticTcp, AcceptanceHistorySpansLiveMigrationAndSourceCrash)
                               &move_done, c] {
             // Seeds avoid the crash target (shard 0, replica 2). Client
             // 0 starts stale (believes unsharded) on top of everything.
-            KvClient client(deployment.portOf(c % kShards, c % 2),
-                            c == 0 ? 1 : 0);
+            KvClient client(deployment.portOf(c % kShards, c % 2));
+            if (c == 0) {
+                EXPECT_TRUE(client.adoptAdvertisedMap(test::staleMap(1)));
+            }
             Rng rng(0xE1A5 + c);
             for (int i = 0;; ++i) {
                 if (i >= kOpsPerClient

@@ -21,6 +21,7 @@
 #include "app/lin_checker.hh"
 #include "app/tcp_service.hh"
 #include "common/random.hh"
+#include "support/stale_map.hh"
 #include "support/str_cat.hh"
 
 namespace hermes
@@ -100,12 +101,11 @@ TEST(ShardedTcp, HelloNegotiatesDeploymentMap)
 
 TEST(ShardedTcp, StaleMapClientConvergesOnRealDeployment)
 {
-    // THE bugfix case: a client constructed with a stale (unsharded) map
-    // against a live S=4 deployment. Every op's first attempt lands on
-    // the wrong group and is rejected; the reply's address map lets the
-    // client reconnect to the owning shard and complete — no op may
-    // surface WrongShard, which is exactly what the old single-socket
-    // retry could not do.
+    // THE bugfix case: a client holding a stale (unsharded) map against
+    // a live S=4 deployment. Its stale-stamped attempt is rejected; the
+    // reply's slot and address maps let the client reconnect to the
+    // owning shard and complete — no op may surface WrongShard, which is
+    // exactly what the old single-socket retry could not do.
     net::TcpConfig config;
     config.basePort = kBasePort + 16;
     const size_t kShards = 4;
@@ -113,8 +113,9 @@ TEST(ShardedTcp, StaleMapClientConvergesOnRealDeployment)
                                     tcpOptions(), config);
     deployment.start();
 
-    KvClient stale(deployment.portOf(2, 0), /*num_shards=*/1);
+    KvClient stale(deployment.portOf(2, 0));
     ASSERT_TRUE(stale.connected());
+    ASSERT_TRUE(stale.adoptAdvertisedMap(test::staleMap(1)));
     EXPECT_EQ(stale.numShards(), 1u);
 
     for (Key key = 1; key <= 40; ++key) {
@@ -210,8 +211,10 @@ TEST(ShardedTcp, EndToEndLinCheckedUnderConcurrentLoad)
         clients.emplace_back([&deployment, &histories, &failures, c] {
             // Client 0 starts deliberately stale (believes unsharded) on
             // top of the mixed load; the loop must heal it in-flight.
-            KvClient client(deployment.portOf(c % kShards, c % 3),
-                            c == 0 ? 1 : 0);
+            KvClient client(deployment.portOf(c % kShards, c % 3));
+            if (c == 0) {
+                EXPECT_TRUE(client.adoptAdvertisedMap(test::staleMap(1)));
+            }
             Rng rng(0xFEED + c);
             for (int i = 0; i < kOpsPerClient; ++i) {
                 app::HistOp op;

@@ -17,6 +17,7 @@
 
 #include "app/cluster.hh"
 #include "app/tcp_service.hh"
+#include "support/stale_map.hh"
 #include "support/str_cat.hh"
 
 namespace hermes
@@ -179,7 +180,7 @@ TEST(TcpCluster, WrongShardRequestsAreRejectedExplicitly)
 
     // A client sharing the service's map: owned keys are served, keys it
     // would route elsewhere are rejected here.
-    KvClient fresh(service.portOf(0), kShards);
+    KvClient fresh(service.portOf(0));
     ASSERT_TRUE(fresh.connected());
     ASSERT_TRUE(fresh.write(owned, "right-home"));
     EXPECT_EQ(fresh.lastStatus(), net::ClientReplyMsg::Status::Ok);
@@ -198,15 +199,17 @@ TEST(TcpCluster, WrongShardRequestsAreRejectedExplicitly)
     // A stale client believing the deployment is unsharded stamps
     // shard 0 for every key; keys that actually live on shard 0 under
     // the real map still collide correctly, the rest are rejected.
-    KvClient stale(service.portOf(1), /*num_shards=*/1);
+    KvClient stale(service.portOf(1));
     ASSERT_TRUE(stale.connected());
+    ASSERT_TRUE(stale.adoptAdvertisedMap(test::staleMap(1)));
+    EXPECT_EQ(stale.numShards(), 1u);
     ASSERT_TRUE(stale.write(owned, "still-right"));
     EXPECT_FALSE(stale.write(foreign, "misrouted"));
     EXPECT_EQ(stale.lastStatus(),
               net::ClientReplyMsg::Status::WrongShard);
 
     // The rejected keys were never applied anywhere in this group.
-    KvClient check(service.portOf(2), kShards);
+    KvClient check(service.portOf(2));
     EXPECT_EQ(check.read(owned).value_or("?"), "still-right");
 }
 
@@ -234,8 +237,9 @@ TEST(TcpCluster, StaleShardMapSelfHeals)
                          kShards, /*shard_id=*/0);
     service.start();
 
-    KvClient stale(service.portOf(0), /*num_shards=*/3);
+    KvClient stale(service.portOf(0));
     ASSERT_TRUE(stale.connected());
+    ASSERT_TRUE(stale.adoptAdvertisedMap(test::staleMap(3)));
     EXPECT_EQ(stale.numShards(), 3u);
     ASSERT_TRUE(stale.write(healable, "healed"))
         << "stale map should re-resolve and retry, not surface";

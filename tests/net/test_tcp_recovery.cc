@@ -246,6 +246,128 @@ TEST(TcpRecovery, RestartedReplicaKeepsServingAfterSecondRestart)
     EXPECT_EQ(client.read(3).value_or("?"), "three");
 }
 
+TEST(TcpRecovery, RestartFirstReplicaOfSecondShard)
+{
+    // Restarting replica 0 of shard 1 under load: the restarted node is
+    // the group's lowest id, so the state-transfer source (the lowest-id
+    // live survivor) is replica 1, not replica 0 as in every restart of
+    // a higher replica. Acknowledged pre-crash writes must be served by
+    // the rebuilt replica after its sync, and the history must
+    // linearize shard by shard.
+    test::TempDir dir("tcp-recovery-first");
+    net::TcpConfig config;
+    config.basePort = kBasePort + 64;
+    const size_t kShards = 2;
+    constexpr int kClients = 4;
+    constexpr Key kKeySpace = 48;
+    constexpr Key kPreBase = 1000; // pre-crash keys, untouched by the load
+    ReplicaOptions options = tcpOptions();
+    options.wal.path = dir.path();
+    ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3, options,
+                                    config);
+    deployment.start();
+    TcpKvService &group = deployment.shard(1);
+
+    KvClient setup(deployment.portOf(0, 1));
+    ASSERT_TRUE(setup.connected());
+    app::History merged;
+    for (Key key = kPreBase + 1; key <= kPreBase + kKeySpace; ++key) {
+        app::HistOp op;
+        op.kind = app::HistOp::Kind::Write;
+        op.key = key;
+        op.shard = app::shardOfKey(key, kShards);
+        op.arg = test::strCat("pre-", key);
+        op.invoke = wallNowNs();
+        ASSERT_TRUE(setup.write(key, op.arg));
+        op.response = wallNowNs();
+        merged.add(std::move(op));
+    }
+
+    std::vector<app::History> histories(kClients);
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&deployment, &histories, &failures, &stop,
+                              c] {
+            // Seeds (and so homes) at replicas 1 and 2 of either shard:
+            // never the crash target.
+            KvClient client(deployment.portOf(c % 2, 1 + c / 2));
+            Rng rng(0xF125 + c);
+            for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+                app::HistOp op;
+                op.key = 1 + rng.next() % kKeySpace;
+                op.shard = app::shardOfKey(op.key, kShards);
+                op.invoke = wallNowNs();
+                bool completed = false;
+                if (rng.nextBool(0.5)) {
+                    op.kind = app::HistOp::Kind::Read;
+                    auto got = client.read(op.key, 20_s);
+                    completed = got.has_value();
+                    if (completed)
+                        op.result = *got;
+                } else {
+                    op.kind = app::HistOp::Kind::Write;
+                    op.arg = test::strCat("c", c, "-", i);
+                    completed = client.write(op.key, op.arg, 20_s);
+                }
+                op.response = wallNowNs();
+                if (!completed) {
+                    ++failures;
+                    continue;
+                }
+                histories[c].add(std::move(op));
+            }
+        });
+    }
+
+    Epoch before = 0;
+    group.cluster().runOn(1, [&] {
+        before = group.replica(1).hermes()->view().epoch;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    deployment.restartReplica(1, 0);
+    ASSERT_TRUE(awaitRejoin(group, 0, 15_s))
+        << "restarted replica never left shadow mode";
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stop.store(true);
+    for (auto &t : clients)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    // The whole group moved through the shrink (epoch+1) and the
+    // re-admission (epoch+2), and ends with all three members.
+    for (NodeId r = 0; r < 3; ++r) {
+        group.cluster().runOn(r, [&] {
+            const membership::MembershipView &view =
+                group.replica(r).hermes()->view();
+            EXPECT_EQ(view.epoch, before + 2) << "replica " << r;
+            EXPECT_EQ(view.live.size(), 3u) << "replica " << r;
+        });
+    }
+
+    // Pre-crash acknowledged writes, read at the rebuilt replica itself:
+    // a session seeded there is homed there for shard 1.
+    app::KvSessionClient direct(deployment.portOf(1, 0));
+    direct.awaitHello();
+    for (Key key = kPreBase + 1; key <= kPreBase + kKeySpace; ++key) {
+        if (app::shardOfKey(key, kShards) != 1)
+            continue;
+        auto got = direct.wait(direct.readAsync(key));
+        ASSERT_TRUE(got && got->completed) << "key " << key;
+        EXPECT_EQ(got->value, test::strCat("pre-", key));
+        EXPECT_EQ(direct.servingPort(1), deployment.portOf(1, 0));
+    }
+
+    for (const app::History &h : histories)
+        for (const app::HistOp &op : h.ops())
+            merged.add(op);
+    app::LinReport report = app::checkShardedHistory(merged);
+    EXPECT_TRUE(report.ok())
+        << "shard " << app::shardOfKey(report.offendingKey, kShards)
+        << ": " << report.detail;
+}
+
 // ---------------------------------------------------------------------
 // Graceful drain
 // ---------------------------------------------------------------------
