@@ -134,8 +134,8 @@ ReplicaHandle::routeRm(const net::MessagePtr &msg)
 namespace
 {
 
-/** Shared start/route/view plumbing over a concrete protocol engine. */
-template <typename Engine>
+/** Shared start/route/view and client forwarding over a protocol engine. */
+template <typename Engine, Protocol P>
 class HandleBase : public ReplicaHandle
 {
   public:
@@ -163,15 +163,34 @@ class HandleBase : public ReplicaHandle
         engine_->onMessage(msg);
     }
 
+    void
+    read(Key key, ReadCallback cb) override
+    {
+        engine_->read(key, std::move(cb));
+    }
+
+    void
+    write(Key key, ValueRef value, WriteCallback cb) override
+    {
+        engine_->write(key, std::move(value), std::move(cb));
+    }
+
+    const ProtocolTraits &traits() const override { return traitsOf(P); }
+
     void injectView(const MembershipView &view) override { applyView(view); }
 
   protected:
-    virtual void applyView(const MembershipView &view) = 0;
-
     std::unique_ptr<Engine> engine_;
+
+  private:
+    void
+    applyView(const MembershipView &view)
+    {
+        engine_->onViewChange(view);
+    }
 };
 
-class HermesHandle : public HandleBase<proto::HermesReplica>
+class HermesHandle : public HandleBase<proto::HermesReplica, Protocol::Hermes>
 {
   public:
     /**
@@ -197,40 +216,16 @@ class HermesHandle : public HandleBase<proto::HermesReplica>
     }
 
     void
-    read(Key key, ReadCallback cb) override
-    {
-        engine_->read(key, std::move(cb));
-    }
-
-    void
-    write(Key key, ValueRef value, WriteCallback cb) override
-    {
-        engine_->write(key, std::move(value), std::move(cb));
-    }
-
-    void
     cas(Key key, ValueRef expected, ValueRef desired, CasCallback cb) override
     {
         engine_->cas(key, std::move(expected), std::move(desired),
                      std::move(cb));
     }
 
-    const ProtocolTraits &traits() const override
-    {
-        return traitsOf(Protocol::Hermes);
-    }
-
     proto::HermesReplica *hermes() override { return engine_.get(); }
-
-  protected:
-    void
-    applyView(const MembershipView &view) override
-    {
-        engine_->onViewChange(view);
-    }
 };
 
-class CraqHandle : public HandleBase<craq::CraqReplica>
+class CraqHandle : public HandleBase<craq::CraqReplica, Protocol::Craq>
 {
   public:
     CraqHandle(net::Env &env, MembershipView initial,
@@ -241,34 +236,10 @@ class CraqHandle : public HandleBase<craq::CraqReplica>
                                                       initial);
     }
 
-    void
-    read(Key key, ReadCallback cb) override
-    {
-        engine_->read(key, std::move(cb));
-    }
-
-    void
-    write(Key key, ValueRef value, WriteCallback cb) override
-    {
-        engine_->write(key, std::move(value), std::move(cb));
-    }
-
-    const ProtocolTraits &traits() const override
-    {
-        return traitsOf(Protocol::Craq);
-    }
-
     craq::CraqReplica *craq() override { return engine_.get(); }
-
-  protected:
-    void
-    applyView(const MembershipView &view) override
-    {
-        engine_->onViewChange(view);
-    }
 };
 
-class ZabHandle : public HandleBase<zab::ZabReplica>
+class ZabHandle : public HandleBase<zab::ZabReplica, Protocol::Zab>
 {
   public:
     ZabHandle(net::Env &env, MembershipView initial,
@@ -279,34 +250,11 @@ class ZabHandle : public HandleBase<zab::ZabReplica>
                                                     initial);
     }
 
-    void
-    read(Key key, ReadCallback cb) override
-    {
-        engine_->read(key, std::move(cb));
-    }
-
-    void
-    write(Key key, ValueRef value, WriteCallback cb) override
-    {
-        engine_->write(key, std::move(value), std::move(cb));
-    }
-
-    const ProtocolTraits &traits() const override
-    {
-        return traitsOf(Protocol::Zab);
-    }
-
     zab::ZabReplica *zab() override { return engine_.get(); }
-
-  protected:
-    void
-    applyView(const MembershipView &view) override
-    {
-        engine_->onViewChange(view);
-    }
 };
 
-class LockstepHandle : public HandleBase<lockstep::LockstepReplica>
+class LockstepHandle
+    : public HandleBase<lockstep::LockstepReplica, Protocol::Lockstep>
 {
   public:
     LockstepHandle(net::Env &env, MembershipView initial,
@@ -317,31 +265,7 @@ class LockstepHandle : public HandleBase<lockstep::LockstepReplica>
             protoEnv(), store_, initial, options.lockstepConfig);
     }
 
-    void
-    read(Key key, ReadCallback cb) override
-    {
-        engine_->read(key, std::move(cb));
-    }
-
-    void
-    write(Key key, ValueRef value, WriteCallback cb) override
-    {
-        engine_->write(key, std::move(value), std::move(cb));
-    }
-
-    const ProtocolTraits &traits() const override
-    {
-        return traitsOf(Protocol::Lockstep);
-    }
-
     lockstep::LockstepReplica *lockstep() override { return engine_.get(); }
-
-  protected:
-    void
-    applyView(const MembershipView &view) override
-    {
-        engine_->onViewChange(view);
-    }
 };
 
 } // namespace

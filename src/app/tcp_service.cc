@@ -1,9 +1,6 @@
 #include "app/tcp_service.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -709,45 +706,11 @@ KvSessionClient::awaitHello(DurationNs timeout)
 KvSessionClient::ConnPtr
 KvSessionClient::dial(uint16_t port, int connect_attempts)
 {
-    int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return nullptr;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    bool ok = false;
-    net::DialBackoff backoff;
-    for (int attempt = 0; attempt < connect_attempts; ++attempt) {
-        net::DialBackoff::noteDialAttempt();
-        if (connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                    sizeof(addr)) == 0) {
-            ok = true;
-            break;
-        }
-        // Jittered exponential pacing, no sleep after the final
-        // failure: a held-down shard costs a bounded number of dials,
-        // not an immediate-redial hammer.
-        if (attempt + 1 < connect_attempts) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoff.nextDelayMs()));
-        }
-    }
-    if (ok) {
-        // The transport hello's third word is the requested credit
-        // window; the server clamps it and reports the grant in the
-        // HELLO reply we pipeline right below.
-        int one = 1;
-        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        uint8_t hello[12];
-        leStore32(hello, net::kHelloMagic);
-        leStore32(hello + 4, net::kHelloClient);
-        leStore32(hello + 8, requestedCredits_);
-        ok = send(fd, hello, sizeof(hello), MSG_NOSIGNAL)
-             == static_cast<ssize_t>(sizeof(hello));
-    }
-    if (!ok) {
-        close(fd);
+    // The hello's third word is the requested credit window; the server
+    // clamps it and reports the grant in the HELLO reply we pipeline
+    // right below.
+    int fd = net::dialClient(port, connect_attempts, requestedCredits_);
+    if (fd < 0) {
         holdoff_[port] = steadyNowNs() + kRedialHoldoff;
         return nullptr;
     }

@@ -14,122 +14,66 @@ namespace hermes::craq
 {
 
 /** A non-head node forwarding a client write to the chain head. */
-struct ForwardMsg : net::Message
+struct ForwardMsg : net::WireMsg<ForwardMsg, net::MsgType::CraqForward>
 {
-    ForwardMsg() : Message(net::MsgType::CraqForward) {}
-
     Key key = 0;
     ValueRef value;
     NodeId origin = kInvalidNode; ///< node owning the client callback
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override
-    {
-        return 8 + 4 + value.size() + 4 + 8;
-    }
-
-    size_t valueBytes() const override { return value.size(); }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putValue(value);
-        writer.putU32(origin);
-        writer.putU64(reqId);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, value, origin, reqId); }
 };
 
 /** A versioned write propagating down the chain. */
-struct WriteMsg : net::Message
+struct WriteMsg : net::WireMsg<WriteMsg, net::MsgType::CraqWrite>
 {
-    WriteMsg() : Message(net::MsgType::CraqWrite) {}
-
     Key key = 0;
     uint32_t version = 0;
     ValueRef value;
     NodeId origin = kInvalidNode;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override
-    {
-        return 8 + 4 + 4 + value.size() + 4 + 8;
-    }
-
-    size_t valueBytes() const override { return value.size(); }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(version);
-        writer.putValue(value);
-        writer.putU32(origin);
-        writer.putU64(reqId);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, version, value, origin, reqId); }
 };
 
 /** Commit acknowledgment propagating back up the chain from the tail. */
-struct WriteAckMsg : net::Message
+struct WriteAckMsg : net::WireMsg<WriteAckMsg, net::MsgType::CraqWriteAck>
 {
-    WriteAckMsg() : Message(net::MsgType::CraqWriteAck) {}
-
     Key key = 0;
     uint32_t version = 0;
     NodeId origin = kInvalidNode;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override { return 8 + 4 + 4 + 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(version);
-        writer.putU32(origin);
-        writer.putU64(reqId);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, version, origin, reqId); }
 };
 
 /** Dirty read: ask the tail which version of the key is committed. */
-struct VersionQueryMsg : net::Message
+struct VersionQueryMsg
+    : net::WireMsg<VersionQueryMsg, net::MsgType::CraqVersionQuery>
 {
-    VersionQueryMsg() : Message(net::MsgType::CraqVersionQuery) {}
-
     Key key = 0;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override { return 8 + 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU64(reqId);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, reqId); }
 };
 
 /** Tail's answer to a version query. */
-struct VersionReplyMsg : net::Message
+struct VersionReplyMsg
+    : net::WireMsg<VersionReplyMsg, net::MsgType::CraqVersionReply>
 {
-    VersionReplyMsg() : Message(net::MsgType::CraqVersionReply) {}
-
     Key key = 0;
     uint32_t version = 0;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override { return 8 + 4 + 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(version);
-        writer.putU64(reqId);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, version, reqId); }
 };
 
-/** Register decoders for CRAQ message types (idempotent). */
+/** Register the CRAQ message types (idempotent). */
 void registerCraqCodecs();
 
 } // namespace hermes::craq

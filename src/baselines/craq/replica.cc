@@ -18,45 +18,11 @@ constexpr uint8_t kDirty = 1;
 void
 registerCraqCodecs()
 {
-    using net::MsgType;
-    net::registerDecoder(MsgType::CraqForward, [](BufReader &reader) {
-        auto msg = std::make_shared<ForwardMsg>();
-        msg->key = reader.getU64();
-        msg->value = reader.getValue();
-        msg->origin = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::CraqWrite, [](BufReader &reader) {
-        auto msg = std::make_shared<WriteMsg>();
-        msg->key = reader.getU64();
-        msg->version = reader.getU32();
-        msg->value = reader.getValue();
-        msg->origin = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::CraqWriteAck, [](BufReader &reader) {
-        auto msg = std::make_shared<WriteAckMsg>();
-        msg->key = reader.getU64();
-        msg->version = reader.getU32();
-        msg->origin = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::CraqVersionQuery, [](BufReader &reader) {
-        auto msg = std::make_shared<VersionQueryMsg>();
-        msg->key = reader.getU64();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::CraqVersionReply, [](BufReader &reader) {
-        auto msg = std::make_shared<VersionReplyMsg>();
-        msg->key = reader.getU64();
-        msg->version = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
+    net::registerMessage<ForwardMsg>();
+    net::registerMessage<WriteMsg>();
+    net::registerMessage<WriteAckMsg>();
+    net::registerMessage<VersionQueryMsg>();
+    net::registerMessage<VersionReplyMsg>();
 }
 
 CraqReplica::CraqReplica(net::Env &env, store::KvStore &store,

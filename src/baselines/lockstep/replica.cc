@@ -8,92 +8,12 @@ namespace hermes::lockstep
 
 using store::KeyRecord;
 
-namespace
-{
-
-void
-putEntry(BufWriter &writer, const Entry &entry)
-{
-    writer.putU64(entry.key);
-    writer.putValue(entry.value);
-    writer.putU32(entry.origin);
-    writer.putU64(entry.reqId);
-}
-
-Entry
-getEntry(BufReader &reader)
-{
-    Entry entry;
-    entry.key = reader.getU64();
-    entry.value = reader.getValue();
-    entry.origin = reader.getU32();
-    entry.reqId = reader.getU64();
-    return entry;
-}
-
-} // namespace
-
-void
-SubmitMsg::serializePayload(BufWriter &writer) const
-{
-    putEntry(writer, entry);
-}
-
-size_t
-RoundMsg::payloadSize() const
-{
-    size_t size = 8 + 4;
-    for (const Entry &entry : entries)
-        size += 8 + 4 + entry.value.size() + 4 + 8;
-    return size;
-}
-
-size_t
-RoundMsg::valueBytes() const
-{
-    size_t bytes = 0;
-    for (const Entry &entry : entries)
-        bytes += entry.value.size();
-    return bytes;
-}
-
-void
-RoundMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(round);
-    writer.putU32(static_cast<uint32_t>(entries.size()));
-    for (const Entry &entry : entries)
-        putEntry(writer, entry);
-}
-
-void
-RoundAckMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(round);
-}
-
 void
 registerLockstepCodecs()
 {
-    using net::MsgType;
-    net::registerDecoder(MsgType::LockstepSubmit, [](BufReader &reader) {
-        auto msg = std::make_shared<SubmitMsg>();
-        msg->entry = getEntry(reader);
-        return msg;
-    });
-    net::registerDecoder(MsgType::LockstepRound, [](BufReader &reader) {
-        auto msg = std::make_shared<RoundMsg>();
-        msg->round = reader.getU64();
-        uint32_t count = reader.getU32();
-        for (uint32_t i = 0; i < count && reader.ok(); ++i)
-            msg->entries.push_back(getEntry(reader));
-        return msg;
-    });
-    net::registerDecoder(MsgType::LockstepAck, [](BufReader &reader) {
-        auto msg = std::make_shared<RoundAckMsg>();
-        msg->round = reader.getU64();
-        return msg;
-    });
+    net::registerMessage<SubmitMsg>();
+    net::registerMessage<RoundMsg>();
+    net::registerMessage<RoundAckMsg>();
 }
 
 LockstepReplica::LockstepReplica(net::Env &env, store::KvStore &store,

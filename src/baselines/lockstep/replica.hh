@@ -40,48 +40,40 @@ struct Entry
     ValueRef value;
     NodeId origin = kInvalidNode;
     uint64_t reqId = 0;
+
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, value, origin, reqId); }
 };
 
 /** Client update submitted to the sequencer. */
-struct SubmitMsg : net::Message
+struct SubmitMsg : net::WireMsg<SubmitMsg, net::MsgType::LockstepSubmit>
 {
-    SubmitMsg() : Message(net::MsgType::LockstepSubmit) {}
-
     Entry entry;
 
-    size_t payloadSize() const override
-    {
-        return 8 + 4 + entry.value.size() + 4 + 8;
-    }
-    size_t valueBytes() const override { return entry.value.size(); }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(entry); }
 };
 
 /** The sequencer's ordered round broadcast. */
-struct RoundMsg : net::Message
+struct RoundMsg : net::WireMsg<RoundMsg, net::MsgType::LockstepRound>
 {
-    RoundMsg() : Message(net::MsgType::LockstepRound) {}
-
     uint64_t round = 0;
     std::vector<Entry> entries;
 
-    size_t payloadSize() const override;
-    size_t valueBytes() const override;
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(round, net::counted<uint32_t>(entries)); }
 };
 
 /** All-to-all round receipt acknowledgment (the stability vote). */
-struct RoundAckMsg : net::Message
+struct RoundAckMsg : net::WireMsg<RoundAckMsg, net::MsgType::LockstepAck>
 {
-    RoundAckMsg() : Message(net::MsgType::LockstepAck) {}
-
     uint64_t round = 0;
 
-    size_t payloadSize() const override { return 8; }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(round); }
 };
 
-/** Register decoders for lockstep message types (idempotent). */
+/** Register the lockstep message types (idempotent). */
 void registerLockstepCodecs();
 
 /** Tunables. */

@@ -9,67 +9,12 @@ namespace hermes::zab
 using store::KeyRecord;
 
 void
-ForwardMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(key);
-    writer.putValue(value);
-    writer.putU32(origin);
-    writer.putU64(reqId);
-}
-
-void
-ProposeMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(zxid);
-    writer.putU64(key);
-    writer.putValue(value);
-    writer.putU32(origin);
-    writer.putU64(reqId);
-}
-
-void
-AckMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(zxid);
-}
-
-void
-CommitMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU64(zxid);
-}
-
-void
 registerZabCodecs()
 {
-    using net::MsgType;
-    net::registerDecoder(MsgType::ZabForward, [](BufReader &reader) {
-        auto msg = std::make_shared<ForwardMsg>();
-        msg->key = reader.getU64();
-        msg->value = reader.getValue();
-        msg->origin = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::ZabPropose, [](BufReader &reader) {
-        auto msg = std::make_shared<ProposeMsg>();
-        msg->zxid = reader.getU64();
-        msg->key = reader.getU64();
-        msg->value = reader.getValue();
-        msg->origin = reader.getU32();
-        msg->reqId = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::ZabAck, [](BufReader &reader) {
-        auto msg = std::make_shared<AckMsg>();
-        msg->zxid = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::ZabCommit, [](BufReader &reader) {
-        auto msg = std::make_shared<CommitMsg>();
-        msg->zxid = reader.getU64();
-        return msg;
-    });
+    net::registerMessage<ForwardMsg>();
+    net::registerMessage<ProposeMsg>();
+    net::registerMessage<AckMsg>();
+    net::registerMessage<CommitMsg>();
 }
 
 ZabReplica::ZabReplica(net::Env &env, store::KvStore &store,

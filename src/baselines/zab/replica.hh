@@ -35,65 +35,49 @@ namespace hermes::zab
 {
 
 /** Client write forwarded from a follower to the leader. */
-struct ForwardMsg : net::Message
+struct ForwardMsg : net::WireMsg<ForwardMsg, net::MsgType::ZabForward>
 {
-    ForwardMsg() : Message(net::MsgType::ZabForward) {}
-
     Key key = 0;
     ValueRef value;
     NodeId origin = kInvalidNode;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override
-    {
-        return 8 + 4 + value.size() + 4 + 8;
-    }
-    size_t valueBytes() const override { return value.size(); }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, value, origin, reqId); }
 };
 
 /** Leader proposal carrying the zxid-ordered write. */
-struct ProposeMsg : net::Message
+struct ProposeMsg : net::WireMsg<ProposeMsg, net::MsgType::ZabPropose>
 {
-    ProposeMsg() : Message(net::MsgType::ZabPropose) {}
-
     uint64_t zxid = 0;
     Key key = 0;
     ValueRef value;
     NodeId origin = kInvalidNode;
     uint64_t reqId = 0;
 
-    size_t payloadSize() const override
-    {
-        return 8 + 8 + 4 + value.size() + 4 + 8;
-    }
-    size_t valueBytes() const override { return value.size(); }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(zxid, key, value, origin, reqId); }
 };
 
 /** Follower acknowledgment of a proposal. */
-struct AckMsg : net::Message
+struct AckMsg : net::WireMsg<AckMsg, net::MsgType::ZabAck>
 {
-    AckMsg() : Message(net::MsgType::ZabAck) {}
-
     uint64_t zxid = 0;
 
-    size_t payloadSize() const override { return 8; }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(zxid); }
 };
 
 /** Leader commit announcement: everything up to zxid is committed. */
-struct CommitMsg : net::Message
+struct CommitMsg : net::WireMsg<CommitMsg, net::MsgType::ZabCommit>
 {
-    CommitMsg() : Message(net::MsgType::ZabCommit) {}
-
     uint64_t zxid = 0;
 
-    size_t payloadSize() const override { return 8; }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(zxid); }
 };
 
-/** Register decoders for ZAB message types (idempotent). */
+/** Register the ZAB message types (idempotent). */
 void registerZabCodecs();
 
 /** Operation counters exposed to benchmarks and tests. */

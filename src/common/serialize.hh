@@ -255,6 +255,9 @@ class BufReader
     /** The slab pin, for handing to nested decoders. */
     const std::shared_ptr<const void> &pin() const { return pin_; }
 
+    /** Mark the frame malformed (e.g. a count the bytes cannot hold). */
+    void fail() { ok_ = false; }
+
     /** Advance past @p n bytes; sets ok() false on underrun. */
     bool
     skip(size_t n)

@@ -37,6 +37,10 @@ struct Timestamp
     /** Coordinator (possibly virtual, see optimization O2) node id. */
     uint32_t cid = 0;
 
+    /** Wire layout (net/message.hh): version, then cid. */
+    template <typename Ar>
+    void wire(Ar &ar) { ar(version, cid); }
+
     /** Lexicographic order: version first, coordinator id as tie-break. */
     auto operator<=>(const Timestamp &) const = default;
 

@@ -6,63 +6,13 @@ namespace hermes::proto
 void
 registerHermesCodecs()
 {
-    using net::MsgType;
-    net::registerDecoder(MsgType::HermesInv, [](BufReader &reader) {
-        auto msg = std::make_shared<InvMsg>();
-        msg->key = reader.getU64();
-        msg->ts.version = reader.getU32();
-        msg->ts.cid = reader.getU32();
-        msg->rmw = reader.getU8() != 0;
-        msg->value = reader.getValue();
-        return msg;
-    });
-    net::registerDecoder(MsgType::HermesAck, [](BufReader &reader) {
-        auto msg = std::make_shared<AckMsg>();
-        msg->key = reader.getU64();
-        msg->ts.version = reader.getU32();
-        msg->ts.cid = reader.getU32();
-        return msg;
-    });
-    net::registerDecoder(MsgType::HermesVal, [](BufReader &reader) {
-        auto msg = std::make_shared<ValMsg>();
-        msg->key = reader.getU64();
-        msg->ts.version = reader.getU32();
-        msg->ts.cid = reader.getU32();
-        return msg;
-    });
-    net::registerDecoder(MsgType::HermesStateReq, [](BufReader &reader) {
-        auto msg = std::make_shared<StateReqMsg>();
-        msg->offset = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::HermesEpochCheck, [](BufReader &reader) {
-        auto msg = std::make_shared<EpochCheckMsg>();
-        msg->nonce = reader.getU64();
-        return msg;
-    });
-    net::registerDecoder(MsgType::HermesEpochCheckAck,
-                         [](BufReader &reader) {
-                             auto msg = std::make_shared<EpochCheckAckMsg>();
-                             msg->nonce = reader.getU64();
-                             return msg;
-                         });
-    net::registerDecoder(MsgType::HermesStateChunk, [](BufReader &reader) {
-        auto msg = std::make_shared<StateChunkMsg>();
-        msg->offset = reader.getU64();
-        msg->done = reader.getU8() != 0;
-        uint32_t count = reader.getU32();
-        for (uint32_t i = 0; i < count && reader.ok(); ++i) {
-            StateEntry entry;
-            entry.key = reader.getU64();
-            entry.ts.version = reader.getU32();
-            entry.ts.cid = reader.getU32();
-            entry.flags = reader.getU8();
-            entry.valid = reader.getU8() != 0;
-            entry.value = reader.getValue();
-            msg->entries.push_back(std::move(entry));
-        }
-        return msg;
-    });
+    net::registerMessage<InvMsg>();
+    net::registerMessage<AckMsg>();
+    net::registerMessage<ValMsg>();
+    net::registerMessage<StateReqMsg>();
+    net::registerMessage<StateChunkMsg>();
+    net::registerMessage<EpochCheckMsg>();
+    net::registerMessage<EpochCheckAckMsg>();
 }
 
 } // namespace hermes::proto

@@ -18,84 +18,47 @@ namespace hermes::proto
 {
 
 /** Invalidation: start (or replay) of an update. */
-struct InvMsg : net::Message
+struct InvMsg : net::WireMsg<InvMsg, net::MsgType::HermesInv>
 {
-    InvMsg() : Message(net::MsgType::HermesInv) {}
-
     Key key = 0;
     Timestamp ts;
     bool rmw = false;   ///< RMW_flag (§3.6): update is a conflicting RMW
     ValueRef value;
 
-    size_t payloadSize() const override { return 8 + 8 + 1 + 4 + value.size(); }
-    size_t valueBytes() const override { return value.size(); }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(ts.version);
-        writer.putU32(ts.cid);
-        writer.putU8(rmw ? 1 : 0);
-        writer.putValue(value);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, ts, rmw, value); }
 };
 
 /** Acknowledgment of an INV (with O3, broadcast to all replicas). */
-struct AckMsg : net::Message
+struct AckMsg : net::WireMsg<AckMsg, net::MsgType::HermesAck>
 {
-    AckMsg() : Message(net::MsgType::HermesAck) {}
-
     Key key = 0;
     Timestamp ts;
 
-    size_t payloadSize() const override { return 16; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(ts.version);
-        writer.putU32(ts.cid);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, ts); }
 };
 
 /** Validation: commit notification making the key readable again. */
-struct ValMsg : net::Message
+struct ValMsg : net::WireMsg<ValMsg, net::MsgType::HermesVal>
 {
-    ValMsg() : Message(net::MsgType::HermesVal) {}
-
     Key key = 0;
     Timestamp ts;
 
-    size_t payloadSize() const override { return 16; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(key);
-        writer.putU32(ts.version);
-        writer.putU32(ts.cid);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, ts); }
 };
 
 /**
  * Shadow replica (§3.4 Recovery) state-transfer request: "send me the
  * next chunk of your datastore; I have applied X entries so far".
  */
-struct StateReqMsg : net::Message
+struct StateReqMsg : net::WireMsg<StateReqMsg, net::MsgType::HermesStateReq>
 {
-    StateReqMsg() : Message(net::MsgType::HermesStateReq) {}
-
     uint64_t offset = 0;
 
-    size_t payloadSize() const override { return 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(offset);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(offset); }
 };
 
 /** One state-transfer entry: a key with its timestamp and value. */
@@ -112,50 +75,21 @@ struct StateEntry
      */
     bool valid = true;
     ValueRef value;
+
+    template <typename Ar>
+    void wire(Ar &ar) { ar(key, ts, flags, valid, value); }
 };
 
 /** A batch of entries read from the source's live store. */
-struct StateChunkMsg : net::Message
+struct StateChunkMsg
+    : net::WireMsg<StateChunkMsg, net::MsgType::HermesStateChunk>
 {
-    StateChunkMsg() : Message(net::MsgType::HermesStateChunk) {}
-
     uint64_t offset = 0;  ///< entries served before this chunk
     bool done = false;    ///< no entries beyond this chunk
     std::vector<StateEntry> entries;
 
-    size_t
-    payloadSize() const override
-    {
-        size_t size = 8 + 1 + 4;
-        for (const StateEntry &entry : entries)
-            size += 8 + 8 + 2 + 4 + entry.value.size();
-        return size;
-    }
-
-    size_t
-    valueBytes() const override
-    {
-        size_t bytes = 0;
-        for (const StateEntry &entry : entries)
-            bytes += entry.value.size();
-        return bytes;
-    }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(offset);
-        writer.putU8(done ? 1 : 0);
-        writer.putU32(static_cast<uint32_t>(entries.size()));
-        for (const StateEntry &entry : entries) {
-            writer.putU64(entry.key);
-            writer.putU32(entry.ts.version);
-            writer.putU32(entry.ts.cid);
-            writer.putU8(entry.flags);
-            writer.putU8(entry.valid ? 1 : 0);
-            writer.putValue(entry.value);
-        }
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(offset, done, net::counted<uint32_t>(entries)); }
 };
 
 /**
@@ -164,38 +98,26 @@ struct StateChunkMsg : net::Message
  * answers proves the sender was a member of the latest membership when
  * its speculative reads executed, validating them without any lease.
  */
-struct EpochCheckMsg : net::Message
+struct EpochCheckMsg
+    : net::WireMsg<EpochCheckMsg, net::MsgType::HermesEpochCheck>
 {
-    EpochCheckMsg() : Message(net::MsgType::HermesEpochCheck) {}
-
     uint64_t nonce = 0;
 
-    size_t payloadSize() const override { return 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(nonce);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(nonce); }
 };
 
 /** Same-epoch acknowledgment of an EpochCheckMsg. */
-struct EpochCheckAckMsg : net::Message
+struct EpochCheckAckMsg
+    : net::WireMsg<EpochCheckAckMsg, net::MsgType::HermesEpochCheckAck>
 {
-    EpochCheckAckMsg() : Message(net::MsgType::HermesEpochCheckAck) {}
-
     uint64_t nonce = 0;
 
-    size_t payloadSize() const override { return 8; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU64(nonce);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(nonce); }
 };
 
-/** Register decoders for Hermes message types (idempotent). */
+/** Register the Hermes message types (idempotent). */
 void registerHermesCodecs();
 
 } // namespace hermes::proto

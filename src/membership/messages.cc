@@ -3,147 +3,15 @@
 namespace hermes::membership
 {
 
-namespace
-{
-
-void
-putView(BufWriter &writer, const MembershipView &view)
-{
-    writer.putU32(view.epoch);
-    writer.putU32(static_cast<uint32_t>(view.live.size()));
-    for (NodeId n : view.live)
-        writer.putU32(n);
-}
-
-MembershipView
-getView(BufReader &reader)
-{
-    MembershipView view;
-    view.epoch = reader.getU32();
-    uint32_t count = reader.getU32();
-    for (uint32_t i = 0; i < count && reader.ok(); ++i)
-        view.live.push_back(reader.getU32());
-    return view;
-}
-
-void
-putBallot(BufWriter &writer, const Ballot &ballot)
-{
-    writer.putU32(ballot.round);
-    writer.putU32(ballot.node);
-}
-
-Ballot
-getBallot(BufReader &reader)
-{
-    Ballot ballot;
-    ballot.round = reader.getU32();
-    ballot.node = reader.getU32();
-    return ballot;
-}
-
-} // namespace
-
-size_t
-RmPromiseMsg::payloadSize() const
-{
-    size_t size = 4 + 8 + 1 + 8 + 1; // epoch, ballot, ok, promised, flag
-    if (reply.acceptedBallot)
-        size += 8 + 8 + 4 * (reply.acceptedValue
-                                 ? reply.acceptedValue->live.size()
-                                 : 0);
-    return size;
-}
-
-void
-RmPromiseMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU32(targetEpoch);
-    putBallot(writer, ballot);
-    writer.putU8(reply.ok ? 1 : 0);
-    putBallot(writer, reply.promised);
-    bool has = reply.acceptedBallot && reply.acceptedValue;
-    writer.putU8(has ? 1 : 0);
-    if (has) {
-        putBallot(writer, *reply.acceptedBallot);
-        putView(writer, *reply.acceptedValue);
-    }
-}
-
-size_t
-RmAcceptMsg::payloadSize() const
-{
-    return 4 + 8 + 8 + 4 * value.live.size();
-}
-
-void
-RmAcceptMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU32(targetEpoch);
-    putBallot(writer, ballot);
-    putView(writer, value);
-}
-
-void
-RmAcceptedMsg::serializePayload(BufWriter &writer) const
-{
-    writer.putU32(targetEpoch);
-    putBallot(writer, ballot);
-    writer.putU8(reply.ok ? 1 : 0);
-    putBallot(writer, reply.promised);
-}
-
-void
-RmDecideMsg::serializePayload(BufWriter &writer) const
-{
-    putView(writer, view);
-}
-
 void
 registerRmCodecs()
 {
-    using net::MsgType;
-    net::registerDecoder(MsgType::RmHeartbeat, [](BufReader &) {
-        return std::make_shared<RmHeartbeatMsg>();
-    });
-    net::registerDecoder(MsgType::RmPrepare, [](BufReader &reader) {
-        auto msg = std::make_shared<RmPrepareMsg>();
-        msg->targetEpoch = reader.getU32();
-        msg->ballot = getBallot(reader);
-        return msg;
-    });
-    net::registerDecoder(MsgType::RmPromise, [](BufReader &reader) {
-        auto msg = std::make_shared<RmPromiseMsg>();
-        msg->targetEpoch = reader.getU32();
-        msg->ballot = getBallot(reader);
-        msg->reply.ok = reader.getU8() != 0;
-        msg->reply.promised = getBallot(reader);
-        if (reader.getU8() != 0) {
-            msg->reply.acceptedBallot = getBallot(reader);
-            msg->reply.acceptedValue = getView(reader);
-        }
-        return msg;
-    });
-    net::registerDecoder(MsgType::RmAccept, [](BufReader &reader) {
-        auto msg = std::make_shared<RmAcceptMsg>();
-        msg->targetEpoch = reader.getU32();
-        msg->ballot = getBallot(reader);
-        msg->value = getView(reader);
-        return msg;
-    });
-    net::registerDecoder(MsgType::RmAccepted, [](BufReader &reader) {
-        auto msg = std::make_shared<RmAcceptedMsg>();
-        msg->targetEpoch = reader.getU32();
-        msg->ballot = getBallot(reader);
-        msg->reply.ok = reader.getU8() != 0;
-        msg->reply.promised = getBallot(reader);
-        return msg;
-    });
-    net::registerDecoder(MsgType::RmDecide, [](BufReader &reader) {
-        auto msg = std::make_shared<RmDecideMsg>();
-        msg->view = getView(reader);
-        return msg;
-    });
+    net::registerMessage<RmHeartbeatMsg>();
+    net::registerMessage<RmPrepareMsg>();
+    net::registerMessage<RmPromiseMsg>();
+    net::registerMessage<RmAcceptMsg>();
+    net::registerMessage<RmAcceptedMsg>();
+    net::registerMessage<RmDecideMsg>();
 }
 
 } // namespace hermes::membership

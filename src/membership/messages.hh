@@ -17,84 +17,70 @@ namespace hermes::membership
 {
 
 /** Liveness beacon; the envelope epoch doubles as the sender's view. */
-struct RmHeartbeatMsg : net::Message
+struct RmHeartbeatMsg : net::WireMsg<RmHeartbeatMsg, net::MsgType::RmHeartbeat>
 {
-    RmHeartbeatMsg() : Message(net::MsgType::RmHeartbeat) {}
-
-    size_t payloadSize() const override { return 0; }
-    void serializePayload(BufWriter &) const override {}
+    template <typename Ar>
+    void wire(Ar &) {}
 };
 
 /** Paxos phase 1a for the decision instance creating @ref targetEpoch. */
-struct RmPrepareMsg : net::Message
+struct RmPrepareMsg : net::WireMsg<RmPrepareMsg, net::MsgType::RmPrepare>
 {
-    RmPrepareMsg() : Message(net::MsgType::RmPrepare) {}
-
     Epoch targetEpoch = 0;
     Ballot ballot;
 
-    size_t payloadSize() const override { return 12; }
-
-    void
-    serializePayload(BufWriter &writer) const override
-    {
-        writer.putU32(targetEpoch);
-        writer.putU32(ballot.round);
-        writer.putU32(ballot.node);
-    }
+    template <typename Ar>
+    void wire(Ar &ar) { ar(targetEpoch, ballot); }
 };
 
 /** Paxos phase 1b. */
-struct RmPromiseMsg : net::Message
+struct RmPromiseMsg : net::WireMsg<RmPromiseMsg, net::MsgType::RmPromise>
 {
-    RmPromiseMsg() : Message(net::MsgType::RmPromise) {}
-
     Epoch targetEpoch = 0;
     Ballot ballot;                       ///< the prepare this answers
     PaxosAcceptor::PrepareReply reply;
 
-    size_t payloadSize() const override;
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void
+    wire(Ar &ar)
+    {
+        ar(targetEpoch, ballot, reply.ok, reply.promised,
+           net::together(reply.acceptedBallot, reply.acceptedValue));
+    }
 };
 
 /** Paxos phase 2a. */
-struct RmAcceptMsg : net::Message
+struct RmAcceptMsg : net::WireMsg<RmAcceptMsg, net::MsgType::RmAccept>
 {
-    RmAcceptMsg() : Message(net::MsgType::RmAccept) {}
-
     Epoch targetEpoch = 0;
     Ballot ballot;
     MembershipView value;
 
-    size_t payloadSize() const override;
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(targetEpoch, ballot, value); }
 };
 
 /** Paxos phase 2b. */
-struct RmAcceptedMsg : net::Message
+struct RmAcceptedMsg : net::WireMsg<RmAcceptedMsg, net::MsgType::RmAccepted>
 {
-    RmAcceptedMsg() : Message(net::MsgType::RmAccepted) {}
-
     Epoch targetEpoch = 0;
     Ballot ballot;
     PaxosAcceptor::AcceptReply reply{false, {}};
 
-    size_t payloadSize() const override { return 12 + 9; }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(targetEpoch, ballot, reply.ok, reply.promised); }
 };
 
 /** Learn a decided m-update (also used for anti-entropy on lag). */
-struct RmDecideMsg : net::Message
+struct RmDecideMsg : net::WireMsg<RmDecideMsg, net::MsgType::RmDecide>
 {
-    RmDecideMsg() : Message(net::MsgType::RmDecide) {}
-
     MembershipView view;
 
-    size_t payloadSize() const override { return 8 + 4 * view.live.size(); }
-    void serializePayload(BufWriter &writer) const override;
+    template <typename Ar>
+    void wire(Ar &ar) { ar(view); }
 };
 
-/** Register decoders for all RM message types (idempotent). */
+/** Register all RM message types (idempotent). */
 void registerRmCodecs();
 
 } // namespace hermes::membership

@@ -30,6 +30,9 @@ struct Ballot
     uint32_t round = 0;
     NodeId node = kInvalidNode;
 
+    template <typename Ar>
+    void wire(Ar &ar) { ar(round, node); }
+
     auto operator<=>(const Ballot &) const = default;
 
     bool valid() const { return node != kInvalidNode; }

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/types.hh"
+#include "net/message.hh"
 
 namespace hermes::membership
 {
@@ -27,6 +28,10 @@ struct MembershipView
     NodeSet live;
 
     bool operator==(const MembershipView &) const = default;
+
+    /** Wire layout (net/message.hh): epoch, then a u32-counted list. */
+    template <typename Ar>
+    void wire(Ar &ar) { ar(epoch, net::counted<uint32_t>(live)); }
 
     /** @return true iff @p node is in the live set. */
     bool isLive(NodeId node) const { return contains(live, node); }

@@ -11,7 +11,8 @@ BatchMsg::serializePayload(BufWriter &writer) const
     writer.putU16(static_cast<uint16_t>(msgs.size()));
     for (const MessagePtr &msg : msgs) {
         // Each inner frame's length is known up front (kEnvelopeBytes +
-        // payloadSize(), an invariant the round-trip tests pin), so the
+        // payloadSize(), derived from the field list the encoder
+        // writes; the golden-bytes and round-trip tests pin it), so the
         // envelope can encode inline through the SAME writer — in gather
         // mode the inner messages' values ride as scatter segments and
         // batching composes with the zero-copy path.

@@ -6,58 +6,8 @@ namespace hermes::net
 void
 registerClientCodecs()
 {
-    registerDecoder(MsgType::ClientRequest, [](BufReader &reader) {
-        auto msg = std::make_shared<ClientRequestMsg>();
-        msg->op = static_cast<ClientRequestMsg::Op>(reader.getU8());
-        msg->reqId = reader.getU64();
-        msg->key = reader.getU64();
-        msg->shard = reader.getU32();
-        msg->numShards = reader.getU32();
-        msg->mapEpoch = reader.getU32();
-        msg->value = reader.getValue();
-        msg->expected = reader.getValue();
-        return msg;
-    });
-    registerDecoder(MsgType::ClientReply, [](BufReader &reader) {
-        auto msg = std::make_shared<ClientReplyMsg>();
-        msg->reqId = reader.getU64();
-        msg->status = static_cast<ClientReplyMsg::Status>(reader.getU8());
-        msg->ok = reader.getU8() != 0;
-        msg->shard = reader.getU32();
-        msg->mapShards = reader.getU32();
-        msg->mapShard = reader.getU32();
-        msg->credits = reader.getU32();
-        uint16_t shards = reader.getU16();
-        // Bound the map by the bytes actually present: a corrupt count
-        // cannot balloon the allocation past the frame (2 bytes per port
-        // list at minimum), and any underrun trips reader.ok() below.
-        if (2ull * shards <= reader.remaining()) {
-            msg->mapPorts.resize(shards);
-            for (uint16_t s = 0; s < shards && reader.ok(); ++s) {
-                uint16_t n = reader.getU16();
-                if (2ull * n > reader.remaining())
-                    return std::shared_ptr<ClientReplyMsg>();
-                msg->mapPorts[s].reserve(n);
-                for (uint16_t i = 0; i < n; ++i)
-                    msg->mapPorts[s].push_back(reader.getU16());
-            }
-        } else if (shards != 0) {
-            return std::shared_ptr<ClientReplyMsg>();
-        }
-        msg->mapEpoch = reader.getU32();
-        uint16_t owners = reader.getU16();
-        // Same bytes-present bound as mapPorts: a corrupt count cannot
-        // balloon the allocation past the frame.
-        if (2ull * owners <= reader.remaining()) {
-            msg->slotOwners.reserve(owners);
-            for (uint16_t i = 0; i < owners; ++i)
-                msg->slotOwners.push_back(reader.getU16());
-        } else if (owners != 0) {
-            return std::shared_ptr<ClientReplyMsg>();
-        }
-        msg->value = reader.getValue();
-        return msg;
-    });
+    registerMessage<ClientRequestMsg>();
+    registerMessage<ClientReplyMsg>();
 }
 
 } // namespace hermes::net

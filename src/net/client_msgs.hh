@@ -17,7 +17,8 @@ namespace hermes::net
  * One shard's contact addresses: the TCP ports (localhost deployment) of
  * the replica group serving that shard, dialing order = replica order.
  * An empty list means "this service does not know that shard's address"
- * (a standalone single-group service only knows itself).
+ * (a standalone single-group service only knows itself). On the wire:
+ * a u16 count, then u16 ports.
  */
 using ShardPorts = std::vector<uint16_t>;
 
@@ -30,7 +31,7 @@ using ShardPorts = std::vector<uint16_t>;
 using ShardAddressMap = std::vector<ShardPorts>;
 
 /** One client operation. */
-struct ClientRequestMsg : Message
+struct ClientRequestMsg : WireMsg<ClientRequestMsg, MsgType::ClientRequest>
 {
     enum class Op : uint8_t
     {
@@ -45,8 +46,6 @@ struct ClientRequestMsg : Message
          */
         Hello = 3,
     };
-
-    ClientRequestMsg() : Message(MsgType::ClientRequest) {}
 
     Op op = Op::Read;
     uint64_t reqId = 0;
@@ -80,33 +79,16 @@ struct ClientRequestMsg : Message
     ValueRef value;    ///< write value / CAS desired
     ValueRef expected; ///< CAS expected
 
-    size_t payloadSize() const override
-    {
-        return 1 + 8 + 8 + 4 + 4 + 4 + 4 + value.size() + 4
-               + expected.size();
-    }
-
-    size_t valueBytes() const override
-    {
-        return value.size() + expected.size();
-    }
-
+    template <typename Ar>
     void
-    serializePayload(BufWriter &writer) const override
+    wire(Ar &ar)
     {
-        writer.putU8(static_cast<uint8_t>(op));
-        writer.putU64(reqId);
-        writer.putU64(key);
-        writer.putU32(shard);
-        writer.putU32(numShards);
-        writer.putU32(mapEpoch);
-        writer.putValue(value);
-        writer.putValue(expected);
+        ar(op, reqId, key, shard, numShards, mapEpoch, value, expected);
     }
 };
 
 /** Completion of a client operation. */
-struct ClientReplyMsg : Message
+struct ClientReplyMsg : WireMsg<ClientReplyMsg, MsgType::ClientReply>
 {
     /** Why a request was (not) served. */
     enum class Status : uint8_t
@@ -128,8 +110,6 @@ struct ClientReplyMsg : Message
          */
         RetriesExhausted = 2,
     };
-
-    ClientReplyMsg() : Message(MsgType::ClientReply) {}
 
     uint64_t reqId = 0;
     Status status = Status::Ok;
@@ -180,42 +160,17 @@ struct ClientReplyMsg : Message
     std::vector<uint16_t> slotOwners;
     ValueRef value;  ///< read result / CAS observed value
 
-    size_t payloadSize() const override
-    {
-        size_t map_bytes = 2;
-        for (const ShardPorts &ports : mapPorts)
-            map_bytes += 2 + 2 * ports.size();
-        return 8 + 1 + 1 + 4 + 4 + 4 + 4 + map_bytes + 4 + 2
-               + 2 * slotOwners.size() + 4 + value.size();
-    }
-
-    size_t valueBytes() const override { return value.size(); }
-
+    template <typename Ar>
     void
-    serializePayload(BufWriter &writer) const override
+    wire(Ar &ar)
     {
-        writer.putU64(reqId);
-        writer.putU8(static_cast<uint8_t>(status));
-        writer.putU8(ok ? 1 : 0);
-        writer.putU32(shard);
-        writer.putU32(mapShards);
-        writer.putU32(mapShard);
-        writer.putU32(credits);
-        writer.putU16(static_cast<uint16_t>(mapPorts.size()));
-        for (const ShardPorts &ports : mapPorts) {
-            writer.putU16(static_cast<uint16_t>(ports.size()));
-            for (uint16_t port : ports)
-                writer.putU16(port);
-        }
-        writer.putU32(mapEpoch);
-        writer.putU16(static_cast<uint16_t>(slotOwners.size()));
-        for (uint16_t owner : slotOwners)
-            writer.putU16(owner);
-        writer.putValue(value);
+        ar(reqId, status, ok, shard, mapShards, mapShard, credits,
+           counted<uint16_t, uint16_t>(mapPorts), mapEpoch,
+           counted<uint16_t>(slotOwners), value);
     }
 };
 
-/** Register decoders for the client framing (idempotent). */
+/** Register the client framing messages (idempotent). */
 void registerClientCodecs();
 
 } // namespace hermes::net

@@ -195,6 +195,42 @@ DialBackoff::noteDialAttempt()
     g_dial_attempts.fetch_add(1, std::memory_order_relaxed);
 }
 
+int
+dialClient(uint16_t port, int connect_attempts, uint32_t session_credits)
+{
+    int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    DialBackoff backoff;
+    for (int attempt = 0; attempt < connect_attempts; ++attempt) {
+        DialBackoff::noteDialAttempt();
+        if (connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                    sizeof(addr)) == 0) {
+            setNoDelay(fd);
+            uint8_t hello[12];
+            leStore32(hello, kHelloMagic);
+            leStore32(hello + 4, kHelloClient);
+            leStore32(hello + 8, session_credits);
+            if (send(fd, hello, sizeof(hello), MSG_NOSIGNAL) ==
+                    static_cast<ssize_t>(sizeof(hello)))
+                return fd;
+            break;
+        }
+        // No immediate redial, and no sleep after the final failure:
+        // the backoff paces the retries, the attempt budget bounds them.
+        if (attempt + 1 < connect_attempts) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(backoff.nextDelayMs()));
+        }
+    }
+    close(fd);
+    return -1;
+}
+
 // ---------------------------------------------------------------------
 // NodeLoop
 // ---------------------------------------------------------------------
@@ -1448,41 +1484,8 @@ TcpCluster::resetSessionStats()
 
 TcpClient::TcpClient(uint16_t port, int connect_attempts,
                      uint32_t session_credits)
-    : fd_(-1)
-{
-    int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    DialBackoff backoff;
-    for (int attempt = 0; attempt < connect_attempts; ++attempt) {
-        DialBackoff::noteDialAttempt();
-        if (connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                    sizeof(addr)) == 0) {
-            setNoDelay(fd);
-            uint8_t hello[12];
-            leStore32(hello, kHelloMagic);
-            leStore32(hello + 4, kHelloClient);
-            leStore32(hello + 8, session_credits);
-            if (send(fd, hello, sizeof(hello), MSG_NOSIGNAL) ==
-                    static_cast<ssize_t>(sizeof(hello))) {
-                fd_ = fd;
-                return;
-            }
-            break;
-        }
-        // No immediate redial, and no sleep after the final failure:
-        // the backoff paces the retries, the attempt budget bounds them.
-        if (attempt + 1 < connect_attempts) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoff.nextDelayMs()));
-        }
-    }
-    close(fd);
-}
+    : fd_(dialClient(port, connect_attempts, session_credits))
+{}
 
 TcpClient::~TcpClient()
 {

@@ -101,6 +101,15 @@ class DialBackoff
     uint64_t state_;
 };
 
+/**
+ * Open a client session to the replica listening on @p port (localhost):
+ * up to @p connect_attempts connects paced by a DialBackoff, each one
+ * ticking dialAttempts(); then TCP_NODELAY and the 12-byte client hello
+ * requesting @p session_credits (0 = the server's default).
+ * @return the connected blocking fd, or -1.
+ */
+int dialClient(uint16_t port, int connect_attempts, uint32_t session_credits);
+
 /** Tuning knobs for the Wings-over-TCP layer. */
 struct TcpConfig
 {

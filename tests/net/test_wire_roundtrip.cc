@@ -1,13 +1,19 @@
 /**
  * @file
- * Exhaustive encode/decode round-trips for every Hermes, membership and
- * client wire message type, plus a truncation sweep asserting that every
- * strict prefix of every valid frame is rejected (treated as loss, never
- * crashing or mis-decoding a replica).
+ * Exhaustive encode/decode round-trips for every Hermes, membership,
+ * client, CRAQ, ZAB and lock-step wire message type, plus a truncation
+ * sweep asserting that every strict prefix of every valid frame is
+ * rejected (treated as loss, never crashing or mis-decoding a replica),
+ * and corrupt element counts that claim more than the frame holds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/craq/messages.hh"
+#include "baselines/lockstep/replica.hh"
+#include "baselines/zab/replica.hh"
 #include "hermes/messages.hh"
 #include "membership/messages.hh"
 #include "net/batcher.hh"
@@ -26,6 +32,9 @@ registerAllCodecs()
     membership::registerRmCodecs();
     net::registerClientCodecs();
     net::registerBatchCodec();
+    craq::registerCraqCodecs();
+    zab::registerZabCodecs();
+    lockstep::registerLockstepCodecs();
 }
 
 std::vector<uint8_t>
@@ -345,6 +354,146 @@ TEST(WireRoundTrip, ClientShardIdExtremesSurvive)
     }
 }
 
+craq::WriteMsg
+sampleCraqWrite()
+{
+    craq::WriteMsg write;
+    write.key = 21;
+    write.version = 5;
+    write.value = std::string(90, 'c');
+    write.origin = 2;
+    write.reqId = 0x1234;
+    return stampEnvelope(std::move(write));
+}
+
+TEST(WireRoundTrip, CraqMessages)
+{
+    registerAllCodecs();
+    auto write = roundTrip(sampleCraqWrite());
+    EXPECT_EQ(write.key, 21u);
+    EXPECT_EQ(write.version, 5u);
+    EXPECT_EQ(write.value, std::string(90, 'c'));
+    EXPECT_EQ(write.origin, 2u);
+    EXPECT_EQ(write.reqId, 0x1234u);
+
+    craq::ForwardMsg fwd;
+    fwd.key = 22;
+    fwd.value = "fwd";
+    fwd.origin = 1;
+    fwd.reqId = 77;
+    auto outFwd = roundTrip(stampEnvelope(fwd));
+    EXPECT_EQ(outFwd.key, 22u);
+    EXPECT_EQ(outFwd.value, "fwd");
+    EXPECT_EQ(outFwd.origin, 1u);
+    EXPECT_EQ(outFwd.reqId, 77u);
+
+    craq::WriteAckMsg ack;
+    ack.key = 23;
+    ack.version = 6;
+    ack.origin = 0;
+    ack.reqId = 78;
+    auto outAck = roundTrip(stampEnvelope(ack));
+    EXPECT_EQ(outAck.key, 23u);
+    EXPECT_EQ(outAck.version, 6u);
+    EXPECT_EQ(outAck.origin, 0u);
+    EXPECT_EQ(outAck.reqId, 78u);
+
+    craq::VersionQueryMsg query;
+    query.key = 24;
+    query.reqId = 79;
+    auto outQuery = roundTrip(stampEnvelope(query));
+    EXPECT_EQ(outQuery.key, 24u);
+    EXPECT_EQ(outQuery.reqId, 79u);
+
+    craq::VersionReplyMsg reply;
+    reply.key = 24;
+    reply.version = 9;
+    reply.reqId = 79;
+    auto outReply = roundTrip(stampEnvelope(reply));
+    EXPECT_EQ(outReply.key, 24u);
+    EXPECT_EQ(outReply.version, 9u);
+    EXPECT_EQ(outReply.reqId, 79u);
+}
+
+zab::ProposeMsg
+sampleZabPropose()
+{
+    zab::ProposeMsg propose;
+    propose.zxid = 0x200000001ull;
+    propose.key = 31;
+    propose.value = "proposed";
+    propose.origin = 1;
+    propose.reqId = 81;
+    return stampEnvelope(std::move(propose));
+}
+
+TEST(WireRoundTrip, ZabMessages)
+{
+    registerAllCodecs();
+    auto propose = roundTrip(sampleZabPropose());
+    EXPECT_EQ(propose.zxid, 0x200000001ull);
+    EXPECT_EQ(propose.key, 31u);
+    EXPECT_EQ(propose.value, "proposed");
+    EXPECT_EQ(propose.origin, 1u);
+    EXPECT_EQ(propose.reqId, 81u);
+
+    zab::ForwardMsg fwd;
+    fwd.key = 32;
+    fwd.value = std::string(100, 'f');
+    fwd.origin = 2;
+    fwd.reqId = 82;
+    auto outFwd = roundTrip(stampEnvelope(fwd));
+    EXPECT_EQ(outFwd.key, 32u);
+    EXPECT_EQ(outFwd.value, std::string(100, 'f'));
+    EXPECT_EQ(outFwd.origin, 2u);
+    EXPECT_EQ(outFwd.reqId, 82u);
+
+    zab::AckMsg ack;
+    ack.zxid = 0x200000001ull;
+    EXPECT_EQ(roundTrip(stampEnvelope(ack)).zxid, 0x200000001ull);
+
+    zab::CommitMsg commit;
+    commit.zxid = 0x200000002ull;
+    EXPECT_EQ(roundTrip(stampEnvelope(commit)).zxid, 0x200000002ull);
+}
+
+lockstep::RoundMsg
+sampleRound()
+{
+    lockstep::RoundMsg round;
+    round.round = 12;
+    round.entries.push_back({41, "first", 0, 1});
+    round.entries.push_back({42, std::string(80, 'r'), 2, 2});
+    round.entries.push_back({43, "", 1, 3});
+    return stampEnvelope(std::move(round));
+}
+
+TEST(WireRoundTrip, LockstepMessages)
+{
+    registerAllCodecs();
+    auto round = roundTrip(sampleRound());
+    EXPECT_EQ(round.round, 12u);
+    ASSERT_EQ(round.entries.size(), 3u);
+    EXPECT_EQ(round.entries[0].key, 41u);
+    EXPECT_EQ(round.entries[0].value, "first");
+    EXPECT_EQ(round.entries[1].value, std::string(80, 'r'));
+    EXPECT_EQ(round.entries[1].origin, 2u);
+    EXPECT_EQ(round.entries[2].value, "");
+    EXPECT_EQ(round.entries[2].reqId, 3u);
+
+    lockstep::SubmitMsg submit;
+    submit.entry = {44, "submitted", 1, 99};
+    auto outSubmit = roundTrip(stampEnvelope(submit));
+    EXPECT_EQ(outSubmit.entry.key, 44u);
+    EXPECT_EQ(outSubmit.entry.value, "submitted");
+    EXPECT_EQ(outSubmit.entry.origin, 1u);
+    EXPECT_EQ(outSubmit.entry.reqId, 99u);
+
+    lockstep::RoundAckMsg ack;
+    ack.round = 12;
+    EXPECT_EQ(roundTrip(stampEnvelope(ack)).round, 12u);
+}
+
 net::BatchMsg
 sampleBatch()
 {
@@ -472,6 +621,76 @@ TEST(WireTruncation, EveryPrefixOfEveryMessageIsRejected)
     expectAllPrefixesRejected(stampEnvelope(reply));
 
     expectAllPrefixesRejected(sampleBatch());
+
+    expectAllPrefixesRejected(sampleCraqWrite());
+    craq::ForwardMsg craqFwd;
+    craqFwd.value = "v";
+    expectAllPrefixesRejected(stampEnvelope(craqFwd));
+    expectAllPrefixesRejected(stampEnvelope(craq::WriteAckMsg{}));
+    expectAllPrefixesRejected(stampEnvelope(craq::VersionQueryMsg{}));
+    expectAllPrefixesRejected(stampEnvelope(craq::VersionReplyMsg{}));
+
+    expectAllPrefixesRejected(sampleZabPropose());
+    zab::ForwardMsg zabFwd;
+    zabFwd.value = "v";
+    expectAllPrefixesRejected(stampEnvelope(zabFwd));
+    expectAllPrefixesRejected(stampEnvelope(zab::AckMsg{}));
+    expectAllPrefixesRejected(stampEnvelope(zab::CommitMsg{}));
+
+    expectAllPrefixesRejected(sampleRound());
+    lockstep::SubmitMsg submit;
+    submit.entry = {1, "v", 0, 1};
+    expectAllPrefixesRejected(stampEnvelope(submit));
+    expectAllPrefixesRejected(stampEnvelope(lockstep::RoundAckMsg{}));
+}
+
+/**
+ * Overwrite the count at byte @p offset of @p msg 's frame with all-ones
+ * of @p width bytes and cut the frame short after it: the decoder must
+ * reject the frame instead of allocating what the count claims.
+ */
+void
+expectHugeCountRejected(const net::Message &msg, size_t offset,
+                        size_t width)
+{
+    auto bytes = encode(msg);
+    ASSERT_LE(offset + width, bytes.size());
+    for (size_t i = 0; i < width; ++i)
+        bytes[offset + i] = 0xFF;
+    // Full frame with the bad count, and the count plus a short body.
+    for (size_t len : {bytes.size(), offset + width + 3}) {
+        len = std::min(len, bytes.size());
+        EXPECT_EQ(net::decodeMessage(bytes.data(), len), nullptr)
+            << net::msgTypeName(msg.type()) << ": count at byte " << offset
+            << " decoded from " << len << " bytes";
+    }
+}
+
+TEST(WireTruncation, HugeCountsAreRejected)
+{
+    registerAllCodecs();
+    // Offsets count the 9-byte envelope (type, src, epoch).
+    proto::StateChunkMsg chunk;
+    chunk.entries.push_back({1, {2, 0}, 0, true, "value"});
+    expectHugeCountRejected(stampEnvelope(chunk), 9 + 8 + 1, 4);
+
+    expectHugeCountRejected(sampleRound(), 9 + 8, 4);
+
+    membership::RmDecideMsg decide;
+    decide.view = {3, {0, 1, 2}};
+    expectHugeCountRejected(stampEnvelope(decide), 9 + 4, 4);
+
+    net::ClientReplyMsg reply;
+    reply.mapPorts = {{17000, 17001}, {17003}};
+    reply.slotOwners = {1, 0, 1};
+    reply.value = "v";
+    // reqId, status, ok, shard, mapShards, mapShard, credits.
+    const size_t ports = 9 + 8 + 1 + 1 + 4 + 4 + 4 + 4;
+    expectHugeCountRejected(stampEnvelope(reply), ports, 2);
+    // The first port list's own count.
+    expectHugeCountRejected(stampEnvelope(reply), ports + 2, 2);
+    // Past the map (2 + 2+4 + 2+2 bytes) and mapEpoch: slotOwners.
+    expectHugeCountRejected(stampEnvelope(reply), ports + 12 + 4, 2);
 }
 
 } // namespace
