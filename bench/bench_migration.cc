@@ -96,7 +96,8 @@ runPoint(bool migrate)
         // the move window can be measured exactly.
         auto poll = std::make_shared<std::function<void()>>();
         *poll = [&cluster, &point, poll] {
-            if (cluster.migrationActive() || !cluster.migrationsCompleted()) {
+            if (cluster.migrationActive()
+                    || !cluster.migration().migrationsCompleted()) {
                 cluster.runtime().events().scheduleAt(
                     cluster.now() + 250_us, [poll] { (*poll)(); });
                 return;
@@ -121,8 +122,8 @@ runPoint(bool migrate)
     app::LoadDriver driver(cluster, driver_config);
     point.result = driver.run();
 
-    point.slotsMigrated = cluster.slotsMigrated();
-    point.writesParked = cluster.migrationWritesParked();
+    point.slotsMigrated = cluster.migration().slotsMigrated();
+    point.writesParked = cluster.migration().migrationWritesParked();
     point.linOk = app::checkShardedHistory(point.result.history, 1u << 22,
                                            app::LinMode::Jit)
                       .ok();

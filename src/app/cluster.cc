@@ -11,16 +11,10 @@ shardOfKey(Key key, size_t num_shards)
 {
     if (num_shards <= 1)
         return 0; // also the 0 = unknown-map degenerate case: never % 0
-    // Key → slot → shard: the uniform (epoch-1) SlotMap placement, as a
-    // pure function of (key, numShards) so every client and every node
-    // computes the same owner with no coordination. For POWER-OF-TWO
-    // shard counts (S | kNumSlots) `slot % S` equals the legacy direct
-    // `splitmix64(key) % S`, so the golden shard expectations and
-    // recorded histories — all at such counts — are unchanged; other
-    // counts get a consistent but different placement (see kNumSlots).
-    // Deployments whose ownership has diverged from uniform
-    // (post-migration) route through their live SlotMap instead of this
-    // static default.
+    // Key → slot → shard: SlotMap::uniform's placement (slot % S), as
+    // a pure function of (key, numShards) that workload generators and
+    // tests pick keys by. Routing goes through a live SlotMap, which
+    // migrations change.
     return slotOfKey(key) % num_shards;
 }
 
@@ -88,22 +82,16 @@ SimCluster::optionsForNode(uint32_t shard, NodeId id) const
     // drives both the coalescing behavior and its charged costs.
     options.batch = config_.cost.batchPolicy();
     if (!config_.walDir.empty()) {
-        options.wal.path =
-            config_.walDir + "/node" + std::to_string(id) + ".wal";
+        options.wal.path = config_.walDir;
         options.wal.fsync = config_.walFsync;
-        options.wal.shard = shard;
         // Durability costs follow the cost model too, so sweeps toggle
         // one set of knobs and histories without a WAL stay identical.
         options.wal.appendPerByteNs = config_.cost.walAppendPerByteNs;
         options.wal.fsyncNs = config_.cost.fsyncNs;
-        // Recovery ownership follows the LIVE map at replay time, not
-        // the map at append time: a restart straddling a cutover must
-        // not resurrect slots this shard no longer owns.
-        options.walRecoveryOwned = [this, shard](Key k) {
-            return slotMap_.ownerOf(k) == shard;
-        };
     }
-    return options;
+    return durableOptions(std::move(options), shard,
+                          id - shardMap_.baseOf(shard),
+                          [this](Key key) { return slotMap_.ownerOf(key); });
 }
 
 void
@@ -115,7 +103,7 @@ SimCluster::crashRestartNode(NodeId id)
 }
 
 void
-SimCluster::queueJob(NodeId id, RestartJob job)
+SimCluster::queueJob(NodeId id, ReplicaJob job)
 {
     runtime_->submit(id, 0, [this, id, job = std::move(job)] {
         job.run(*replicas_[id]);
@@ -176,11 +164,36 @@ SimCluster::read(NodeId node, Key key, ReplicaHandle::ReadCallback cb)
                      });
 }
 
+template <typename Op>
+void
+SimCluster::submitWrite(NodeId node, Key key, Op op)
+{
+    hermes_assert(shardMap_.shardOfNode(node) == shardOf(key));
+    auto committed = migration_.admitOp(
+        key, true, shardMap_.shardOfNode(node), node, incarnation(node), [&] {
+            // Applying at the source now could outrun the final drain and
+            // be lost: the op re-runs wherever the map routes once the
+            // migration ends.
+            return [this, key, op = std::move(op)]() mutable {
+                NodeId owner = liveRouteNode(key);
+                if (owner != kInvalidNode) // group down: stays pending, legal
+                    submitWrite(owner, key, std::move(op));
+            };
+        });
+    if (!committed)
+        return;
+    const sim::CostModel &cost = config_.cost;
+    runtime_->submit(node, cost.clientOpNs + cost.kvsOpNs,
+                     [this, node, op = std::move(op),
+                      committed = std::move(*committed)]() mutable {
+                         op(*replicas_[node], std::move(committed));
+                     });
+}
+
 void
 SimCluster::write(NodeId node, Key key, ValueRef value,
                   ReplicaHandle::WriteCallback cb)
 {
-    hermes_assert(shardMap_.shardOfNode(node) == shardOf(key));
     if (config_.buggyAckBeforeCommitAtEpoch > 0) {
         // Explorer self-test shim: past the armed epoch the client sees
         // the write complete now, while commit (INV/ACK/VAL) is still in
@@ -192,69 +205,29 @@ SimCluster::write(NodeId node, Key key, ValueRef value,
             cb = [] {};
         }
     }
-    Admission admission =
-        migration_.admit(key, true, node, incarnation(node));
-    if (admission.verdict == Admission::Verdict::Park) {
-        // Applying at the source now could outrun the final drain and be
-        // lost: the op re-runs wherever the map routes once the
-        // migration ends.
-        migration_.park([this, key, value = std::move(value),
-                         cb = std::move(cb)]() mutable {
-            NodeId owner = liveRouteNode(key);
-            if (owner != kInvalidNode) // group down: stays pending, legal
-                write(owner, key, std::move(value), std::move(cb));
-        });
-        return;
-    }
-    if (admission.verdict == Admission::Verdict::Track) {
-        cb = [this, key, admission, inner = std::move(cb)] {
-            migration_.finishTracked(key, admission);
-            inner();
-        };
-    }
-    const sim::CostModel &cost = config_.cost;
-    runtime_->submit(node, cost.clientOpNs + cost.kvsOpNs,
-                     [this, node, key, value = std::move(value),
-                      cb = std::move(cb)]() mutable {
-                         replicas_[node]->write(key, std::move(value),
-                                                std::move(cb));
-                     });
+    submitWrite(node, key,
+                [key, value = std::move(value), cb = std::move(cb)](
+                    ReplicaHandle &replica,
+                    std::function<void()> committed) mutable {
+                    replica.write(key, std::move(value),
+                                  afterCommit(std::move(cb),
+                                              std::move(committed)));
+                });
 }
 
 void
 SimCluster::cas(NodeId node, Key key, ValueRef expected, ValueRef desired,
                 ReplicaHandle::CasCallback cb)
 {
-    hermes_assert(shardMap_.shardOfNode(node) == shardOf(key));
-    Admission admission =
-        migration_.admit(key, true, node, incarnation(node));
-    if (admission.verdict == Admission::Verdict::Park) {
-        migration_.park([this, key, expected = std::move(expected),
-                         desired = std::move(desired),
-                         cb = std::move(cb)]() mutable {
-            NodeId owner = liveRouteNode(key);
-            if (owner != kInvalidNode)
-                cas(owner, key, std::move(expected), std::move(desired),
-                    std::move(cb));
-        });
-        return;
-    }
-    if (admission.verdict == Admission::Verdict::Track) {
-        cb = [this, key, admission,
-              inner = std::move(cb)](bool ok, const Value &seen) {
-            migration_.finishTracked(key, admission);
-            inner(ok, seen);
-        };
-    }
-    const sim::CostModel &cost = config_.cost;
-    runtime_->submit(node, cost.clientOpNs + cost.kvsOpNs,
-                     [this, node, key, expected = std::move(expected),
-                      desired = std::move(desired),
-                      cb = std::move(cb)]() mutable {
-                         replicas_[node]->cas(key, std::move(expected),
-                                              std::move(desired),
-                                              std::move(cb));
-                     });
+    submitWrite(node, key,
+                [key, expected = std::move(expected),
+                 desired = std::move(desired), cb = std::move(cb)](
+                    ReplicaHandle &replica,
+                    std::function<void()> committed) mutable {
+                    replica.cas(key, std::move(expected), std::move(desired),
+                                afterCommit(std::move(cb),
+                                            std::move(committed)));
+                });
 }
 
 std::optional<Value>
@@ -424,20 +397,9 @@ SimCluster::installSuccessor(const std::vector<uint32_t> &slots, uint32_t to)
     // answers the new owner.
     slotMap_ = slotMap_.withSlotsMovedTo(slots, to);
 
-    // Stamp every live node's WAL with the new map epoch so records
-    // appended after the cutover are attributable to the new ownership
-    // (crash-restart forensics; the replay filter itself always uses
-    // the live map). Zero-cost jobs: per-node FIFO order puts the stamp
-    // before any post-cutover append on that node.
-    uint32_t epoch = slotMap_.epoch;
-    for (NodeId n = 0; n < static_cast<NodeId>(replicas_.size()); ++n) {
-        if (!runtime_->alive(n))
-            continue;
-        runtime_->submit(n, 0, [this, n, epoch] {
-            if (store::Wal *w = replicas_[n]->wal())
-                w->setMapEpoch(epoch);
-        });
-    }
+    // Zero-cost jobs: per-node FIFO order puts the stamp before any
+    // post-cutover append on that node.
+    stampMapEpoch(*this, replicas_.size(), slotMap_.epoch);
 }
 
 } // namespace hermes::app

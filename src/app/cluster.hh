@@ -95,10 +95,11 @@ struct ClusterConfig
     /**
      * Directory for per-node write-ahead logs; empty = durability off
      * (the default, matching the paper's in-memory Hermes). With a
-     * directory set, node `id` logs to `<walDir>/node<id>.wal` and
-     * crashRestartNode() can rebuild a replica from that file mid-run.
-     * Sim costs for the log ride the cost model's walAppendPerByteNs /
-     * fsyncNs knobs.
+     * directory set, replica r of shard s logs to
+     * `<walDir>/shard<s>/replica<r>.wal`, the layout TCP deployments use
+     * too (durableOptions), and crashRestartNode() can rebuild a replica
+     * from that file mid-run. Sim costs for the log ride the cost
+     * model's walAppendPerByteNs / fsyncNs knobs.
      */
     std::string walDir;
     /** fsync policy for the per-node WALs (walDir non-empty only). */
@@ -121,7 +122,7 @@ struct ClusterConfig
  * way the paper's worker threads do. The caller (or routeNode) must pick
  * a node in the target key's shard group.
  */
-class SimCluster : private MigrationRuntime, private RestartHost
+class SimCluster : private MigrationRuntime, private ReplicaHost
 {
   public:
     explicit SimCluster(ClusterConfig config);
@@ -207,24 +208,9 @@ class SimCluster : private MigrationRuntime, private RestartHost
     void scheduleMigration(TimeNs at, std::vector<uint32_t> slots,
                            uint32_t from, uint32_t to);
 
+    /** The migration coordinator: phase and counters. */
     const MigrationCoordinator &migration() const { return migration_; }
     bool migrationActive() const { return migration_.active(); }
-    uint64_t slotsMigrated() const { return migration_.slotsMigrated(); }
-    uint64_t
-    migrationsCompleted() const
-    {
-        return migration_.migrationsCompleted();
-    }
-    uint64_t
-    migrationsAborted() const
-    {
-        return migration_.migrationsAborted();
-    }
-    uint64_t
-    migrationWritesParked() const
-    {
-        return migration_.migrationWritesParked();
-    }
 
     /** Advance simulated time. */
     void runFor(DurationNs d) { runtime_->runFor(d); }
@@ -253,14 +239,26 @@ class SimCluster : private MigrationRuntime, private RestartHost
 
     /**
      * Convergence probe: true when every live replica of the key's shard
-     * group holds the same value and timestamp for @p key and no replica
-     * has it non-Valid. Used by the property tests' quiescence assertions.
+     * group, §3.4 shadows skipped, holds the same value and timestamp for
+     * @p key. A copy may still be non-Valid (its VAL was lost): data
+     * agreement is the invariant. Used by the property tests' quiescence
+     * assertions.
      */
     bool converged(Key key) const;
 
   private:
-    /** Per-node ReplicaOptions: shard-group base, batching, WAL path. */
+    /** Per-node ReplicaOptions: shard-group base, batching, and the
+     *  durable wiring (durableOptions) when walDir is set. */
     ReplicaOptions optionsForNode(uint32_t shard, NodeId id) const;
+
+    /**
+     * Submit a write or CAS at @p node through migration admission:
+     * `op(replica, committed)` runs it on the replica, calling the
+     * commit hook before its callback; a parked op re-runs at the
+     * route of its key once the move ends.
+     */
+    template <typename Op>
+    void submitWrite(NodeId node, Key key, Op op);
 
     /** One timed migration work quantum; reschedules itself. */
     void migrationStep();
@@ -277,9 +275,10 @@ class SimCluster : private MigrationRuntime, private RestartHost
     void installSuccessor(const std::vector<uint32_t> &slots,
                           uint32_t to) override;
 
-    // RestartHost: crashRestartNode's steps as sim jobs.
+    // ReplicaHost: crashRestartNode's steps and map stamps as sim jobs
+    // (a crashed node's are dropped).
     bool alive(NodeId id) override { return runtime_->alive(id); }
-    void queueJob(NodeId id, RestartJob job) override;
+    void queueJob(NodeId id, ReplicaJob job) override;
     Epoch viewEpoch(NodeId id) override;
     void rebuild(NodeId id, const membership::MembershipView &view) override;
 

@@ -10,7 +10,7 @@ namespace hermes::app
 
 bool
 MigrationCoordinator::begin(const SlotMap &map, std::vector<uint32_t> slots,
-                            uint32_t from, uint32_t to, std::mutex *guard)
+                            uint32_t from, uint32_t to)
 {
     // Sorted and deduped: the transfer is a deterministic function of
     // the request.
@@ -22,13 +22,12 @@ MigrationCoordinator::begin(const SlotMap &map, std::vector<uint32_t> slots,
     if (active() || slots.empty())
         return false;
     slots_ = std::move(slots);
-    from_ = from;
     to_ = to;
     copiedTs_.clear();
     catchUpRounds_ = lockedSteps_ = 0;
-    guard_ = guard;
     {
         auto held = hold();
+        from_ = from;
         moving_.assign(kNumSlots, false);
         for (uint32_t slot : slots_)
             moving_[slot] = true;
@@ -265,37 +264,19 @@ MigrationCoordinator::end(bool moved)
         op();
 }
 
-Admission
-MigrationCoordinator::admit(Key key, bool write, NodeId replica,
-                            uint64_t incarnation)
+MigrationCoordinator::Hook
+MigrationCoordinator::track(Key key, NodeId replica, uint64_t incarnation)
 {
-    if (phase_ == Phase::Idle || !moving_[slotOfKey(key)])
-        return {};
-    if (phase_ == Phase::Cutover || (write && phase_ >= Phase::Locked))
-        return {Admission::Verdict::Park};
-    if (!write)
-        return {};
     // Dirty the key now — a copy already taken may carry the pre-write
     // value — and again at commit, as a copy may clear the mark between.
     dirty_.insert(key);
     addHold(replica, incarnation);
-    return {Admission::Verdict::Track, gen_, replica, incarnation};
-}
-
-void
-MigrationCoordinator::park(std::function<void()> op)
-{
-    hermes_assert(phase_ >= Phase::Locked);
-    ++parkedOps_;
-    parked_.push_back(std::move(op));
-}
-
-void
-MigrationCoordinator::finishTracked(Key key, const Admission &admission)
-{
-    if (phase_ != Phase::Idle && admission.gen == gen_)
-        dirty_.insert(key);
-    release(admission.gen, admission.replica, admission.incarnation);
+    return [this, key, gen = gen_, replica, incarnation] {
+        auto held = hold();
+        if (phase_ != Phase::Idle && gen == gen_)
+            dirty_.insert(key);
+        release(gen, replica, incarnation);
+    };
 }
 
 } // namespace hermes::app

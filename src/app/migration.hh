@@ -27,9 +27,11 @@
 #ifndef HERMES_APP_MIGRATION_HH
 #define HERMES_APP_MIGRATION_HH
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -86,29 +88,13 @@ class MigrationRuntime
                                   uint32_t to) = 0;
 };
 
-/** Request-path verdict for an op at the migration source. */
-struct Admission
-{
-    enum class Verdict
-    {
-        Serve, ///< run it as usual
-        Track, ///< run it; call finishTracked() when it commits
-        Park,  ///< hand it to park(); it re-runs when the move ends
-    };
-    Verdict verdict = Verdict::Serve;
-    uint64_t gen = 0; ///< Track: the migration and replica life
-    NodeId replica = kInvalidNode;
-    uint64_t incarnation = 0;
-};
-
 /**
  * The migration state machine, one migration at a time, and counters
- * over all of them. The request path (admit, park, finishTracked) runs
- * under the `guard` given to begin() — over TCP the source group's map
- * mutex, so admission is atomic with its ownership check. The rest runs
- * on one coordinator thread, which holds the guard only around shared
- * state, never across a runtime call that reaches a replica. A null
- * guard means single-threaded.
+ * over all of them. The request path (admitOp and its commit hooks) may
+ * run on any thread, under the host's own lock of its ownership check:
+ * admission is then atomic with that check. The rest runs on one
+ * coordinator thread, which holds mutex_ only around shared state, never
+ * across a runtime call that reaches a replica.
  */
 class MigrationCoordinator
 {
@@ -144,7 +130,7 @@ class MigrationCoordinator
      *  @p to. @return false (nothing started) when a migration is active
      *  or @p from owns none of them. */
     bool begin(const SlotMap &map, std::vector<uint32_t> slots,
-               uint32_t from, uint32_t to, std::mutex *guard = nullptr);
+               uint32_t from, uint32_t to);
     /** One work quantum. @return whether the migration is still active. */
     bool step();
     /** Engage the lock now: writes on moving slots park from here on. */
@@ -157,20 +143,41 @@ class MigrationCoordinator
             end(false);
     }
 
-    bool active() const { return phase_ != Phase::Idle; }
-    Phase phase() const { return phase_; }
+    bool active() const { return phase() != Phase::Idle; }
+    Phase phase() const { return phase_.load(std::memory_order_acquire); }
     uint32_t from() const { return from_; }
     uint32_t to() const { return to_; }
 
-    /** Request path: the verdict for an op on @p key at source replica
-     *  @p replica, now in life @p incarnation (0: down). */
-    Admission admit(Key key, bool write, NodeId replica,
-                    uint64_t incarnation);
-    /** Request path: hold @p op until the move ends, then run it; it
-     *  re-enters the request path, routed by the map of that time. */
-    void park(std::function<void()> op);
-    /** Request path: a tracked write committed. */
-    void finishTracked(Key key, const Admission &admission);
+    /** Run when a tracked op commits; empty: nothing to report. */
+    using Hook = std::function<void()>;
+
+    /**
+     * The request path, for a client op on @p key at replica @p replica
+     * (in life @p incarnation; 0: down) of group @p shard. An op that
+     * must wait parks as `makeReissue()`, a closure that re-enters the
+     * host's request path once the move ends (routed by the map of that
+     * time), and nullopt is returned; @p makeReissue runs only then.
+     * Otherwise the op runs now, and the return is the hook to call when
+     * it commits, before its reply (empty: untracked; see afterCommit).
+     */
+    template <typename MakeReissue>
+    std::optional<Hook>
+    admitOp(Key key, bool write, uint32_t shard, NodeId replica,
+            uint64_t incarnation, MakeReissue &&makeReissue)
+    {
+        if (!active())
+            return Hook();
+        auto held = hold();
+        if (phase_ == Phase::Idle || shard != from_
+                || !moving_[slotOfKey(key)])
+            return Hook();
+        if (phase_ == Phase::Cutover || (write && phase_ >= Phase::Locked)) {
+            ++parkedOps_;
+            parked_.emplace_back(makeReissue());
+            return std::nullopt;
+        }
+        return write ? track(key, replica, incarnation) : Hook();
+    }
 
     uint64_t slotsMigrated() const { return slotsMigrated_; }
     uint64_t migrationsCompleted() const { return completed_; }
@@ -181,8 +188,7 @@ class MigrationCoordinator
     std::unique_lock<std::mutex>
     hold() const
     {
-        return guard_ ? std::unique_lock(*guard_)
-                      : std::unique_lock<std::mutex>();
+        return std::unique_lock(mutex_);
     }
     void
     setPhase(Phase phase)
@@ -190,6 +196,9 @@ class MigrationCoordinator
         auto held = hold();
         phase_ = phase;
     }
+    /** Under hold(): track a write at @p replica; @return its commit
+     *  hook. */
+    Hook track(Key key, NodeId replica, uint64_t incarnation);
     /** Count a fence or tracked write against @p replica 's life. */
     void addHold(NodeId replica, uint64_t incarnation);
     void release(uint64_t gen, NodeId replica, uint64_t incarnation);
@@ -205,10 +214,12 @@ class MigrationCoordinator
     MigrationRuntime &runtime_;
     const size_t copyBatch_;
     const int lockedBound_;
-    std::mutex *guard_ = nullptr;
+    mutable std::mutex mutex_;
 
-    // Shared with the request path, under guard_.
-    Phase phase_ = Phase::Idle;
+    // Shared with the request path: written under mutex_. phase_ is also
+    // read without it, so an idle coordinator admits at one load.
+    std::atomic<Phase> phase_ = Phase::Idle;
+    uint32_t from_ = 0;
     uint64_t gen_ = 0;
     std::vector<bool> moving_; ///< kNumSlots bitmap
     std::set<Key> dirty_;      ///< written since their last copy
@@ -224,7 +235,6 @@ class MigrationCoordinator
 
     // Coordinator-only.
     std::vector<uint32_t> slots_;
-    uint32_t from_ = 0;
     uint32_t to_ = 0;
     std::set<Key> pending_; ///< to copy, sorted: a deterministic order
     std::map<Key, Timestamp> copiedTs_; ///< the verification baseline
@@ -234,6 +244,20 @@ class MigrationCoordinator
     uint64_t completed_ = 0;
     uint64_t aborted_ = 0;
 };
+
+/** @p cb, run after admitOp's hook @p committed when that is set. */
+template <typename Callback>
+Callback
+afterCommit(Callback cb, std::function<void()> committed)
+{
+    if (!committed)
+        return cb;
+    return [cb = std::move(cb),
+            committed = std::move(committed)](const auto &...args) {
+        committed();
+        cb(args...);
+    };
+}
 
 } // namespace hermes::app
 

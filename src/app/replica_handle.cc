@@ -1,6 +1,7 @@
 #include "app/replica_handle.hh"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "common/logging.hh"
 
@@ -287,17 +288,35 @@ makeReplica(Protocol protocol, net::Env &env, MembershipView initial,
     panic("unknown protocol");
 }
 
-void
-RestartJob::run(ReplicaHandle &replica) const
+ReplicaOptions
+durableOptions(ReplicaOptions options, uint32_t shard, size_t replica,
+               std::function<uint32_t(Key)> ownerOf)
 {
-    if (view)
-        replica.injectView(*view);
-    else
-        replica.hermes()->startShadowSync(syncSource);
+    if (options.wal.path.empty())
+        return options;
+    std::string dir = options.wal.path + "/shard" + std::to_string(shard);
+    std::filesystem::create_directories(dir);
+    options.wal.path = dir + "/replica" + std::to_string(replica) + ".wal";
+    options.wal.shard = shard;
+    options.walRecoveryOwned = [ownerOf = std::move(ownerOf), shard](Key k) {
+        return ownerOf(k) == shard;
+    };
+    return options;
 }
 
 void
-restartFromWal(RestartHost &host, const NodeSet &group, NodeId id)
+ReplicaJob::run(ReplicaHandle &replica) const
+{
+    if (view)
+        replica.injectView(*view);
+    else if (syncSource != kInvalidNode)
+        replica.hermes()->startShadowSync(syncSource);
+    else if (store::Wal *wal = replica.wal())
+        wal->setMapEpoch(mapEpoch);
+}
+
+void
+restartFromWal(ReplicaHost &host, const NodeSet &group, NodeId id)
 {
     if (host.alive(id))
         host.crash(id);
@@ -312,7 +331,7 @@ restartFromWal(RestartHost &host, const NodeSet &group, NodeId id)
 
     without.epoch = epoch + 1;
     for (NodeId n : without.live)
-        host.queueJob(n, RestartJob{without});
+        host.queueJob(n, ReplicaJob{without});
     host.rebuild(id, without);
 
     // The node's own FIFO queue puts the sync behind its epoch+2 view.
@@ -320,8 +339,16 @@ restartFromWal(RestartHost &host, const NodeSet &group, NodeId id)
     with.live.push_back(id);
     std::sort(with.live.begin(), with.live.end());
     for (NodeId n : with.live)
-        host.queueJob(n, RestartJob{with});
-    host.queueJob(id, RestartJob{std::nullopt, source});
+        host.queueJob(n, ReplicaJob{with});
+    host.queueJob(id, ReplicaJob{std::nullopt, source});
+}
+
+void
+stampMapEpoch(ReplicaHost &host, size_t count, uint32_t epoch)
+{
+    for (size_t n = 0; n < count; ++n)
+        host.queueJob(static_cast<NodeId>(n),
+                      ReplicaJob{std::nullopt, kInvalidNode, epoch});
 }
 
 } // namespace hermes::app

@@ -173,26 +173,42 @@ makeReplica(Protocol protocol, net::Env &env,
             membership::MembershipView initial,
             const ReplicaOptions &options);
 
-/** One restartFromWal() step on one replica: inject `view`, or, when
- *  it is unset, start the shadow sync from `syncSource`. */
-struct RestartJob
+/**
+ * The durable wiring of replica @p replica of group @p shard, one for the
+ * sim and TCP: with options.wal.path naming a directory, the replica logs
+ * to `<dir>/shard<s>/replica<r>.wal` (created on demand) and stamps
+ * @p shard into its records. Its recovery keeps the records whose key
+ * @p ownerOf gives @p shard at REPLAY time, not at append time: a restart
+ * straddling a cutover must not resurrect slots the shard gave away.
+ * Without a path, @p options come back unchanged.
+ */
+ReplicaOptions durableOptions(ReplicaOptions options, uint32_t shard,
+                              size_t replica,
+                              std::function<uint32_t(Key)> ownerOf);
+
+/** One step a host runs on one replica: inject `view`; else start the
+ *  shadow sync from `syncSource`; else stamp its WAL with slot-map
+ *  epoch `mapEpoch`. */
+struct ReplicaJob
 {
     std::optional<membership::MembershipView> view;
     NodeId syncSource = kInvalidNode;
+    uint32_t mapEpoch = 0;
 
     void run(ReplicaHandle &replica) const;
 };
 
-/** The runtime (sim or TCP) under restartFromWal(). */
-class RestartHost
+/** The runtime (sim or TCP) under restartFromWal() and stampMapEpoch(). */
+class ReplicaHost
 {
   public:
-    virtual ~RestartHost() = default;
+    virtual ~ReplicaHost() = default;
     virtual bool alive(NodeId id) = 0;
     virtual void crash(NodeId id) = 0;
     /** Run @p job on @p id 's loop, after every job queued there before
-     *  it (a host may run it before returning). */
-    virtual void queueJob(NodeId id, RestartJob job) = 0;
+     *  it (a host may run it before returning). A replica that is down
+     *  has no loop: the host drops the job or runs it at once. */
+    virtual void queueJob(NodeId id, ReplicaJob job) = 0;
     virtual Epoch viewEpoch(NodeId id) = 0;
     /** Replace @p id 's handle with one rebuilt from its WAL under
      *  @p view, and start it. */
@@ -210,7 +226,16 @@ class RestartHost
  * syncs: §3.4's m-update-before-stream order. A whole-group outage has
  * no survivor; restart it cold over the same WAL instead.
  */
-void restartFromWal(RestartHost &host, const NodeSet &group, NodeId id);
+void restartFromWal(ReplicaHost &host, const NodeSet &group, NodeId id);
+
+/**
+ * A slot-map install's one path to the WALs: queue a stamp of @p epoch
+ * on replicas [0, @p count) of @p host, so each replica's records
+ * appended after its earlier queued jobs carry the new ownership
+ * generation (crash-restart forensics; recovery itself filters by the
+ * live map).
+ */
+void stampMapEpoch(ReplicaHost &host, size_t count, uint32_t epoch);
 
 } // namespace hermes::app
 

@@ -8,11 +8,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/serialize.hh"
 #include "hermes/key_state.hh"
 
 namespace hermes::app
@@ -51,8 +49,6 @@ TcpKvService::TcpKvService(Protocol protocol, size_t nodes,
 {
     hermes_assert(shardId_ < slotMap_->numShards);
     net::registerClientCodecs();
-    if (!baseOptions_.wal.path.empty())
-        std::filesystem::create_directories(baseOptions_.wal.path);
     membership::MembershipView initial = membership::initialView(nodes);
     for (size_t i = 0; i < nodes; ++i) {
         auto id = static_cast<NodeId>(i);
@@ -70,22 +66,9 @@ TcpKvService::TcpKvService(Protocol protocol, size_t nodes,
 ReplicaOptions
 TcpKvService::optionsFor(NodeId id) const
 {
-    ReplicaOptions options = baseOptions_;
-    if (!options.wal.path.empty()) {
-        // baseOptions_.wal.path is the group's log DIRECTORY; each
-        // replica owns one file in it, so a restarted replica replays
-        // its own records and nobody else's.
-        options.wal.path += "/replica" + std::to_string(id) + ".wal";
-        options.wal.shard = shardId_;
-        // Recovery under the map LIVE AT REPLAY TIME, not append time: a
-        // replica restarting after a migration cutover still holds log
-        // records for slots its shard no longer owns, and replaying them
-        // would resurrect ownership the slot map took away.
-        options.walRecoveryOwned = [this](Key key) {
-            return slotMap()->ownerOf(key) == shardId_;
-        };
-    }
-    return options;
+    return durableOptions(baseOptions_, shardId_, id, [this](Key key) {
+        return slotMap()->ownerOf(key);
+    });
 }
 
 TcpKvService::~TcpKvService()
@@ -125,9 +108,13 @@ TcpKvService::restartReplica(NodeId id)
 }
 
 void
-TcpKvService::queueJob(NodeId id, RestartJob job)
+TcpKvService::queueJob(NodeId id, ReplicaJob job)
 {
-    cluster_.runOn(id, [&] { job.run(*replicas_[id]); });
+    // A replica that is down, or not started yet, has no loop to race.
+    if (cluster_.running(id))
+        cluster_.runOn(id, [&] { job.run(*replicas_[id]); });
+    else
+        job.run(*replicas_[id]);
 }
 
 Epoch
@@ -186,27 +173,6 @@ TcpKvService::slotMap() const
 }
 
 void
-TcpKvService::stampWalEpochs(uint32_t epoch)
-{
-    if (baseOptions_.wal.path.empty())
-        return;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-        auto id = static_cast<NodeId>(i);
-        auto stamp = [this, id, epoch] {
-            if (store::Wal *wal = replicas_[id]->wal())
-                wal->setMapEpoch(epoch);
-        };
-        // A running replica appends from its loop thread, so the stamp
-        // must run there; a crashed (or not-yet-started) one has no
-        // concurrent appender and can be stamped directly.
-        if (cluster_.running(id))
-            cluster_.runOn(id, stamp);
-        else
-            stamp();
-    }
-}
-
-void
 TcpKvService::installMap(const SlotMap &map, ShardAddressMap ports)
 {
     {
@@ -215,15 +181,7 @@ TcpKvService::installMap(const SlotMap &map, ShardAddressMap ports)
         slotMap_ = std::make_shared<const SlotMap>(map);
         deploymentMap_ = std::move(ports);
     }
-    stampWalEpochs(map.epoch);
-}
-
-std::mutex *
-TcpKvService::attachMigration(MigrationCoordinator *migration)
-{
-    std::lock_guard<std::mutex> guard(mapMutex_);
-    migration_ = migration;
-    return &mapMutex_;
+    stampMapEpoch(*this, replicas_.size(), map.epoch);
 }
 
 bool
@@ -249,7 +207,6 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
     ReplicaHandle &replica = *replicas_[node];
     uint64_t req_id = request.reqId;
     uint32_t shard = request.shard;
-    std::shared_ptr<const SlotMap> map = slotMap();
 
     // Every reply carries the map @p as it was served under (count,
     // this group's id, epoch); HELLO and WrongShard replies additionally
@@ -287,39 +244,27 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
             });
             return;
         }
-        respond(*map, true, [&](ClientReplyMsg &reply) {
+        respond(*slotMap(), true, [&](ClientReplyMsg &reply) {
             reply.credits = cluster_.sessionCreditsOf(node, conn);
         });
         return;
     }
 
-    // @p as: the map generation the rejection advertises — the snapshot
-    // for the ordinary stale-client cases, the LIVE map when a cutover
-    // raced this request (the snapshot would re-teach the client the very
-    // routing the cutover just retired).
-    auto rejectWrongShard = [&](const std::shared_ptr<const SlotMap> &as) {
-        respond(*as, true, [](ClientReplyMsg &reply) {
-            reply.ok = false;
-            reply.status = ClientReplyMsg::Status::WrongShard;
-        });
-    };
-
+    // One hold of the lock the cutover swaps the map under decides the
+    // op: the checks below, then migration admission. No successor map
+    // can slip in between, so an op is never acknowledged at an owner
+    // that readers have already left.
+    //
     // Map-epoch sanity FIRST, before the key is hashed or anything is
     // indexed with the stamp: an epoch from this service's *future*
     // (garbage, or a generation it never saw) proves the client and
     // service disagree about which map is current — serving under it
-    // could split the history. Reject with the authoritative map. An
-    // OLDER epoch is not by itself a rejection: if the stamped owner
-    // still matches below, the slot did not move and the op is served.
-    if (request.mapEpoch > map->epoch) {
-        rejectWrongShard(map);
-        return;
-    }
-
-    // Shard-map agreement checks, cheapest first and every one BEFORE
-    // the key is hashed or anything is indexed: (1) the client's shard
-    // *count* must agree with ours — a stale or garbage count (0, or
-    // another deployment generation) would otherwise alias arbitrary
+    // could split the history. An OLDER epoch is not by itself a
+    // rejection: if the stamped owner still matches, the slot did not
+    // move and the op is served. Then shard-map agreement, cheapest
+    // first and every one BEFORE the key is hashed: (1) the client's
+    // shard *count* must agree with ours — a stale or garbage count (0,
+    // or another deployment generation) would otherwise alias arbitrary
     // routes; (2) the stamp must name this group's shard; (3) the key's
     // slot must be OURS under the live ownership map (after a migration
     // this differs from the uniform hash — a client still routing by
@@ -327,55 +272,38 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
     // client failing any of them gets an explicit rejection carrying
     // the full address map — never an assert, and never a silently
     // split history.
-    if (request.numShards != map->numShards || shard != shardId_
-            || map->ownerOf(request.key) != shardId_) {
-        rejectWrongShard(map);
-        return;
-    }
-
-    // Live-migration admission: Serve, Track or Park.
-    bool cutoverRaced = false;
-    Admission admission;
+    std::shared_ptr<const SlotMap> map;
+    bool owned = false;
+    std::optional<std::function<void()>> committed =
+        std::function<void()>();
     {
         std::lock_guard<std::mutex> guard(mapMutex_);
-        // Re-validate under the SAME lock the cutover swaps the map
-        // under: the ownership check above ran against a lock-free
-        // snapshot, and the successor map may have been installed since
-        // — the stale snapshot would wave this op through to execute
-        // (and acknowledge) at the OLD owner while readers route to the
-        // new one: a silently lost write. Epoch equality plus live-map
-        // ownership here makes the ownership and migration checks one
-        // atomic decision.
-        if (slotMap_->epoch != map->epoch
-                || slotMap_->ownerOf(request.key) != shardId_) {
-            cutoverRaced = true;
-        } else if (migration_) {
-            admission = migration_->admit(
-                request.key, request.op != ClientRequestMsg::Op::Read, node,
-                cluster_.incarnation(node));
-            if (admission.verdict == Admission::Verdict::Park) {
-                migration_->park([this, node, conn, msg] {
-                    if (cluster_.running(node)) // else the socket is gone
-                        cluster_.runOn(node, [&] {
-                            handleClientFrame(node, conn, msg);
-                        });
+        map = slotMap_;
+        owned = request.mapEpoch <= map->epoch
+                && request.numShards == map->numShards && shard == shardId_
+                && map->ownerOf(request.key) == shardId_;
+        if (owned && migration_) {
+            committed = migration_->admitOp(
+                request.key, request.op != ClientRequestMsg::Op::Read,
+                shardId_, node, cluster_.incarnation(node), [&] {
+                    return [this, node, conn, msg] {
+                        if (cluster_.running(node)) // else the socket is gone
+                            cluster_.runOn(node, [&] {
+                                handleClientFrame(node, conn, msg);
+                            });
+                    };
                 });
-                return;
-            }
         }
     }
-    if (cutoverRaced) {
-        rejectWrongShard(slotMap());
+    if (!owned) {
+        respond(*map, true, [](ClientReplyMsg &reply) {
+            reply.ok = false;
+            reply.status = ClientReplyMsg::Status::WrongShard;
+        });
         return;
     }
-    // A tracked op reports its commit before the client sees the ack.
-    auto moveDone = [this, key = request.key, admission] {
-        if (admission.verdict != Admission::Verdict::Track)
-            return;
-        std::lock_guard<std::mutex> guard(mapMutex_);
-        if (migration_)
-            migration_->finishTracked(key, admission);
-    };
+    if (!committed)
+        return; // parked: it re-enters here when the move ends
 
     switch (request.op) {
       case ClientRequestMsg::Op::Read:
@@ -389,20 +317,22 @@ TcpKvService::handleClientFrame(NodeId node, net::ClientConnId conn,
         // slab: handing it down is a refcount bump, and the protocol's
         // own INV/chain/propose encode gathers from the same buffer.
         replica.write(request.key, request.value,
-                      [respond, map, moveDone] {
-                          moveDone();
-                          respond(*map, false, [](ClientReplyMsg &) {});
-                      });
+                      afterCommit<ReplicaHandle::WriteCallback>(
+                          [respond, map] {
+                              respond(*map, false, [](ClientReplyMsg &) {});
+                          },
+                          std::move(*committed)));
         break;
       case ClientRequestMsg::Op::Cas:
         replica.cas(request.key, request.expected, request.value,
-                    [respond, map, moveDone](bool ok, const Value &seen) {
-                        moveDone();
-                        respond(*map, false, [&](ClientReplyMsg &reply) {
-                            reply.ok = ok;
-                            reply.value = seen;
-                        });
-                    });
+                    afterCommit<ReplicaHandle::CasCallback>(
+                        [respond, map](bool ok, const Value &seen) {
+                            respond(*map, false, [&](ClientReplyMsg &reply) {
+                                reply.ok = ok;
+                                reply.value = seen;
+                            });
+                        },
+                        std::move(*committed)));
         break;
       case ClientRequestMsg::Op::Hello:
         break; // handled above
@@ -436,14 +366,10 @@ ShardedTcpDeployment::addGroup(size_t shards)
     net::TcpConfig config = baseConfig_;
     config.basePort =
         static_cast<uint16_t>(baseConfig_.basePort + s * replicasPerShard_);
-    // Per-shard WAL subdirectory under the deployment's directory; the
-    // group then gives each replica its own file inside it.
-    ReplicaOptions options = baseOptions_;
-    if (!options.wal.path.empty())
-        options.wal.path += "/shard" + std::to_string(s);
     groups_.push_back(std::make_unique<TcpKvService>(
-        protocol_, replicasPerShard_, std::move(options), config, shards,
+        protocol_, replicasPerShard_, baseOptions_, config, shards,
         static_cast<uint32_t>(s)));
+    groups_.back()->attachMigration(&migration_);
     map_.emplace_back();
     for (size_t r = 0; r < replicasPerShard_; ++r)
         map_.back().push_back(groups_[s]->portOf(static_cast<NodeId>(r)));
@@ -469,21 +395,9 @@ ShardedTcpDeployment::beginMigration(std::vector<uint32_t> slots,
 {
     hermes_assert(from < groups_.size() && to < groups_.size());
     hermes_assert(from != to);
-    if (migration_.active())
-        return false;
-    // Only the source admits through the coordinator, under its own map
-    // mutex; every other group is detached first, so no request path
-    // reads the coordinator under a lock it is not guarded by.
-    std::mutex *guard = nullptr;
-    for (size_t s = 0; s < groups_.size(); ++s) {
-        std::mutex *g =
-            groups_[s]->attachMigration(s == from ? &migration_ : nullptr);
-        if (s == from)
-            guard = g;
-    }
     std::scoped_lock admin(groups_[from]->adminLock(),
                            groups_[to]->adminLock());
-    return migration_.begin(slotMap_, std::move(slots), from, to, guard);
+    return migration_.begin(slotMap_, std::move(slots), from, to);
 }
 
 size_t
@@ -980,22 +894,7 @@ KvSessionClient::encodeRequest(uint64_t token, PendingOp &op,
     // is encoded right here and dies before the op can.
     msg.value = ValueRef(std::string_view(op.value), nullptr);
     msg.expected = ValueRef(std::string_view(op.expected), nullptr);
-
-    // One message per frame: u32 frame length, then a batch of count 1
-    // (kind u8, count u16, u32 message length, message bytes) — the
-    // exact client framing TcpClient speaks. The message encodes
-    // straight into tx behind a reserved header, patched once its
-    // length is known.
-    constexpr size_t kHeader = 4 + 1 + 2 + 4;
-    size_t base = conn.tx.size();
-    conn.tx.resize(base + kHeader);
-    net::encodeMessage(msg, conn.tx);
-    size_t body = conn.tx.size() - base - kHeader;
-    uint8_t *header = conn.tx.data() + base;
-    leStore32(header, static_cast<uint32_t>(1 + 2 + 4 + body));
-    header[4] = net::kFrameBatch;
-    leStore16(header + 5, 1);
-    leStore32(header + 7, static_cast<uint32_t>(body));
+    net::appendClientFrame(msg, conn.tx);
 }
 
 void
@@ -1042,32 +941,14 @@ KvSessionClient::readAndParse(const ConnPtr &conn)
         return;
     }
 
-    size_t off = 0;
-    while (conn->rx.size() - off >= 4) {
-        uint32_t frame_len = leLoad32(conn->rx.data() + off);
-        if (conn->rx.size() - off - 4 < frame_len)
-            break;
-        BufReader reader(conn->rx.data() + off + 4, frame_len);
-        off += 4 + frame_len;
-        if (reader.getU8() != net::kFrameBatch)
-            continue; // client links carry no credit frames
-        uint16_t count = reader.getU16();
-        for (uint16_t i = 0; i < count && reader.ok(); ++i) {
-            uint32_t msg_len = reader.getU32();
-            if (!reader.ok() || reader.remaining() < msg_len)
-                break;
-            // No pin: rx is compacted below, values deep-copy out.
-            auto msg = net::decodeMessage(reader.cursor(), msg_len);
-            reader.skip(msg_len);
-            if (msg && msg->type() == net::MsgType::ClientReply)
-                handleReply(conn,
-                            static_cast<const ClientReplyMsg &>(*msg));
-            if (!conn->alive)
-                return; // handleReply noticed a dead conn underneath
-        }
-    }
+    size_t walked =
+        net::walkFrames(conn->rx, [&](std::shared_ptr<net::Message> msg) {
+            if (msg->type() == net::MsgType::ClientReply)
+                handleReply(conn, static_cast<const ClientReplyMsg &>(*msg));
+            return conn->alive; // handleReply may find the conn dead
+        });
     conn->rx.erase(conn->rx.begin(),
-                   conn->rx.begin() + static_cast<long>(off));
+                   conn->rx.begin() + static_cast<long>(walked));
 }
 
 bool

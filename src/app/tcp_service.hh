@@ -41,7 +41,7 @@ using net::ShardAddressMap;
 using net::ShardPorts;
 
 /** A running replicated KV service on localhost TCP. */
-class TcpKvService : private RestartHost
+class TcpKvService : private ReplicaHost
 {
   public:
     /**
@@ -62,9 +62,9 @@ class TcpKvService : private RestartHost
      * stamp can never address the map.
      *
      * Durability: when options.wal.path is non-empty it names a
-     * DIRECTORY (created on demand) — replica i logs to
-     * `<dir>/replica<i>.wal`, each replica its own file, so a
-     * crash-restarted replica replays exactly its own records.
+     * DIRECTORY — replica i logs to `<dir>/shard<shard_id>/replica<i>.wal`
+     * (durableOptions), each replica its own file, so a crash-restarted
+     * replica replays exactly its own records.
      */
     TcpKvService(Protocol protocol, size_t nodes, ReplicaOptions options,
                  net::TcpConfig config = {}, size_t num_shards = 1,
@@ -101,13 +101,15 @@ class TcpKvService : private RestartHost
     void installMap(const SlotMap &map, ShardAddressMap ports);
 
     /**
-     * Admit this group's requests through @p migration (nullptr
-     * detaches), under the lock of the ownership check. Parked ops
-     * re-enter handleClientFrame when the move ends: served here after
-     * an abort, answered WrongShard + the new map after a cutover.
-     * @return that lock: the coordinator's guard.
+     * Admit this group's requests through @p migration (call before
+     * start()), in the critical section of the ownership check. Parked
+     * ops re-enter handleClientFrame when the move ends: served here
+     * after an abort, answered WrongShard + the new map after a cutover.
      */
-    std::mutex *attachMigration(MigrationCoordinator *migration);
+    void attachMigration(MigrationCoordinator *migration)
+    {
+        migration_ = migration;
+    }
 
     /**
      * Serializes admin choreography against each other: restartReplica
@@ -159,15 +161,12 @@ class TcpKvService : private RestartHost
     /** The map to advertise: the deployment's, or just our own entry. */
     ShardAddressMap advertisedMap() const;
 
-    /** Per-replica options: the WAL directory resolved to this
-     *  replica's own log file, the recovery filter to the live map. */
+    /** Per-replica options: durableOptions under the live map. */
     ReplicaOptions optionsFor(NodeId id) const;
 
-    /** Stamp every replica's WAL with @p epoch (loop-safe). */
-    void stampWalEpochs(uint32_t epoch);
-
-    // RestartHost: restartReplica's steps, each on its replica's loop.
-    void queueJob(NodeId id, RestartJob job) override;
+    // ReplicaHost: restartReplica's steps and map stamps, each on its
+    // replica's loop while that runs.
+    void queueJob(NodeId id, ReplicaJob job) override;
     Epoch viewEpoch(NodeId id) override;
     void rebuild(NodeId id, const membership::MembershipView &view) override;
 
@@ -176,8 +175,8 @@ class TcpKvService : private RestartHost
     ReplicaOptions baseOptions_;
     std::vector<std::unique_ptr<ReplicaHandle>> replicas_;
     uint32_t shardId_;
-    /** Guards slotMap_/deploymentMap_/migration_: read on every replica
-     *  loop's request path, swapped by the coordinator thread. */
+    /** Guards slotMap_/deploymentMap_: read on every replica loop's
+     *  request path, swapped by the coordinator thread. */
     mutable std::mutex mapMutex_;
     std::shared_ptr<const SlotMap> slotMap_;
     ShardAddressMap deploymentMap_;
@@ -232,20 +231,8 @@ class ShardedTcpDeployment : private MigrationRuntime
     bool beginMigration(std::vector<uint32_t> slots, uint32_t from,
                         uint32_t to);
 
-    /** The migration coordinator (phase, lock(), abort()). */
+    /** The migration coordinator (phase, lock(), abort(), counters). */
     MigrationCoordinator &migration() { return migration_; }
-    uint64_t slotsMigrated() const { return migration_.slotsMigrated(); }
-    uint64_t
-    migrationsCompleted() const
-    {
-        return migration_.migrationsCompleted();
-    }
-    uint64_t migrationsAborted() const { return migration_.migrationsAborted(); }
-    uint64_t
-    migrationWritesParked() const
-    {
-        return migration_.migrationWritesParked();
-    }
 
     /**
      * Grow the deployment: start a new replica group serving a brand-new
@@ -313,10 +300,11 @@ class ShardedTcpDeployment : private MigrationRuntime
     ReplicaOptions baseOptions_;
     net::TcpConfig baseConfig_;
     size_t replicasPerShard_;
+    SlotMap slotMap_;
+    /** Outlives groups_: their loops admit through it until stopped. */
+    MigrationCoordinator migration_;
     std::vector<std::unique_ptr<TcpKvService>> groups_;
     ShardAddressMap map_;
-    SlotMap slotMap_;
-    MigrationCoordinator migration_;
 };
 
 /**

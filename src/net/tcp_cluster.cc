@@ -231,6 +231,49 @@ dialClient(uint16_t port, int connect_attempts, uint32_t session_credits)
     return -1;
 }
 
+void
+appendClientFrame(const Message &msg, std::vector<uint8_t> &out)
+{
+    constexpr size_t kHeader = 4 + 1 + 2 + 4;
+    size_t base = out.size();
+    out.resize(base + kHeader);
+    encodeMessage(msg, out);
+    size_t body = out.size() - base - kHeader;
+    uint8_t *header = out.data() + base;
+    leStore32(header, static_cast<uint32_t>(1 + 2 + 4 + body));
+    header[4] = kFrameBatch;
+    leStore16(header + 5, 1);
+    leStore32(header + 7, static_cast<uint32_t>(body));
+}
+
+size_t
+walkFrames(const std::vector<uint8_t> &rx,
+           const std::function<bool(std::shared_ptr<Message>)> &visit)
+{
+    size_t off = 0;
+    while (rx.size() - off >= 4) {
+        uint32_t frame_len = leLoad32(rx.data() + off);
+        if (rx.size() - off - 4 < frame_len)
+            break;
+        BufReader reader(rx.data() + off + 4, frame_len);
+        off += 4 + frame_len;
+        if (reader.getU8() != kFrameBatch)
+            continue; // client links carry no credit frames
+        uint16_t count = reader.getU16();
+        for (uint16_t i = 0; i < count && reader.ok(); ++i) {
+            uint32_t msg_len = reader.getU32();
+            if (!reader.ok() || reader.remaining() < msg_len)
+                break;
+            std::shared_ptr<Message> msg =
+                decodeMessage(reader.cursor(), msg_len);
+            reader.skip(msg_len);
+            if (msg && !visit(std::move(msg)))
+                return off;
+        }
+    }
+    return off;
+}
+
 // ---------------------------------------------------------------------
 // NodeLoop
 // ---------------------------------------------------------------------
@@ -1500,9 +1543,8 @@ TcpClient::call(const Message &request, DurationNs timeout,
     if (fd_ < 0)
         return nullptr;
 
-    std::vector<FramePtr> batch{encodeFrame(request)};
     std::vector<uint8_t> frame;
-    encodeBatchFrame(batch, frame);
+    appendClientFrame(request, frame);
     size_t written = 0;
     while (written < frame.size()) {
         ssize_t n = send(fd_, frame.data() + written,
@@ -1514,36 +1556,20 @@ TcpClient::call(const Message &request, DurationNs timeout,
 
     TimeNs deadline = steadyNowNs() + timeout;
     for (;;) {
-        // Try to parse one full frame from what we have.
-        while (rxBuf_.size() >= 4) {
-            uint32_t frame_len = leLoad32(rxBuf_.data());
-            if (rxBuf_.size() - 4 < frame_len)
-                break;
-            BufReader reader(rxBuf_.data() + 4, frame_len);
-            uint8_t kind = reader.getU8();
-            std::shared_ptr<Message> result;
-            if (kind == kFrameBatch) {
-                uint16_t count = reader.getU16();
-                for (uint16_t i = 0; i < count && reader.ok(); ++i) {
-                    uint32_t msg_len = reader.getU32();
-                    if (!reader.ok() || reader.remaining() < msg_len)
-                        break;
-                    // No pin: the client's rx buffer is compacted below,
-                    // so decoded values are deep-copied out of it.
-                    result = decodeMessage(reader.cursor(), msg_len);
-                    reader.skip(msg_len);
-                    if (result && expect_req_id != 0
-                            && result->type() == MsgType::ClientReply
-                            && static_cast<const ClientReplyMsg &>(*result)
-                                       .reqId != expect_req_id) {
-                        result = nullptr; // stale reply: keep reading
-                    }
-                }
-            }
-            rxBuf_.erase(rxBuf_.begin(), rxBuf_.begin() + 4 + frame_len);
-            if (result)
-                return result;
-        }
+        std::shared_ptr<Message> result;
+        size_t walked = walkFrames(rxBuf_, [&](std::shared_ptr<Message> msg) {
+            // A late reply to an earlier call that timed out here.
+            if (expect_req_id != 0 && msg->type() == MsgType::ClientReply
+                    && static_cast<const ClientReplyMsg &>(*msg).reqId
+                           != expect_req_id)
+                return true;
+            result = std::move(msg);
+            return false;
+        });
+        rxBuf_.erase(rxBuf_.begin(),
+                     rxBuf_.begin() + static_cast<long>(walked));
+        if (result)
+            return result;
 
         TimeNs now = steadyNowNs();
         if (now >= deadline)

@@ -110,6 +110,23 @@ class DialBackoff
  */
 int dialClient(uint16_t port, int connect_attempts, uint32_t session_credits);
 
+/**
+ * Append @p msg to @p out as one client frame, a batch of one: u32 frame
+ * length, kind, u16 count, u32 message length, then the message, encoded
+ * in place behind the header, which is patched once the length is known.
+ */
+void appendClientFrame(const Message &msg, std::vector<uint8_t> &out);
+
+/**
+ * Walk the complete frames at the front of @p rx, handing each message
+ * of each batch frame to @p visit until it returns false. Messages
+ * decode without a pin (values deep-copy out), so the caller may compact
+ * @p rx. @return the bytes of the frames walked, the stopping one
+ * included: erase them.
+ */
+size_t walkFrames(const std::vector<uint8_t> &rx,
+                  const std::function<bool(std::shared_ptr<Message>)> &visit);
+
 /** Tuning knobs for the Wings-over-TCP layer. */
 struct TcpConfig
 {

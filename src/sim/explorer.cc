@@ -1037,9 +1037,9 @@ runSchedule(const Schedule &s, const ExplorerConfig &cfg)
     out.readsStalled = agg.readsStalled;
     out.crashes = cluster.runtime().crashCount();
     out.restarts = cluster.runtime().restartCount();
-    out.slotsMigrated = cluster.slotsMigrated();
-    out.migrationsCompleted = cluster.migrationsCompleted();
-    out.migrationWritesParked = cluster.migrationWritesParked();
+    out.slotsMigrated = cluster.migration().slotsMigrated();
+    out.migrationsCompleted = cluster.migration().migrationsCompleted();
+    out.migrationWritesParked = cluster.migration().migrationWritesParked();
 
     addFeature(out.coverage, Feature::ReadsStalled, agg.readsStalled);
     addFeature(out.coverage, Feature::ReplaysStarted, agg.replaysStarted);

@@ -49,7 +49,7 @@
  * aware: a record appended before a migration cutover may describe a
  * key whose slot has since moved to another shard, and replaying it
  * here would resurrect ownership the map took away. Recovery filters
- * records against the *current* map (see ReplicaHandle::replayWal);
+ * records against the *current* map (see ReplicaHandle::openAndReplayWal);
  * the epoch tag records which generation wrote each record.
  *
  * Appends stage into a scatter/gather WireFrame (values above

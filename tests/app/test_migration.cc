@@ -38,7 +38,6 @@ using app::DriverConfig;
 using app::DriverResult;
 using app::HistOp;
 using app::kNumSlots;
-using app::Admission;
 using app::LoadDriver;
 using app::MigrationCoordinator;
 using app::Protocol;
@@ -210,6 +209,21 @@ class FakeRuntime : public app::MigrationRuntime
     int cutovers = 0;
 };
 
+/** admitOp's decision: "park" (nullopt), "track" (a commit hook) or
+ *  "serve" (an empty hook). */
+std::string
+verdictOf(const std::optional<std::function<void()>> &hook)
+{
+    return !hook ? "park" : *hook ? "track" : "serve";
+}
+
+/** The reissue factory of an op the test does not expect to park. */
+std::function<void()>
+noReissue()
+{
+    return [] { ADD_FAILURE() << "an op parked unexpectedly re-ran"; };
+}
+
 class MigrationMachine : public ::testing::Test
 {
   protected:
@@ -278,18 +292,24 @@ TEST_F(MigrationMachine, AbortsAtTheBoundAndHandsParkedOpsBackToTheSource)
     lockAfterFirstCopy(m);
     rt.landFences();
 
-    // A write reaching the lock parks; a read is never parked.
-    Admission write = m.admit(a, true, 0, rt.lives[0]);
-    ASSERT_EQ(write.verdict, Admission::Verdict::Park);
+    // A write reaching the lock parks; a read is never parked, and the
+    // destination group serves whatever it owns.
     bool delivered = false;
-    m.park([&] {
-        delivered = true;
-        // Re-run after the migration ended: admission serves it now.
-        EXPECT_EQ(m.admit(a, true, 0, rt.lives[0]).verdict,
-                  Admission::Verdict::Serve);
+    auto write = m.admitOp(a, true, 0, 0, rt.lives[0], [&] {
+        return [&] {
+            delivered = true;
+            // Re-run after the migration ended: admission serves it now.
+            EXPECT_EQ(verdictOf(m.admitOp(a, true, 0, 0, rt.lives[0],
+                                          noReissue)),
+                      "serve");
+        };
     });
-    EXPECT_EQ(m.admit(a, false, 0, rt.lives[0]).verdict,
-              Admission::Verdict::Serve);
+    ASSERT_EQ(verdictOf(write), "park");
+    EXPECT_FALSE(delivered);
+    EXPECT_EQ(verdictOf(m.admitOp(a, false, 0, 0, rt.lives[0], noReissue)),
+              "serve");
+    EXPECT_EQ(verdictOf(m.admitOp(a, true, 1, 0, rt.lives[0], noReissue)),
+              "serve");
     EXPECT_EQ(m.migrationWritesParked(), 1u);
 
     // A key wedged non-Valid on one source replica never verifies.
@@ -315,8 +335,8 @@ TEST_F(MigrationMachine, EndedIncarnationReleasesFencesAndInflightWrites)
     MigrationCoordinator m(rt, 64, 100);
     ASSERT_TRUE(m.begin(map_, map_.slotsOwnedBy(0), 0, 1));
     // A write tracked at replica 1 before the lock, still committing.
-    Admission tracked = m.admit(a, true, 1, rt.lives[1]);
-    ASSERT_EQ(tracked.verdict, Admission::Verdict::Track);
+    auto tracked = m.admitOp(a, true, 0, 1, rt.lives[1], noReissue);
+    ASSERT_EQ(verdictOf(tracked), "track");
     ASSERT_TRUE(m.step());
     ASSERT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
     ASSERT_EQ(rt.fences.size(), 3u);
@@ -339,6 +359,32 @@ TEST_F(MigrationMachine, EndedIncarnationReleasesFencesAndInflightWrites)
     EXPECT_FALSE(m.step());
     EXPECT_EQ(rt.cutovers, 1);
     EXPECT_EQ(m.migrationsAborted(), 0u);
+}
+
+TEST_F(MigrationMachine, TrackedWriteHoldsTheLockUntilItsCommitHookRuns)
+{
+    FakeRuntime rt(2);
+    Key a = keyOfShard0(0);
+    rt.put(a, 2);
+    MigrationCoordinator m(rt, 64, 100);
+    ASSERT_TRUE(m.begin(map_, map_.slotsOwnedBy(0), 0, 1));
+    auto tracked = m.admitOp(a, true, 0, 0, rt.lives[0], noReissue);
+    ASSERT_EQ(verdictOf(tracked), "track");
+    ASSERT_TRUE(m.step());
+    ASSERT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+    rt.landFences();
+    EXPECT_TRUE(m.step());
+    EXPECT_EQ(m.phase(), MigrationCoordinator::Phase::Locked);
+
+    // The write commits: its hook re-dirties a and releases the lock.
+    rt.put(a, 3);
+    (*tracked)();
+    EXPECT_TRUE(m.step()); // queues a for re-copy
+    EXPECT_EQ(rt.copies[a], 1);
+    EXPECT_FALSE(m.step()); // re-copies a; nothing holds; the scan passes
+    EXPECT_EQ(rt.copies[a], 2);
+    EXPECT_EQ(rt.copiedTs[a], (Timestamp{3, 0}));
+    EXPECT_EQ(rt.cutovers, 1);
 }
 
 TEST_F(MigrationMachine, NudgesFromLockedStepTenOncePerNonValidKeyPerStep)
@@ -394,8 +440,8 @@ TEST(LiveMigration, MovedSlotsServeAtTheDestinationWithTheirData)
     ASSERT_FALSE(cluster.migrationActive());
 
     EXPECT_EQ(cluster.slotMap().epoch, 2u);
-    EXPECT_EQ(cluster.migrationsCompleted(), 1u);
-    EXPECT_EQ(cluster.slotsMigrated(), moving.size());
+    EXPECT_EQ(cluster.migration().migrationsCompleted(), 1u);
+    EXPECT_EQ(cluster.migration().slotsMigrated(), moving.size());
     std::set<uint32_t> moved(moving.begin(), moving.end());
     for (uint32_t slot : moving)
         EXPECT_EQ(cluster.slotMap().ownerOfSlot(slot), 1u);
@@ -430,28 +476,46 @@ TEST(LiveMigration, MovedSlotsServeAtTheDestinationWithTheirData)
     }
 }
 
-TEST(LiveMigration, WritesRacingTheMoveParkAtTheLockAndNoneAreLost)
+/**
+ * A hot key in a moving slot, rewritten continuously by a chain of
+ * writes, or of `cas(last, next)` calls when @p cas: every catch-up
+ * round finds it dirty again, so the coordinator must take the lock to
+ * cut over — and the ops that hit the locked window park.
+ */
+void
+racingOpsParkAtTheLockAndNoneAreLost(bool cas)
 {
     SimCluster cluster(test::shardedConfig(Protocol::Hermes, 2, 3));
     cluster.start();
 
-    // A hot key in a moving slot, rewritten continuously: every catch-up
-    // round finds it dirty again, so the coordinator must take the lock
-    // to cut over — and the writes that hit the locked window park.
     Key hot = 0;
     while (app::shardOfKey(hot, 2) != 0)
         ++hot;
     ASSERT_TRUE(cluster.writeSync(cluster.routeNode(hot), hot, "w0"));
 
     uint64_t acked = 0;
+    std::string last = "w0"; // the last value applied
     std::function<void(int)> pump = [&](int i) {
         if (i > 400)
             return;
-        cluster.write(cluster.liveRouteNode(hot), hot,
-                      test::strCat("w", i), [&acked, &pump, i] {
-                          ++acked;
-                          pump(i + 1);
-                      });
+        std::string next = test::strCat("w", i);
+        if (!cas) {
+            cluster.write(cluster.liveRouteNode(hot), hot, next,
+                          [&, i, next] {
+                              ++acked;
+                              last = next;
+                              pump(i + 1);
+                          });
+            return;
+        }
+        cluster.cas(cluster.liveRouteNode(hot), hot, last, next,
+                    [&, i, next](bool ok, const Value &) {
+                        if (ok) {
+                            ++acked;
+                            last = next;
+                        }
+                        pump(i + 1);
+                    });
     };
     pump(1);
 
@@ -459,17 +523,30 @@ TEST(LiveMigration, WritesRacingTheMoveParkAtTheLockAndNoneAreLost)
     for (int i = 0; i < 200 && cluster.migrationActive(); ++i)
         cluster.runFor(1_ms);
     ASSERT_FALSE(cluster.migrationActive());
-    cluster.runFor(20_ms); // let the write chain finish
+    cluster.runFor(20_ms); // let the chain finish
 
-    EXPECT_GT(cluster.migrationWritesParked(), 0u)
+    EXPECT_GT(cluster.migration().migrationWritesParked(), 0u)
         << "the hot key never hit the locked window";
     EXPECT_GT(acked, 100u);
-    // The last acknowledged write is what the destination serves: the
-    // parked writes were resubmitted in order, none lost.
+    // The last applied op is what the destination serves: the parked
+    // ops were resubmitted in order, none lost.
     EXPECT_EQ(cluster.shardOf(hot), 1u);
     EXPECT_EQ(cluster.readSync(cluster.routeNode(hot), hot).value_or("?"),
-              test::strCat("w", acked));
+              last);
+    if (!cas) {
+        EXPECT_EQ(last, test::strCat("w", acked));
+    }
     EXPECT_TRUE(cluster.converged(hot));
+}
+
+TEST(LiveMigration, WritesRacingTheMoveParkAtTheLockAndNoneAreLost)
+{
+    racingOpsParkAtTheLockAndNoneAreLost(false);
+}
+
+TEST(LiveMigration, CasRacingTheMoveParksAtTheLockAndNoneAreLost)
+{
+    racingOpsParkAtTheLockAndNoneAreLost(true);
 }
 
 TEST(LiveMigration, SourceGroupDownAbortsInsteadOfCuttingOver)
@@ -501,9 +578,9 @@ TEST(LiveMigration, SourceGroupDownAbortsInsteadOfCuttingOver)
         cluster.runFor(1_ms);
 
     EXPECT_FALSE(cluster.migrationActive());
-    EXPECT_EQ(cluster.migrationsAborted(), 1u);
-    EXPECT_EQ(cluster.migrationsCompleted(), 0u);
-    EXPECT_EQ(cluster.slotsMigrated(), 0u);
+    EXPECT_EQ(cluster.migration().migrationsAborted(), 1u);
+    EXPECT_EQ(cluster.migration().migrationsCompleted(), 0u);
+    EXPECT_EQ(cluster.migration().slotsMigrated(), 0u);
     // Ownership never moved: same epoch, every slot still at the source.
     EXPECT_EQ(cluster.slotMap().epoch, 1u);
     for (uint32_t slot : moving)
@@ -538,8 +615,8 @@ TEST(LiveMigration, SourceCrashJustAfterLockCutsOverVerified)
         cluster.runFor(100_us);
     EXPECT_FALSE(cluster.migrationActive())
         << "the dead replica's fence held the lock";
-    EXPECT_EQ(cluster.migrationsAborted(), 0u);
-    EXPECT_EQ(cluster.migrationsCompleted(), 1u);
+    EXPECT_EQ(cluster.migration().migrationsAborted(), 0u);
+    EXPECT_EQ(cluster.migration().migrationsCompleted(), 1u);
     EXPECT_EQ(cluster.slotMap().epoch, 2u);
     for (Key key = 0; key < 100; ++key) {
         EXPECT_EQ(cluster.readSync(cluster.liveRouteNode(key), key)
@@ -619,7 +696,7 @@ class MigrationFaults : public test::ClusterTest
         // The migration completed despite the fault, the map advanced,
         // and the whole recorded history linearizes shard by shard.
         EXPECT_FALSE(cluster.migrationActive());
-        EXPECT_EQ(cluster.migrationsCompleted(), 1u);
+        EXPECT_EQ(cluster.migration().migrationsCompleted(), 1u);
         EXPECT_EQ(cluster.slotMap().epoch, 2u);
         app::LinReport report = app::checkShardedHistory(result_.history);
         EXPECT_TRUE(report.ok()) << report.detail;
@@ -731,7 +808,7 @@ TEST_F(MigrationFaults, AcceptanceHistorySpansMigrationAndSourceCrash)
 
     ASSERT_GE(result.opsTotal, 10000u) << "acceptance floor";
     EXPECT_FALSE(cluster.migrationActive());
-    EXPECT_EQ(cluster.migrationsCompleted(), 1u);
+    EXPECT_EQ(cluster.migration().migrationsCompleted(), 1u);
     EXPECT_EQ(cluster.slotMap().epoch, 2u);
     EXPECT_FALSE(cluster.replica(1).hermes()->isShadow());
 

@@ -46,8 +46,8 @@ durableConfig(const std::string &wal_dir, size_t nodes = 3)
     return config;
 }
 
-/** A RestartHost that only records what restartFromWal asks of it. */
-class FakeRestartHost : public app::RestartHost
+/** A ReplicaHost that only records what restartFromWal asks of it. */
+class FakeRestartHost : public app::ReplicaHost
 {
   public:
     std::set<NodeId> down;
@@ -63,7 +63,7 @@ class FakeRestartHost : public app::RestartHost
     }
 
     void
-    queueJob(NodeId id, app::RestartJob job) override
+    queueJob(NodeId id, app::ReplicaJob job) override
     {
         if (job.view)
             steps.push_back(test::strCat("job ", id, ": ", show(*job.view)));

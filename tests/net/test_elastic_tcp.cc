@@ -24,9 +24,10 @@
 #include "app/tcp_service.hh"
 #include "common/random.hh"
 #include "store/wal.hh"
-#include "support/temp_dir.hh"
+#include "support/free_port.hh"
 #include "support/stale_map.hh"
 #include "support/str_cat.hh"
+#include "support/temp_dir.hh"
 
 namespace hermes
 {
@@ -42,8 +43,10 @@ using app::ShardedTcpDeployment;
 using app::SlotMap;
 using app::TcpKvService;
 
-// Port lane: clear of test_tcp (21000+), test_zero_copy (21320),
-// test_sessions / test_sharded_tcp (23000+), test_tcp_recovery (24000+).
+// Where this suite's PortLanes start probing, clear of the other TCP
+// suites' starts: test_tcp 21000+, test_zero_copy 21320,
+// test_tcp_recovery 22000+, test_sharded_tcp 23000+, test_sessions
+// 24000+, test_elastic_tcp 25000+.
 constexpr uint16_t kBasePort = 25000;
 
 ReplicaOptions
@@ -122,8 +125,9 @@ TEST(ElasticTcp, HelloTeachesSlotOwnersMatchingLegacyHash)
     // `hash % S` — the indirection changes nothing until a slot moves.
     // The client learns the owners table at HELLO and routes by it.
     net::TcpConfig config;
-    config.basePort = kBasePort;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort, kShards * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
                                     tcpOptions(), config);
     deployment.start();
@@ -149,7 +153,8 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
     // epoch advances, and a client that adopted the PRE-move map heals
     // through the WrongShard reroute — no op lost, no op misplaced.
     net::TcpConfig config;
-    config.basePort = kBasePort + 16;
+    test::PortLane lane(kBasePort + 16, 6);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -163,8 +168,9 @@ TEST(ElasticTcp, LiveMigrationMovesDataAndBumpsEpoch)
         slotsOwnedPrefix(deployment.slotMap(), 0, 128);
     ASSERT_EQ(deployment.migrateSlots(moving, 0, 1), moving.size());
     EXPECT_EQ(deployment.slotMap().epoch, 2u);
-    EXPECT_EQ(deployment.migrationsCompleted(), 1u);
-    EXPECT_EQ(deployment.slotsMigrated(), moving.size()); // 128 slots
+    EXPECT_EQ(deployment.migration().migrationsCompleted(), 1u);
+    EXPECT_EQ(deployment.migration().slotsMigrated(),
+              moving.size()); // 128 slots
     for (uint32_t slot : moving)
         EXPECT_EQ(deployment.slotMap().ownerOfSlot(slot), 1u);
 
@@ -203,7 +209,8 @@ TEST(ElasticTcp, AbortedMigrationServesParkedOpsAtTheSource)
     // request path — acknowledged at the SOURCE, which still owns the
     // slots, under the unchanged epoch-1 map.
     net::TcpConfig config;
-    config.basePort = kBasePort + 240;
+    test::PortLane lane(kBasePort + 240, 6);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -256,8 +263,9 @@ TEST(ElasticTcp, FutureEpochStampRejectedBeforeIndexing)
     // back BEFORE the key is hashed or the op indexed — the op must NOT
     // execute even when every other field is perfectly routed.
     net::TcpConfig config;
-    config.basePort = kBasePort + 48;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 48, 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
                          kShards, /*shard_id=*/1);
     service.start();
@@ -338,7 +346,8 @@ TEST(ElasticTcp, ClientDiscardsMapsOlderThanAdopted)
     // map (e.g. from a replica that answered just before installing the
     // cutover) must NOT roll its routing back to the migration source.
     net::TcpConfig config;
-    config.basePort = kBasePort + 80;
+    test::PortLane lane(kBasePort + 80, 6);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -397,7 +406,8 @@ TEST(ElasticTcp, AddShardMigrateInRemoveShardRoundTrip)
     // migration hands it slots, clients follow; moving the slots away
     // again lets removeShard retire it. Every step bumps the epoch.
     net::TcpConfig config;
-    config.basePort = kBasePort + 112;
+    test::PortLane lane(kBasePort + 112, 3 * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -453,7 +463,8 @@ TEST(ElasticTcp, WalRestartStraddlingCutoverKeepsOwnershipStraight)
     // accepting writes — at the destination.
     test::TempDir dir("elastic-wal-cutover");
     net::TcpConfig config;
-    config.basePort = kBasePort + 160;
+    test::PortLane lane(kBasePort + 160, 6);
+    config.basePort = lane.base();
     ReplicaOptions options = tcpOptions();
     options.wal.path = dir.path();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, options,
@@ -508,8 +519,9 @@ TEST(ElasticTcp, AcceptanceHistorySpansLiveMigrationAndSourceCrash)
     // merged shard-tagged history must linearize, with zero failed ops.
     test::TempDir dir("elastic-acceptance");
     net::TcpConfig config;
-    config.basePort = kBasePort + 192;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 192, kShards * 3);
+    config.basePort = lane.base();
     constexpr int kClients = 4;
     constexpr int kOpsPerClient = 2700;
     constexpr Key kKeySpace = 48;

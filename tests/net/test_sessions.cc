@@ -27,6 +27,7 @@
 #include "app/lin_checker.hh"
 #include "app/tcp_service.hh"
 #include "common/random.hh"
+#include "support/free_port.hh"
 #include "support/str_cat.hh"
 #include "support/temp_dir.hh"
 
@@ -42,7 +43,10 @@ using app::ReplicaOptions;
 using app::ShardedTcpDeployment;
 using app::TcpKvService;
 
-// Port lane: clear of test_tcp (21xxx) and test_sharded_tcp (23xxx).
+// Where this suite's PortLanes start probing, clear of the other TCP
+// suites' starts: test_tcp 21000+, test_zero_copy 21320,
+// test_tcp_recovery 22000+, test_sharded_tcp 23000+, test_sessions
+// 24000+, test_elastic_tcp 25000+.
 constexpr uint16_t kBasePort = 24000;
 
 ReplicaOptions
@@ -67,7 +71,8 @@ wallNowNs()
 TEST(Sessions, PipelinedOpsCompleteByToken)
 {
     net::TcpConfig config;
-    config.basePort = kBasePort;
+    test::PortLane lane(kBasePort, 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
 
@@ -129,7 +134,8 @@ TEST(Sessions, ServerStopsReadingOverLimitSession)
     // the overflow waits in kernel buffers — and resume as replies
     // drain until every op completed.
     net::TcpConfig config;
-    config.basePort = kBasePort + 32;
+    test::PortLane lane(kBasePort + 32, 3);
+    config.basePort = lane.base();
     config.clientSessionCredits = 8;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
@@ -165,7 +171,8 @@ TEST(Sessions, CreditReturnsFlushOnQuietLinks)
     // must keep sequential writes (one replication round at a time)
     // flowing indefinitely.
     net::TcpConfig config;
-    config.basePort = kBasePort + 48;
+    test::PortLane lane(kBasePort + 48, 3);
+    config.basePort = lane.base();
     config.creditsPerLink = 2;
     config.creditReturnBatch = 1000;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
@@ -202,8 +209,9 @@ TEST(Sessions, HeldDownShardEndsWrongShardAfterOneDialRound)
     // reply teaches nothing new, so re-dialing the same dead addresses
     // for the rest of the attempt budget cannot converge.
     net::TcpConfig config;
-    config.basePort = kBasePort + 80;
     const size_t kShards = 2;
+    test::PortLane lane(kBasePort + 80, kShards * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
                                     tcpOptions(), config);
     deployment.start();
@@ -245,7 +253,8 @@ TEST(Sessions, ForeignKeyOnStandaloneGroupEndsWrongShard)
     // address: a key owned by another shard has nowhere to go, so the op
     // completes WrongShard at once rather than burning its attempts.
     net::TcpConfig config;
-    config.basePort = kBasePort + 96;
+    test::PortLane lane(kBasePort + 96, 3);
+    config.basePort = lane.base();
     const size_t kShards = 4;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
                          kShards, /*shard_id=*/0);
@@ -282,7 +291,8 @@ TEST(Sessions, ReadsAndWritesSpreadOverHomeReplicas)
     // there, so every replica serves reads and issues writes, and none
     // carries the bulk of the reads.
     net::TcpConfig config;
-    config.basePort = kBasePort + 112;
+    test::PortLane lane(kBasePort + 112, 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 1, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -341,7 +351,8 @@ TEST(Sessions, HomeFailsOverAndReturnsAfterRestart)
     // the history linearizes.
     test::TempDir dir("session-failover");
     net::TcpConfig config;
-    config.basePort = kBasePort + 128;
+    test::PortLane lane(kBasePort + 128, 3);
+    config.basePort = lane.base();
     ReplicaOptions options = tcpOptions();
     options.wal.path = dir.path();
     ShardedTcpDeployment deployment(Protocol::Hermes, 1, 3, options,
@@ -425,8 +436,9 @@ TEST(Sessions, ThousandSessionsSurviveCrashLinChecked)
     // Ops on dead sockets fail fast and are dropped from the history;
     // everything recorded must linearize shard by shard.
     net::TcpConfig config;
-    config.basePort = kBasePort + 64;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 64, kShards * 3);
+    config.basePort = lane.base();
     constexpr int kSessions = 1000;
     constexpr int kPhase1Rounds = 12;
     // Wide enough that per-key concurrency stays around 2: the checker

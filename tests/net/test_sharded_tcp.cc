@@ -21,6 +21,7 @@
 #include "app/lin_checker.hh"
 #include "app/tcp_service.hh"
 #include "common/random.hh"
+#include "support/free_port.hh"
 #include "support/stale_map.hh"
 #include "support/str_cat.hh"
 
@@ -35,7 +36,10 @@ using app::ReplicaOptions;
 using app::ShardedTcpDeployment;
 using app::TcpKvService;
 
-// Port lanes: clear of test_tcp (21000-21176) and test_zero_copy (21320).
+// Where this suite's PortLanes start probing, clear of the other TCP
+// suites' starts: test_tcp 21000+, test_zero_copy 21320,
+// test_tcp_recovery 22000+, test_sharded_tcp 23000+, test_sessions
+// 24000+, test_elastic_tcp 25000+.
 constexpr uint16_t kBasePort = 23000;
 
 ReplicaOptions
@@ -70,7 +74,8 @@ keyOwnedBy(uint32_t shard, size_t shards, Key start = 1)
 TEST(ShardedTcp, HelloNegotiatesDeploymentMap)
 {
     net::TcpConfig config;
-    config.basePort = kBasePort;
+    test::PortLane lane(kBasePort, 6);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, 2, 3, tcpOptions(),
                                     config);
     deployment.start();
@@ -107,8 +112,9 @@ TEST(ShardedTcp, StaleMapClientConvergesOnRealDeployment)
     // owning shard and complete — no op may surface WrongShard, which is
     // exactly what the old single-socket retry could not do.
     net::TcpConfig config;
-    config.basePort = kBasePort + 16;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 16, kShards * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
                                     tcpOptions(), config);
     deployment.start();
@@ -145,8 +151,9 @@ TEST(ShardedTcp, GarbageShardStampRejectedBeforeHashing)
     // full map back — never an assert, never a served op — and the
     // service must keep serving well-formed clients afterwards.
     net::TcpConfig config;
-    config.basePort = kBasePort + 48;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 48, 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
                          kShards, /*shard_id=*/1);
     service.start();
@@ -195,8 +202,9 @@ TEST(ShardedTcp, EndToEndLinCheckedUnderConcurrentLoad)
     // recorded as a shard-tagged history and linearizability-checked
     // shard by shard.
     net::TcpConfig config;
-    config.basePort = kBasePort + 64;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 64, kShards * 3);
+    config.basePort = lane.base();
     constexpr int kClients = 4;
     constexpr int kOpsPerClient = 2600;
     constexpr Key kKeySpace = 48;
@@ -287,8 +295,9 @@ TEST(ShardedTcp, SeedShardForgottenWhenNonSeedReplyChangesMap)
     // agree with the stale service, which then silently serves a key
     // the real deployment owns: a write that "succeeds" but is lost.
     net::TcpConfig real_config;
-    real_config.basePort = kBasePort + 128;
     const size_t kShards = 4;
+    test::PortLane real_lane(kBasePort + 128, kShards * 3);
+    real_config.basePort = real_lane.base();
     ShardedTcpDeployment real(Protocol::Hermes, kShards, 3, tcpOptions(),
                               real_config);
     real.start();
@@ -298,7 +307,8 @@ TEST(ShardedTcp, SeedShardForgottenWhenNonSeedReplyChangesMap)
     // bridge that lets a client of the old seed reach (and be taught
     // by) the new generation through a non-seed connection.
     net::TcpConfig old_config;
-    old_config.basePort = kBasePort + 160;
+    test::PortLane old_lane(kBasePort + 160, 3);
+    old_config.basePort = old_lane.base();
     TcpKvService old_gen(Protocol::Hermes, 3, tcpOptions(), old_config,
                          /*num_shards=*/2, /*shard_id=*/1);
     app::ShardAddressMap bridge(2);
@@ -345,19 +355,22 @@ TEST(ShardedTcp, RerouteLoopHonorsPerOpDeadline)
     // timeout in wall clock. The fix threads one deadline through every
     // attempt and every dial: a 50 ms op must fail within ~a dial
     // round, never 4 x (timeout + dials).
-    const uint16_t dead_a = kBasePort + 250;
-    const uint16_t dead_b = kBasePort + 251;
+    test::PortLane dead(kBasePort + 250, 2); // nothing listens there
+    const uint16_t dead_a = dead.base();
+    const uint16_t dead_b = dead.base() + 1;
 
     // Service A: S=2 generation, serves shard 0; its map sends shard-1
     // keys through two dead ports to service B.
     net::TcpConfig config_a;
-    config_a.basePort = kBasePort + 192;
+    test::PortLane lane_a(kBasePort + 192, 3);
+    config_a.basePort = lane_a.base();
     TcpKvService a(Protocol::Hermes, 3, tcpOptions(), config_a,
                    /*num_shards=*/2, /*shard_id=*/0);
     // Service B: S=4 generation, serves shard 0; its map sends every
     // non-owned shard through the dead ports back to A.
     net::TcpConfig config_b;
-    config_b.basePort = kBasePort + 224;
+    test::PortLane lane_b(kBasePort + 224, 3);
+    config_b.basePort = lane_b.base();
     TcpKvService b(Protocol::Hermes, 3, tcpOptions(), config_b,
                    /*num_shards=*/4, /*shard_id=*/0);
 
@@ -400,8 +413,9 @@ TEST(ShardedTcp, KilledShardLeavesOthersServing)
     // loops). Keys of the dead shard fail fast; every other group keeps
     // serving reads and writes undisturbed.
     net::TcpConfig config;
-    config.basePort = kBasePort + 96;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort + 96, kShards * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
                                     tcpOptions(), config);
     deployment.start();

@@ -17,6 +17,7 @@
 
 #include "app/cluster.hh"
 #include "app/tcp_service.hh"
+#include "support/free_port.hh"
 #include "support/stale_map.hh"
 #include "support/str_cat.hh"
 
@@ -30,11 +31,11 @@ using app::Protocol;
 using app::ReplicaOptions;
 using app::TcpKvService;
 
+/** Where test case @p n starts probing for its ports. */
 uint16_t
-freeBasePort(uint16_t lane)
+laneStart(uint16_t n)
 {
-    // Spread test cases across the ephemeral range to avoid rebind races.
-    return 21000 + lane * 16;
+    return static_cast<uint16_t>(21000 + n * 16);
 }
 
 ReplicaOptions
@@ -50,7 +51,8 @@ tcpOptions()
 TEST(TcpCluster, HermesWriteReadAcrossReplicas)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(0);
+    test::PortLane lane(laneStart(0), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
 
@@ -68,7 +70,8 @@ TEST(TcpCluster, HermesWriteReadAcrossReplicas)
 TEST(TcpCluster, HermesCasOverTcp)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(1);
+    test::PortLane lane(laneStart(1), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
 
@@ -82,7 +85,8 @@ TEST(TcpCluster, HermesCasOverTcp)
 TEST(TcpCluster, ManySequentialOpsBatchAndFlow)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(2);
+    test::PortLane lane(laneStart(2), 3);
+    config.basePort = lane.base();
     config.creditsPerLink = 16; // force credit recycling
     config.creditReturnBatch = 4;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
@@ -100,7 +104,8 @@ TEST(TcpCluster, ManySequentialOpsBatchAndFlow)
 TEST(TcpCluster, ConcurrentClientsOnDifferentReplicas)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(3);
+    test::PortLane lane(laneStart(3), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
 
@@ -131,7 +136,8 @@ TEST(TcpCluster, ConcurrentClientsOnDifferentReplicas)
 TEST(TcpCluster, CraqOverTcp)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(4);
+    test::PortLane lane(laneStart(4), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Craq, 3, tcpOptions(), config);
     service.start();
 
@@ -145,7 +151,8 @@ TEST(TcpCluster, CraqOverTcp)
 TEST(TcpCluster, ZabOverTcp)
 {
     net::TcpConfig config;
-    config.basePort = freeBasePort(5);
+    test::PortLane lane(laneStart(5), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Zab, 3, tcpOptions(), config);
     service.start();
 
@@ -164,7 +171,8 @@ TEST(TcpCluster, WrongShardRequestsAreRejectedExplicitly)
     // address to re-route to, so the client surfaces the rejection
     // instead of silently being served from the wrong group.
     net::TcpConfig config;
-    config.basePort = freeBasePort(7);
+    test::PortLane lane(laneStart(7), 3);
+    config.basePort = lane.base();
     const size_t kShards = 4;
     // Pick keys owned / not owned by shard 0 under the 4-way map.
     Key owned = 0, foreign = 0;
@@ -222,7 +230,8 @@ TEST(TcpCluster, StaleShardMapSelfHeals)
     // corrected stamp — the call succeeds and the caller never sees the
     // stale-map hiccup.
     net::TcpConfig config;
-    config.basePort = freeBasePort(8);
+    test::PortLane lane(laneStart(8), 3);
+    config.basePort = lane.base();
     const size_t kShards = 4;
     // A key owned by shard 0 under the real 4-way map but stamped for a
     // different shard under a stale 3-way map. (A stale count of 2 would
@@ -265,7 +274,8 @@ TEST(TcpCluster, HelloNegotiatesMapAgainstStandaloneGroup)
     // against a standalone group of a 4-way deployment it adopts count 4
     // and the group's own address entry before the first real op.
     net::TcpConfig config;
-    config.basePort = freeBasePort(9);
+    test::PortLane lane(laneStart(9), 3);
+    config.basePort = lane.base();
     const size_t kShards = 4;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config,
                          kShards, /*shard_id=*/0);
@@ -298,7 +308,8 @@ TEST(TcpCluster, PartialWriteBackpressureKeepsFramesByteIdentical)
     // backpressured; every value must come back byte-identical from
     // replicas that only ever saw it through re-staged frames.
     net::TcpConfig config;
-    config.basePort = freeBasePort(10);
+    test::PortLane lane(laneStart(10), 3);
+    config.basePort = lane.base();
     // Shrink BOTH buffers (kernel clamps to its floors; still a few KB
     // per side): a link can then hold well under ~12KB in flight, so
     // every gathered INV below — 20KB+ of value — is guaranteed to come
@@ -376,8 +387,9 @@ TEST(TcpCluster, PeerCrashUnderLoadRaisesNoSigpipe)
     constexpr int kOps = 2000;
     for (int round = 0; round < kRounds; ++round) {
         net::TcpConfig config;
-        config.basePort =
-            static_cast<uint16_t>(freeBasePort(11) + 3 * round);
+        test::PortLane lane(static_cast<uint16_t>(laneStart(11) + 3 * round),
+                            3);
+        config.basePort = lane.base();
         TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
         service.start();
 
@@ -400,7 +412,8 @@ TEST(TcpCluster, SurvivesFollowerKill)
     // updated — here we inject the m-update by hand (no RM agent in this
     // deployment), mirroring an external membership service.
     net::TcpConfig config;
-    config.basePort = freeBasePort(6);
+    test::PortLane lane(laneStart(6), 3);
+    config.basePort = lane.base();
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();
 
@@ -427,7 +440,8 @@ TEST(Tcp, ReplyDrainingPausedSessionResumesAtPollBoundary)
     // flight the server serves the session strictly in order: replies
     // arrive in issue order and every read sees the write before it.
     net::TcpConfig config;
-    config.basePort = freeBasePort(16);
+    test::PortLane lane(laneStart(16), 3);
+    config.basePort = lane.base();
     config.clientSessionCredits = 1;
     TcpKvService service(Protocol::Hermes, 3, tcpOptions(), config);
     service.start();

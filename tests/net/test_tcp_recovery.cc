@@ -20,8 +20,9 @@
 #include "app/tcp_service.hh"
 #include "common/random.hh"
 #include "store/wal.hh"
-#include "support/temp_dir.hh"
+#include "support/free_port.hh"
 #include "support/str_cat.hh"
+#include "support/temp_dir.hh"
 
 namespace hermes
 {
@@ -34,9 +35,10 @@ using app::ReplicaOptions;
 using app::ShardedTcpDeployment;
 using app::TcpKvService;
 
-// Port lane: clear of test_tcp (21000+), test_zero_copy (21320),
-// test_sharded_tcp (23000+), test_sessions (24000+) and
-// test_elastic_tcp (25000+).
+// Where this suite's PortLanes start probing, clear of the other TCP
+// suites' starts: test_tcp 21000+, test_zero_copy 21320,
+// test_tcp_recovery 22000+, test_sharded_tcp 23000+, test_sessions
+// 24000+, test_elastic_tcp 25000+.
 constexpr uint16_t kBasePort = 22000;
 
 ReplicaOptions
@@ -99,8 +101,9 @@ TEST(TcpRecovery, ShardedHistoryAcrossCrashRestartStaysLinearizable)
     // fully operational (out of shadow, records recovered).
     test::TempDir dir("tcp-recovery");
     net::TcpConfig config;
-    config.basePort = kBasePort;
     const size_t kShards = 4;
+    test::PortLane lane(kBasePort, kShards * 3);
+    config.basePort = lane.base();
     constexpr int kClients = 4;
     constexpr Key kKeySpace = 48;
     ReplicaOptions options = tcpOptions();
@@ -221,7 +224,8 @@ TEST(TcpRecovery, RestartedReplicaKeepsServingAfterSecondRestart)
     // re-logged) and the group still commits through it.
     test::TempDir dir("tcp-recovery-twice");
     net::TcpConfig config;
-    config.basePort = kBasePort + 16;
+    test::PortLane lane(kBasePort + 16, 3);
+    config.basePort = lane.base();
     ReplicaOptions options = tcpOptions();
     options.wal.path = dir.path();
     TcpKvService service(Protocol::Hermes, 3, options, config);
@@ -256,8 +260,9 @@ TEST(TcpRecovery, RestartFirstReplicaOfSecondShard)
     // linearize shard by shard.
     test::TempDir dir("tcp-recovery-first");
     net::TcpConfig config;
-    config.basePort = kBasePort + 64;
     const size_t kShards = 2;
+    test::PortLane lane(kBasePort + 64, kShards * 3);
+    config.basePort = lane.base();
     constexpr int kClients = 4;
     constexpr Key kKeySpace = 48;
     constexpr Key kPreBase = 1000; // pre-crash keys, untouched by the load
@@ -380,8 +385,9 @@ TEST(TcpRecovery, DrainFlushesWalAndStopsAccepting)
     // replica's own log — and new dials must be refused fast.
     test::TempDir dir("tcp-drain");
     net::TcpConfig config;
-    config.basePort = kBasePort + 32;
     const size_t kShards = 2;
+    test::PortLane lane(kBasePort + 32, kShards * 3);
+    config.basePort = lane.base();
     ReplicaOptions options = tcpOptions();
     options.wal.path = dir.path(); // fsync policy: Group (the default)
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3, options,
@@ -454,8 +460,9 @@ TEST(TcpRecovery, ReconnectBoundsDialAttemptsUnderHeldDownShard)
     // fail its ops within the op budget after a BOUNDED number of dial
     // attempts, paced by the backoff, and keep serving other shards.
     net::TcpConfig config;
-    config.basePort = kBasePort + 48;
     const size_t kShards = 2;
+    test::PortLane lane(kBasePort + 48, kShards * 3);
+    config.basePort = lane.base();
     ShardedTcpDeployment deployment(Protocol::Hermes, kShards, 3,
                                     tcpOptions(), config);
     deployment.start();

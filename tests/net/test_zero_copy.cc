@@ -19,6 +19,7 @@
 #include "net/batcher.hh"
 #include "net/message.hh"
 #include "store/kvs.hh"
+#include "support/free_port.hh"
 
 namespace hermes
 {
@@ -293,7 +294,8 @@ TEST(ZeroCopyCounters, ReceivedWriteValueIsCopiedExactlyOnce)
 TEST(ZeroCopyTcp, KiBValuesReplicateThroughGatheredSockets)
 {
     net::TcpConfig config;
-    config.basePort = 21320; // clear of test_tcp's 21000+ lanes
+    test::PortLane lane(21320, 3); // clear of test_tcp's 21000+ lanes
+    config.basePort = lane.base();
     app::ReplicaOptions options;
     options.storeCapacity = 1 << 12;
     options.maxValueSize = 4096;

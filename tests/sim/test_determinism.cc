@@ -189,8 +189,8 @@ TEST_F(SimDeterminism, MigrationScheduledHistoryIsByteIdentical)
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second);
     // The migration actually ran and cut over inside the window.
-    EXPECT_EQ(cluster().migrationsCompleted(), 1u);
-    EXPECT_GT(cluster().slotsMigrated(), 0u);
+    EXPECT_EQ(cluster().migration().migrationsCompleted(), 1u);
+    EXPECT_GT(cluster().migration().slotsMigrated(), 0u);
 
     // Discriminating power: the same seeds WITHOUT the migration must
     // diverge — the move visibly reshapes the schedule.
