@@ -280,6 +280,7 @@ class SimCluster : private MigrationRuntime, private ReplicaHost
     bool alive(NodeId id) override { return runtime_->alive(id); }
     void queueJob(NodeId id, ReplicaJob job) override;
     Epoch viewEpoch(NodeId id) override;
+    uint32_t mapEpoch() override { return slotMap_.epoch; }
     void rebuild(NodeId id, const membership::MembershipView &view) override;
 
     ClusterConfig config_;

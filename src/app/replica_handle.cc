@@ -26,13 +26,18 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
         else
             wal_ = std::make_unique<store::Wal>(options.wal);
         wal_->setChargeFn([this](DurationNs ns) { env_.chargeCpu(ns); });
+        wal_->setDurableFn([this](uint64_t seq) {
+            if (proto::HermesReplica *engine = hermes())
+                engine->onLogDurable(seq);
+        });
         store_.setWal(wal_.get());
-        // Poll-boundary ordering: WAL group commit BEFORE the batcher's
-        // message flush — every record a window produced is durable
-        // before the ACKs/replies staged in that window leave the node
-        // (the replicate-and-persist-before-replying contract). This
-        // replaces the hook the Batcher registered for itself; the
+        // TCP: group commit moves to a writer thread, and each frame
+        // waits for the records appended before it (the replicate-and-
+        // persist-before-replying contract). The sim keeps committing
+        // at the flush below, WAL BEFORE the batcher's message flush.
+        // This replaces the hook the Batcher registered for itself; the
         // handle's dtor (and the Batcher's) clears it.
+        env_.attachLog(wal_.get());
         env_.setFlushHook([this] {
             wal_->flush();
             if (batcher_)
@@ -50,8 +55,10 @@ ReplicaHandle::~ReplicaHandle()
     // after destruction must find nothing. (When a replacement handle is
     // built on the same Env — crash-restart — destroy the old handle
     // FIRST, or this clear would erase the new handle's hook.)
-    if (wal_)
+    if (wal_) {
         env_.setFlushHook(nullptr);
+        env_.attachLog(nullptr);
+    }
 }
 
 void
@@ -333,6 +340,8 @@ restartFromWal(ReplicaHost &host, const NodeSet &group, NodeId id)
     for (NodeId n : without.live)
         host.queueJob(n, ReplicaJob{without});
     host.rebuild(id, without);
+    host.queueJob(id,
+                  ReplicaJob{std::nullopt, kInvalidNode, host.mapEpoch()});
 
     // The node's own FIFO queue puts the sync behind its epoch+2 view.
     MembershipView with{epoch + 2, without.live};

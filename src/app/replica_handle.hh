@@ -44,10 +44,14 @@ struct ReplicaOptions
      * Per-peer coalescing of the protocol engine's data-path traffic
      * (INV/ACK/VAL, chain writes, proposes/acks/rounds). RM/membership
      * traffic always bypasses the batcher: failure-detection latency must
-     * not ride behind a coalescing window. Disabled (non-positive caps)
-     * = the engine sends on the raw transport Env.
+     * not ride behind a coalescing window. Disabled (the default) = the
+     * engine sends on the raw transport Env. The sim sets it from its
+     * cost model; over TCP it stays off: the loop coalesces each
+     * iteration's frames per connection already, and a shared envelope
+     * would hold an INV behind the ACKs packed with it until their log
+     * records are durable.
      */
-    net::BatchPolicy batch{};
+    net::BatchPolicy batch{.maxBatchMsgs = 0};
     /**
      * Write-ahead log (store/wal.hh). An empty path = no durability (the
      * default, matching the paper's in-memory Hermes). With a path set,
@@ -56,8 +60,9 @@ struct ReplicaOptions
      * serves anything (Hermes: restored Invalid, healed via replay/state
      * transfer; the baselines only append, for durability-cost sweeps,
      * and do not replay), and group-commits at the Env's poll-boundary
-     * flush — WAL before batcher, so a record is durable before the
-     * ACK/reply staged in the same window leaves the node.
+     * flush (Env::attachLog: on a writer thread over TCP), so a record
+     * is durable before any frame staged after it leaves the node,
+     * unless the protocol marked the frame NoLogWait.
      */
     store::WalConfig wal{};
     /**
@@ -210,6 +215,8 @@ class ReplicaHost
      *  has no loop: the host drops the job or runs it at once. */
     virtual void queueJob(NodeId id, ReplicaJob job) = 0;
     virtual Epoch viewEpoch(NodeId id) = 0;
+    /** Epoch of the live slot map. */
+    virtual uint32_t mapEpoch() = 0;
     /** Replace @p id 's handle with one rebuilt from its WAL under
      *  @p view, and start it. */
     virtual void rebuild(NodeId id,
@@ -223,8 +230,10 @@ class ReplicaHost
  * source. The survivors shrink to epoch+1 without @p id (commits need
  * every live member's ACK); @p id is rebuilt from its WAL as a shadow
  * (records restore Invalid), re-admitted at epoch+2, and only then
- * syncs: §3.4's m-update-before-stream order. A whole-group outage has
- * no survivor; restart it cold over the same WAL instead.
+ * syncs: §3.4's m-update-before-stream order. Before it serves, its WAL
+ * is stamped with the live slot-map epoch, which a new Wal does not
+ * know. A whole-group outage has no survivor; restart it cold over the
+ * same WAL instead.
  */
 void restartFromWal(ReplicaHost &host, const NodeSet &group, NodeId id);
 

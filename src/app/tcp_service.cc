@@ -437,18 +437,25 @@ ShardedTcpDeployment::copyToDestination(uint32_t shard,
 {
     // Every live destination replica adopts the entries on its own loop
     // (newest-timestamp-wins, so racing deltas and re-sends are
-    // idempotent). A crashed destination replica is healed later by its
-    // WAL replay + shadow sync from a live peer.
+    // idempotent), and logs them before this returns: once the cutover
+    // lets it serve them, its replies to reads of these Valid keys wait
+    // for no record (hermes/replica.cc). A crashed destination replica
+    // is healed later by its WAL replay + shadow sync from a live peer.
     TcpKvService &dst = *groups_[shard];
     for (size_t r = 0; r < dst.numNodes(); ++r) {
         auto id = static_cast<NodeId>(r);
         if (!dst.alive(id))
             continue;
+        uint64_t logged = 0;
         dst.cluster().runOn(id, [&] {
             for (const Entry &e : entries)
                 dst.replica(id).applyMigratedEntry(e.key, e.value, e.ts,
                                                    e.flags);
+            if (store::Wal *wal = dst.replica(id).wal())
+                logged = wal->appendedSeq();
         });
+        if (logged > 0 && dst.alive(id))
+            dst.replica(id).wal()->waitDurable(logged);
     }
 }
 

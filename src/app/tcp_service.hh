@@ -168,6 +168,7 @@ class TcpKvService : private ReplicaHost
     // replica's loop while that runs.
     void queueJob(NodeId id, ReplicaJob job) override;
     Epoch viewEpoch(NodeId id) override;
+    uint32_t mapEpoch() override { return slotMap()->epoch; }
     void rebuild(NodeId id, const membership::MembershipView &view) override;
 
     net::TcpCluster cluster_;

@@ -34,6 +34,63 @@ removeNode(NodeSet &set, NodeId node)
 
 } // namespace
 
+// ---------------------------------------------------------------------
+// Which frames wait for the log
+// ---------------------------------------------------------------------
+//
+// With a WAL, the TCP transport holds each frame until every record
+// appended before it was staged is durable (net::Env::attachLog), and a
+// coordinator counts its own durable record as one of the ACKs its
+// commit needs (onLogDurable; in the sim, at the job's flush). §3's ACK
+// rule then reads: an update commits once its coordinator's record is
+// durable and every live follower ACKed, and a follower's ACK waits for
+// the record of the INV it acknowledges, which was appended before the
+// ACK was staged. At commit, the value is therefore durable at every
+// replica live in the commit's view. A key turns Valid only through a
+// commit (the coordinator's own or a VAL), so Valid implies that the
+// value is durable at every live replica. Three kinds of frame depend on
+// no pending record, and are sent inside a net::NoLogWait scope
+// (unloggedFrames()):
+//
+//  - Every INV: first broadcast, mlt retransmit, view-change re-send,
+//    replay, and the RMW rejection. An INV asks; it acknowledges
+//    nothing. A replica that adopts it logs it before its own ACK can
+//    leave, and the coordinator's copy gates the commit through
+//    onLogDurable, so no ACK is ever counted for a record still in a
+//    queue. A replay re-sends the replayer's copy, whose record was
+//    appended when it adopted the INV or restored it from the log; the
+//    replay's commit waits for it (registerPending stamps every update
+//    with the log's last record). The rejection carries the rejecter's
+//    local version; whoever adopts it logs it before acknowledging
+//    anything, and its own commit still needs every ACK.
+//  - The commit's VAL and its client reply (write or CAS). Both leave
+//    after the commit, when the value is durable at every live replica:
+//    the VAL validates followers that logged it before their ACK, and
+//    the reply's write can be lost only if every replica of the commit's
+//    view loses its log.
+//  - Replies to reads of Valid keys. By the argument above, the value
+//    read is committed and durable at every replica live at its commit,
+//    even when the serving replica's own copy is not durable yet. That
+//    is the case on a §3.4 shadow, which adopts Valid entries from state
+//    transfer chunks: those entries keep the default (the shadow's next
+//    StateReq waits for the last chunk's records), and they were Valid,
+//    hence durable at every live replica, at the source. Slot-migration
+//    entries, which arrive Valid too, are durable at the destination
+//    before the cutover lets it serve them.
+//
+// Everything else keeps the default: ACKs (their promise is the record),
+// state transfer, LSC-free epoch probes, RM traffic, migration, and all
+// three baselines' messages.
+//
+// O3 (ackBroadcast) breaks "Valid implies durable". A follower turns a
+// key Valid on a complete ACK set (recordAck), which counts its own ACK
+// as soon as it appends the record and treats the INV as the
+// coordinator's ACK; in a 2-replica group the INV alone completes it.
+// With O3 on, unloggedFrames() therefore opens no scope and every frame
+// keeps the default, as before group commit: the INV waits for its
+// coordinator's record, each broadcast ACK for its sender's, and a read
+// reply for the serving replica's own.
+
 HermesReplica::HermesReplica(net::Env &env, store::KvStore &store,
                              MembershipView initial, HermesConfig config)
     : env_(env), store_(store), view_(std::move(initial)), config_(config)
@@ -65,12 +122,7 @@ HermesReplica::read(Key key, ReadCallback cb)
     store::ReadResult result = store_.read(key);
     if (!result.found
             || static_cast<KeyState>(result.meta.state) == KeyState::Valid) {
-        if (config_.lscFreeReads) {
-            speculateRead(std::move(result.value), std::move(cb));
-        } else {
-            ++stats_.readsCompleted;
-            cb(result.value);
-        }
+        serveRead(result.value, std::move(cb));
         return;
     }
     ++stats_.readsStalled;
@@ -185,9 +237,10 @@ HermesReplica::issueUpdate(Key key, ValueRef value, bool rmw,
         rec.meta().flags = rmw ? kRmwFlag : 0;
         rec.setValue(value);
     });
-    // Persist before the INV broadcast below: under fsync-every the
-    // record is durable before any peer can learn (and ack) the write;
-    // under group commit both ride the same poll-boundary flush.
+    // Log before the INV broadcast below. Under fsync-every the record
+    // is durable before any peer can learn (and ack) the write; under
+    // group commit the INV leaves at once and the commit waits for the
+    // record (registerPending), in parallel with the followers' own.
     if (store::Wal *wal = store_.wal())
         wal->append(key, new_ts, rmw ? kRmwFlag : 0, value);
     if (rmw)
@@ -212,9 +265,33 @@ HermesReplica::registerPending(Key key, Pending pending)
 {
     auto [it, inserted] = pending_.emplace(key, std::move(pending));
     hermes_assert(inserted);
+    // The coordinator's own ACK: every record appended so far (the
+    // update's own, or a replay's adopted copy) must be durable, as
+    // under fsync-every it already is.
+    if (store::Wal *wal = store_.wal()) {
+        uint64_t seq = wal->appendedSeq();
+        if (seq > wal->deliveredSeq() && seq > wal->durableSeq()) {
+            it->second.awaitingLog = true;
+            logWaits_.push_back({seq, key, it->second.ts});
+        }
+    }
     broadcastInv(key, it->second);
     armMlt(key);
-    tryCommit(key); // single-replica views commit immediately
+    tryCommit(key); // a single-replica view commits once it is durable
+}
+
+void
+HermesReplica::onLogDurable(uint64_t seq)
+{
+    while (!logWaits_.empty() && logWaits_.front().seq <= seq) {
+        LogWait wait = logWaits_.front();
+        logWaits_.pop_front();
+        auto it = pending_.find(wait.key);
+        if (it == pending_.end() || it->second.ts != wait.ts)
+            continue; // aborted or superseded meanwhile
+        it->second.awaitingLog = false;
+        tryCommit(wait.key);
+    }
 }
 
 void
@@ -226,6 +303,7 @@ HermesReplica::broadcastInv(Key key, const Pending &pending)
     inv->ts = pending.ts;
     inv->rmw = pending.rmw;
     inv->value = pending.value;
+    net::NoLogWait unlogged = unloggedFrames();
     env_.broadcast(view_.live, inv);
 }
 
@@ -264,7 +342,10 @@ HermesReplica::onMltExpired(Key key, Timestamp ts)
     inv->ts = it->second.ts;
     inv->rmw = it->second.rmw;
     inv->value = it->second.value;
-    env_.broadcast(it->second.acksNeeded, inv);
+    {
+        net::NoLogWait unlogged = unloggedFrames();
+        env_.broadcast(it->second.acksNeeded, inv);
+    }
     armMlt(key);
 }
 
@@ -272,7 +353,8 @@ void
 HermesReplica::tryCommit(Key key)
 {
     auto it = pending_.find(key);
-    if (it == pending_.end() || !it->second.acksNeeded.empty())
+    if (it == pending_.end() || !it->second.acksNeeded.empty()
+            || it->second.awaitingLog)
         return;
     Pending pending = std::move(it->second);
     pending_.erase(it);
@@ -304,28 +386,33 @@ HermesReplica::commit(Key key, Pending pending)
 
     bool skip_val = config_.ackBroadcast
                     || (conflicted && config_.skipValOnConflict);
-    if (skip_val) {
-        ++stats_.valsSkipped; // O1/O3
-    } else {
-        auto val = std::make_shared<ValMsg>();
-        val->epoch = view_.epoch;
-        val->key = key;
-        val->ts = pending.ts;
-        env_.broadcast(view_.live, val);
-    }
+    {
+        // Committed: durable at every live replica. The VAL and the
+        // reply wait for nothing (see "Which frames wait for the log").
+        net::NoLogWait unlogged = unloggedFrames();
+        if (skip_val) {
+            ++stats_.valsSkipped; // O1/O3
+        } else {
+            auto val = std::make_shared<ValMsg>();
+            val->epoch = view_.epoch;
+            val->key = key;
+            val->ts = pending.ts;
+            env_.broadcast(view_.live, val);
+        }
 
-    if (pending.replay) {
-        // Replays complete silently; the stalled request that triggered
-        // them is serviced by the drain below.
-    } else if (pending.rmw) {
-        hermes_assert(!conflicted); // conflicting RMWs abort before commit
-        ++stats_.rmwsCommitted;
-        if (pending.casCb)
-            pending.casCb(true, pending.casExpected.str());
-    } else {
-        ++stats_.writesCommitted;
-        if (pending.writeCb)
-            pending.writeCb();
+        if (pending.replay) {
+            // Replays complete silently; the stalled request that
+            // triggered them is serviced by the drain below.
+        } else if (pending.rmw) {
+            hermes_assert(!conflicted); // conflicting RMWs abort first
+            ++stats_.rmwsCommitted;
+            if (pending.casCb)
+                pending.casCb(true, pending.casExpected.str());
+        } else {
+            ++stats_.writesCommitted;
+            if (pending.writeCb)
+                pending.writeCb();
+        }
     }
 
     drainStalled(key);
@@ -478,6 +565,7 @@ HermesReplica::onInv(const InvMsg &msg)
         rejection->ts = result.localTs;
         rejection->rmw = (result.localFlags & kRmwFlag) != 0;
         rejection->value = std::move(result.localValue);
+        net::NoLogWait unlogged = unloggedFrames();
         env_.send(msg.src, rejection);
     }
 }
@@ -766,6 +854,19 @@ HermesReplica::onStateChunk(const StateChunkMsg &msg)
 // ---------------------------------------------------------------------
 
 void
+HermesReplica::serveRead(const Value &value, ReadCallback cb)
+{
+    if (config_.lscFreeReads) {
+        speculateRead(value, std::move(cb));
+        return;
+    }
+    ++stats_.readsCompleted;
+    // The key is Valid: see "Which frames wait for the log".
+    net::NoLogWait unlogged = unloggedFrames();
+    cb(value);
+}
+
+void
 HermesReplica::stallRequest(Key key, Stalled req)
 {
     stalled_[key].push_back(std::move(req));
@@ -854,12 +955,7 @@ HermesReplica::drainStalled(Key key)
     std::deque<Stalled> &queue = it->second;
     for (auto req_it = queue.begin(); req_it != queue.end();) {
         if (req_it->kind == Stalled::Kind::Read) {
-            if (config_.lscFreeReads) {
-                speculateRead(current.value, std::move(req_it->readCb));
-            } else {
-                ++stats_.readsCompleted;
-                req_it->readCb(current.value);
-            }
+            serveRead(current.value, std::move(req_it->readCb));
             req_it = queue.erase(req_it);
             --stalledCount_;
         } else {
@@ -879,12 +975,7 @@ HermesReplica::drainStalled(Key key)
         --stalledCount_;
         switch (req.kind) {
           case Stalled::Kind::Read:
-            if (config_.lscFreeReads) {
-                speculateRead(current.value, std::move(req.readCb));
-            } else {
-                ++stats_.readsCompleted;
-                req.readCb(current.value);
-            }
+            serveRead(current.value, std::move(req.readCb));
             break;
           case Stalled::Kind::Write:
             issueUpdate(key, std::move(req.value), false,
@@ -966,6 +1057,7 @@ HermesReplica::onViewChange(const MembershipView &view)
         for (auto &kv : pending_)
             env_.cancelTimer(kv.second.mltTimer);
         pending_.clear();
+        logWaits_.clear();
         stalled_.clear();
         stalledCount_ = 0;
         return;

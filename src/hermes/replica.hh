@@ -133,6 +133,13 @@ class HermesReplica : public net::Node
     /** True while this replica is a catching-up shadow (§3.4). */
     bool isShadow() const { return shadow_; }
 
+    /**
+     * The store's WAL reports its records durable up to @p seq: each
+     * coordinated update whose own record that covers counts it as one
+     * of its commit's ACKs. Call from this node's execution context.
+     */
+    void onLogDurable(uint64_t seq);
+
     // ---- Introspection ----
     const HermesStats &stats() const { return stats_; }
     const membership::MembershipView &view() const { return view_; }
@@ -157,6 +164,16 @@ class HermesReplica : public net::Node
         CasCallback casCb;
         ValueRef casExpected; ///< for internal retry after an RMW abort
         net::TimerId mltTimer = 0;
+        /** The coordinator's own record is not durable yet (WAL only). */
+        bool awaitingLog = false;
+    };
+
+    /** An update waiting for its coordinator's own record. */
+    struct LogWait
+    {
+        uint64_t seq;
+        Key key;
+        Timestamp ts;
     };
 
     /** A client request waiting for its key to become Valid. */
@@ -205,7 +222,17 @@ class HermesReplica : public net::Node
     void recordAck(Key key, Timestamp ts, NodeId from);
     NodeId physicalOf(uint32_t cid) const;
 
+    /** A NoLogWait scope on env_, open unless O3 is on (see "Which
+     *  frames wait for the log" in replica.cc). */
+    net::NoLogWait
+    unloggedFrames()
+    {
+        return net::NoLogWait(env_, !config_.ackBroadcast);
+    }
+
     // Stall management.
+    /** Complete a read of a Valid (or absent) key. */
+    void serveRead(const Value &value, ReadCallback cb);
     void stallRequest(Key key, Stalled req);
     void drainStalled(Key key);
     bool admitSerial(Stalled &req, Key key);
@@ -226,6 +253,7 @@ class HermesReplica : public net::Node
     bool halted_ = false;
 
     std::unordered_map<Key, Pending> pending_;
+    std::deque<LogWait> logWaits_; ///< ascending seq
     std::unordered_map<Key, std::deque<Stalled>> stalled_;
     size_t stalledCount_ = 0;
     std::unordered_map<Key, net::TimerId> replayTimers_;

@@ -14,6 +14,7 @@
 
 #include <functional>
 
+#include "common/durable_log.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "net/message.hh"
@@ -101,8 +102,47 @@ class Env
      */
     void setFlushHook(std::function<void()> fn) { flushHook_ = std::move(fn); }
 
+    /**
+     * The replica's write-ahead log (nullptr detaches it). A transport
+     * that holds frames for the log (TCP) moves the log's group commit
+     * to a writer thread, stamps each frame with the last record
+     * appended before it, and sends it once the log is durable up to
+     * there. The sim ignores it: its log commits at the job's flush.
+     */
+    virtual void attachLog(DurableLog *log) { (void)log; }
+
+    /** False while a NoLogWait scope is open on this Env. */
+    bool framesWaitForLog() const { return noLogWait_ == 0; }
+
   private:
+    friend class NoLogWait;
+
     std::function<void()> flushHook_;
+    unsigned noLogWait_ = 0;
+};
+
+/**
+ * While alive and @p active, frames sent through @p env (messages and
+ * client replies staged on its loop) wait for no log record. Only a
+ * caller that has argued why the frame depends on no pending record
+ * opens one: see "Which frames wait for the log" in hermes/replica.cc.
+ */
+class NoLogWait
+{
+  public:
+    explicit NoLogWait(Env &env, bool active = true)
+        : env_(env), active_(active)
+    {
+        env_.noLogWait_ += active_;
+    }
+    ~NoLogWait() { env_.noLogWait_ -= active_; }
+
+    NoLogWait(const NoLogWait &) = delete;
+    NoLogWait &operator=(const NoLogWait &) = delete;
+
+  private:
+    Env &env_;
+    bool active_;
 };
 
 /**

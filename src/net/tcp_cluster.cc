@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <set>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -35,6 +36,13 @@ constexpr uint8_t kFrameCredit = 1;
  *  broadcast stages the same frame toward every destination). */
 using FramePtr = std::shared_ptr<const WireFrame>;
 
+/** A staged frame and the log record it waits for (0: none). */
+struct Staged
+{
+    FramePtr frame;
+    uint64_t waitSeq = 0;
+};
+
 /** Short-writev tails re-staged (see TcpCluster::partialWriteTails). */
 std::atomic<uint64_t> g_partial_write_tails{0};
 
@@ -49,6 +57,9 @@ std::atomic<uint64_t> g_max_session_inflight{0};
 
 /** Process-wide connect() attempts (see DialBackoff::dialAttempts). */
 std::atomic<uint64_t> g_dial_attempts{0};
+
+/** The planted bug (see TcpCluster::releaseFramesEarly). */
+std::atomic<bool> g_release_early{false};
 
 /** The NodeLoop whose run() owns the calling thread (null elsewhere):
  *  how a loop tells its own thread from callers it must post() for. */
@@ -115,19 +126,18 @@ setRcvBuf(int fd, int bytes)
 
 /** Flatten staged frames into one batch frame (copy fallback path). */
 void
-encodeBatchFrame(const std::vector<FramePtr> &messages,
-                 std::vector<uint8_t> &out)
+encodeBatchFrame(std::span<const Staged> messages, std::vector<uint8_t> &out)
 {
     size_t body = 3; // kind + u16 count
-    for (const FramePtr &m : messages)
-        body += 4 + m->size();
+    for (const Staged &m : messages)
+        body += 4 + m.frame->size();
     BufWriter writer(out);
     writer.putU32(static_cast<uint32_t>(body));
     writer.putU8(kFrameBatch);
     writer.putU16(static_cast<uint16_t>(messages.size()));
-    for (const FramePtr &m : messages) {
-        writer.putU32(static_cast<uint32_t>(m->size()));
-        m->flattenTo(out);
+    for (const Staged &m : messages) {
+        writer.putU32(static_cast<uint32_t>(m.frame->size()));
+        m.frame->flattenTo(out);
     }
 }
 
@@ -329,10 +339,10 @@ class TcpCluster::NodeLoop
             // same gathered frame (and therefore the same value
             // buffers — zero per-copy byte cost).
             const_cast<Message &>(*msg).src = loop_.id_;
-            FramePtr frame = encodeFrame(*msg);
+            Staged staged{encodeFrame(*msg), loop_.logStamp()};
             for (NodeId dst : dsts) {
                 if (dst != loop_.id_)
-                    loop_.stageEncoded(dst, frame);
+                    loop_.stageEncoded(dst, staged);
             }
         }
 
@@ -344,6 +354,14 @@ class TcpCluster::NodeLoop
 
         void cancelTimer(TimerId id) override { loop_.cancelTimer(id); }
         Rng &rng() override { return rng_; }
+
+        void
+        attachLog(DurableLog *log) override
+        {
+            loop_.log_ = log;
+            if (log)
+                log->startWriter([&loop = loop_] { loop.wake(); });
+        }
 
       private:
         NodeLoop &loop_;
@@ -506,8 +524,8 @@ class TcpCluster::NodeLoop
      * Stage a reply frame for a client session. On the loop's own thread
      * (every protocol callback) the frame is staged directly: no lock,
      * no closure, no wake-up write. Other threads go through post().
-     * Either way the frame leaves only at the next flushStaged(), after
-     * the Env flush made its WAL records durable.
+     * Either way the frame leaves at a flushStaged() once the log is
+     * durable up to the frame's stamp (see stage()).
      */
     void
     replyToClient(ClientConnId conn_id, FramePtr frame)
@@ -529,7 +547,7 @@ class TcpCluster::NodeLoop
             return;
         int fd = it->second;
         Conn &conn = conns_[fd];
-        stage(conn, std::move(frame));
+        stage(conn, {std::move(frame), logStamp()});
         if (conn.inflight > 0)
             --conn.inflight;
         // The reply may be running inside a parseRx (a synchronous read,
@@ -592,8 +610,8 @@ class TcpCluster::NodeLoop
         std::vector<uint8_t> tx;
         uint32_t sendCredits = 0;           // credits we hold toward peer
         uint32_t recvSinceCredit = 0;       // messages since credit return
-        std::deque<FramePtr> creditWait;    // blocked on credits
-        std::vector<FramePtr> staged;       // this iteration's frames
+        std::deque<Staged> creditWait;      // blocked on credits
+        std::vector<Staged> staged;         // waiting for flushStaged
         /**
          * Client-session flow control: requests delivered to the
          * service and not yet replied to. When it reaches the granted
@@ -827,49 +845,98 @@ class TcpCluster::NodeLoop
     stageToPeer(NodeId dst, const Message &msg)
     {
         const_cast<Message &>(msg).src = id_;
-        stageEncoded(dst, encodeFrame(msg));
+        stageEncoded(dst, {encodeFrame(msg), logStamp()});
     }
 
     void
-    stageEncoded(NodeId dst, FramePtr frame)
+    stageEncoded(NodeId dst, Staged staged)
     {
         auto it = peerFd_.find(dst);
         if (it == peerFd_.end())
             return; // peer gone: manifests as message loss, as designed
         Conn &conn = conns_[it->second];
         if (conn.sendCredits == 0) {
-            conn.creditWait.push_back(std::move(frame));
+            conn.creditWait.push_back(std::move(staged));
             return;
         }
         --conn.sendCredits;
-        stage(conn, std::move(frame));
+        stage(conn, std::move(staged));
     }
 
-    /** Queue @p frame on @p conn for this iteration's flush. */
+    /**
+     * The log record a frame staged now waits for: the last one
+     * appended, unless the sender opened a NoLogWait scope (or no log
+     * is attached). Everything the handler that staged it logged is
+     * then durable before the frame leaves: an ACK never precedes the
+     * INV record it acknowledges.
+     */
+    uint64_t
+    logStamp() const
+    {
+        return log_ && env_.framesWaitForLog() ? log_->appendedSeq() : 0;
+    }
+
+    /** The log is durable up to here, for releasing frames. */
+    uint64_t
+    releasableSeq() const
+    {
+        if (!log_)
+            return UINT64_MAX;
+        return g_release_early.load(std::memory_order_relaxed)
+                   ? log_->appendedSeq()
+                   : log_->durableSeq();
+    }
+
+    /** Queue @p staged on @p conn behind its earlier frames. */
     void
-    stage(Conn &conn, FramePtr frame)
+    stage(Conn &conn, Staged staged)
     {
         if (conn.staged.empty())
             stagedFds_.push_back(conn.fd);
-        conn.staged.push_back(std::move(frame));
+        conn.staged.push_back(std::move(staged));
     }
 
-    /** Coalesce everything staged this iteration into batch frames.
-     *  Only the conns that staged something are visited: with thousands
-     *  of mostly-idle client sessions the poll boundary stays
-     *  O(active), not O(connections). Each conn keeps its staging
-     *  vector's capacity, so a steady flow allocates nothing here. */
+    /**
+     * Send every staged frame whose log records are durable, each
+     * connection's in FIFO order: a frame leaves only behind every
+     * frame staged before it on its connection, so one connection's
+     * release is the longest prefix whose stamps releasableSeq()
+     * covers, coalesced into batch frames. Which frames wait for
+     * nothing is the protocol's to argue (NoLogWait; for Hermes, see
+     * "Which frames wait for the log" in hermes/replica.cc).
+     * Connections still holding frames stay listed for the next call;
+     * the log's writer wakes the loop whenever durableSeq() advances.
+     * Only conns that staged something are visited: with thousands of
+     * mostly-idle client sessions the poll boundary stays O(active),
+     * not O(connections).
+     */
     void
     flushStaged()
     {
+        const uint64_t durable = releasableSeq();
+        size_t kept = 0;
         for (int fd : stagedFds_) {
             auto it = conns_.find(fd);
             if (it == conns_.end() || it->second.staged.empty())
                 continue; // closed, or a recycled fd listed twice
-            writeStaged(it->second, it->second.staged);
-            it->second.staged.clear();
+            Conn &conn = it->second;
+            size_t ready = 0;
+            while (ready < conn.staged.size()
+                   && conn.staged[ready].waitSeq <= durable)
+                ++ready;
+            // A batch frame counts its messages in a u16.
+            constexpr size_t kMaxBatch = 4096;
+            for (size_t off = 0; off < ready; off += kMaxBatch) {
+                size_t count = std::min(kMaxBatch, ready - off);
+                writeStaged(conn, {conn.staged.data() + off, count});
+            }
+            // Keeps its capacity: a steady flow allocates nothing here.
+            auto first = conn.staged.begin();
+            conn.staged.erase(first, first + static_cast<ptrdiff_t>(ready));
+            if (!conn.staged.empty())
+                stagedFds_[kept++] = fd;
         }
-        stagedFds_.clear();
+        stagedFds_.resize(kept);
     }
 
     /**
@@ -912,7 +979,7 @@ class TcpCluster::NodeLoop
      * require it.
      */
     void
-    writeStaged(Conn &conn, const std::vector<FramePtr> &messages)
+    writeStaged(Conn &conn, std::span<const Staged> messages)
     {
         uint8_t credit[kCreditFrameBytes];
         size_t creditLen = 0;
@@ -926,8 +993,8 @@ class TcpCluster::NodeLoop
         // A pending backlog must drain first to preserve byte order; and
         // the gathered iovec list must stay clear of IOV_MAX (1024).
         size_t iovNeeded = 2;
-        for (const FramePtr &m : messages)
-            iovNeeded += 1 + m->iovecCount();
+        for (const Staged &m : messages)
+            iovNeeded += 1 + m.frame->iovecCount();
         if (!conn.tx.empty() || iovNeeded > 1000) {
             conn.tx.insert(conn.tx.end(), credit, credit + creditLen);
             encodeBatchFrame(messages, conn.tx);
@@ -936,8 +1003,8 @@ class TcpCluster::NodeLoop
         }
 
         size_t body = 3; // kind + u16 count
-        for (const FramePtr &m : messages)
-            body += 4 + m->size();
+        for (const Staged &m : messages)
+            body += 4 + m.frame->size();
         uint8_t header[7];
         leStore32(header, static_cast<uint32_t>(body));
         header[4] = kFrameBatch;
@@ -955,10 +1022,10 @@ class TcpCluster::NodeLoop
         iov.push_back({header, sizeof(header)});
         size_t total = creditLen + sizeof(header);
         for (size_t i = 0; i < messages.size(); ++i) {
-            size_t msg_len = messages[i]->size();
+            size_t msg_len = messages[i].frame->size();
             leStore32(lens.data() + 4 * i, static_cast<uint32_t>(msg_len));
             iov.push_back({lens.data() + 4 * i, 4});
-            messages[i]->forEachRun([&iov](const void *data, size_t len) {
+            messages[i].frame->forEachRun([&iov](const void *data, size_t len) {
                 iov.push_back({const_cast<void *>(data), len});
             });
             total += 4 + msg_len;
@@ -1153,7 +1220,7 @@ class TcpCluster::NodeLoop
             if (!reader.ok() || !conn.isPeer)
                 return;
             conn.sendCredits += credits;
-            // Drain messages blocked on credits.
+            // Drain messages blocked on credits (stamps unchanged).
             while (conn.sendCredits > 0 && !conn.creditWait.empty()) {
                 --conn.sendCredits;
                 stage(conn, std::move(conn.creditWait.front()));
@@ -1275,24 +1342,34 @@ class TcpCluster::NodeLoop
 
             fireDueTimers();
 
+            // Records the writer made durable since the last iteration
+            // reach the replica (a Hermes coordinator's own ACKs), whose
+            // commits stage their VALs and replies here.
+            if (log_)
+                log_->deliverDurable(releasableSeq());
+
             // Wings opportunistic batching: everything the handlers above
-            // produced goes out coalesced, once per loop iteration. The
-            // Env flush first closes any protocol-level coalescing window
-            // (net::Batcher) so its envelopes join this iteration's
-            // staged frames. Credit returns that accumulated below the
-            // batch threshold flush here too — a quiescent link must not
-            // withhold its partner's window (the starvation fix).
+            // produced goes out coalesced, once per loop iteration, as
+            // far as the log allows. The Env flush first hands this
+            // window's records to the log's writer and closes any
+            // protocol-level coalescing window (net::Batcher) so its
+            // envelopes join the staged frames. Credit returns that
+            // accumulated below the batch threshold flush here too — a
+            // quiescent link must not withhold its partner's window (the
+            // starvation fix).
             env_.flush();
             flushStaged();
             returnPendingCredits();
         }
 
         // Final best-effort flush on the way out: a graceful drain()
-        // must push the Env flush hook (WAL group-commit buffers) and
-        // any staged replies before the sockets close. A crash-style
-        // stop loses whatever a real crash would lose — the WAL's
-        // recovery path owns that case.
+        // must commit the Env flush hook's records (WAL group-commit
+        // buffers) and push every staged reply before the sockets close.
+        // A crash-style stop loses whatever a real crash would lose —
+        // the WAL's recovery path owns that case.
         env_.flush();
+        if (log_)
+            log_->waitDurable(log_->appendedSeq());
         flushStaged();
 
         for (auto &kv : conns_)
@@ -1329,6 +1406,8 @@ class TcpCluster::NodeLoop
     std::vector<ClientConnId> resumable_;
     std::vector<iovec> iovScratch_;      ///< writeStaged's gather list
     std::vector<uint8_t> lensScratch_;   ///< writeStaged's length prefixes
+    /** The replica's log (Env::attachLog); frames wait for its records. */
+    DurableLog *log_ = nullptr;
     ClientConnId nextClientId_ = 1;
 
     std::mutex injectMutex_;
@@ -1481,6 +1560,12 @@ uint16_t
 TcpCluster::portOf(NodeId id) const
 {
     return loops_.at(id)->port();
+}
+
+void
+TcpCluster::releaseFramesEarly(bool on)
+{
+    g_release_early.store(on);
 }
 
 uint64_t

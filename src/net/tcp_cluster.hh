@@ -22,10 +22,17 @@
  *    (values above kZeroCopyThreshold are never copied between the
  *    socket and the KVS entry).
  *
+ *  - *Frames wait only for their log records*: a node whose replica
+ *    attached a write-ahead log (Env::attachLog) commits it on a writer
+ *    thread; each staged frame carries the last record appended before
+ *    it, and a connection's frames leave in FIFO order once the log is
+ *    durable that far. Frames the protocol proves independent of the
+ *    log (net::NoLogWait) leave in the iteration that staged them.
+ *
  * Each node runs one event-loop thread (epoll + timer heap + an
- * injection queue for cross-thread calls, signalled through an eventfd).
- * External clients connect to any node's port and speak the same
- * framing with a client hello.
+ * injection queue for cross-thread calls, signalled through an eventfd
+ * that the log's writer also signals). External clients connect to any
+ * node's port and speak the same framing with a client hello.
  */
 
 #ifndef HERMES_NET_TCP_CLUSTER_HH
@@ -211,8 +218,8 @@ class TcpCluster
     /**
      * Send a reply frame to an external client connection of node. On
      * the node's own loop thread the frame is staged at once; from any
-     * other thread it is posted. Either way it leaves at the loop's next
-     * flush, after the Env flush (the WAL group fsync).
+     * other thread it is posted. Either way it leaves once the node's
+     * log is durable up to the frame's stamp (Env::attachLog).
      */
     void replyToClient(NodeId id, ClientConnId conn, const Message &msg);
 
@@ -240,12 +247,21 @@ class TcpCluster
     /**
      * Graceful shutdown: every loop first stops accepting new
      * connections, then runs one final flush (the Env flush hook —
-     * WAL group-commit buffers included — plus staged frames) before
-     * its thread stops and joins. Terminal: use instead of stop().
+     * WAL group-commit buffers included — waits until the log is
+     * durable, and sends every staged frame) before its thread stops
+     * and joins. Terminal: use instead of stop().
      */
     void drain();
 
     uint16_t portOf(NodeId id) const;
+
+    /**
+     * Test-only planted bug: while on, every loop treats its log as
+     * durable up to the last record appended, so frames (and a Hermes
+     * coordinator's own ACKs) are released before their records reach
+     * the disk. The durability tests must catch it.
+     */
+    static void releaseFramesEarly(bool on);
 
     /**
      * Process-wide count of gather-mode flushes that ended in a short

@@ -21,9 +21,14 @@ namespace hermes::store
 namespace
 {
 
+/**
+ * Slicing-by-8 tables: entries[0] is the classic byte-at-a-time table,
+ * and entries[k][b] is the CRC of byte b followed by k zero bytes, so
+ * eight table lookups fold eight input bytes at once.
+ */
 struct Crc32Table
 {
-    uint32_t entries[256];
+    uint32_t entries[8][256];
 
     Crc32Table()
     {
@@ -31,7 +36,13 @@ struct Crc32Table
             uint32_t c = i;
             for (int bit = 0; bit < 8; ++bit)
                 c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-            entries[i] = c;
+            entries[0][i] = c;
+        }
+        for (int k = 1; k < 8; ++k) {
+            for (uint32_t i = 0; i < 256; ++i) {
+                uint32_t prev = entries[k - 1][i];
+                entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFF];
+            }
         }
     }
 };
@@ -43,7 +54,16 @@ crcTable()
     return table;
 }
 
+/** See setBeforeFsyncHook. */
+std::atomic<void (*)()> g_before_fsync{nullptr};
+
 } // namespace
+
+void
+setBeforeFsyncHook(void (*hook)())
+{
+    g_before_fsync.store(hook);
+}
 
 uint32_t
 crc32Init()
@@ -55,9 +75,17 @@ uint32_t
 crc32Update(uint32_t state, const void *data, size_t len)
 {
     const auto *bytes = static_cast<const uint8_t *>(data);
-    const Crc32Table &table = crcTable();
-    for (size_t i = 0; i < len; ++i)
-        state = table.entries[(state ^ bytes[i]) & 0xFF] ^ (state >> 8);
+    const auto &t = crcTable().entries;
+    for (; len >= 8; bytes += 8, len -= 8) {
+        uint32_t lo = leLoad32(bytes) ^ state;
+        uint32_t hi = leLoad32(bytes + 4);
+        state = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF]
+                ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24]
+                ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF]
+                ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++bytes, --len)
+        state = t[0][(state ^ *bytes) & 0xFF] ^ (state >> 8);
     return state;
 }
 
@@ -116,15 +144,13 @@ Wal::Wal(WalConfig config, const WalVisitor &visit)
                       strerror(errno));
             writeFileHeader();
         }
-        encodeRecordHeader(rec.shard, rec.key, rec.ts, rec.flags,
-                           rec.mapEpoch, rec.value);
-        frame_.staging.insert(frame_.staging.end(), rec.value.begin(),
-                              rec.value.end());
-        if (frame_.staging.size() >= kScanBufferBytes)
+        encodeRecord(rec.shard, rec.key, rec.ts, rec.flags, rec.mapEpoch,
+                     rec.value);
+        if (queue_.size() >= kScanBufferBytes)
             writeQueued();
     }, scanned);
-    stats_.recordsRecovered = scanned.records;
-    stats_.tornBytesDiscarded = scanned.tornBytes;
+    recordsRecovered_ = scanned.records;
+    tornBytesDiscarded_ = scanned.tornBytes;
 
     if (scanned.formatVersion < kFormatVersion) {
         commitUpgrade(upgrade_path);
@@ -197,12 +223,22 @@ Wal::writeFileHeader()
 
 Wal::~Wal()
 {
-    if (fd_ >= 0) {
-        // Best-effort final flush: a clean shutdown should not owe the
-        // next incarnation a state transfer for already-queued records.
-        flush();
-        ::close(fd_);
+    // Whoever the durable hook reached is being torn down with us.
+    durableFn_ = nullptr;
+    if (fd_ < 0)
+        return;
+    // Best-effort final flush: a clean shutdown should not owe the next
+    // incarnation a state transfer for already-queued records.
+    flush();
+    if (writer_.joinable()) {
+        {
+            std::lock_guard<std::mutex> lock(writerMutex_);
+            writerStop_ = true;
+        }
+        writerCv_.notify_one();
+        writer_.join(); // after it committed every handed window
     }
+    ::close(fd_);
 }
 
 void
@@ -212,9 +248,27 @@ Wal::setChargeFn(std::function<void(DurationNs)> fn)
 }
 
 void
-Wal::encodeRecordHeader(uint32_t shard, Key key, Timestamp ts,
-                        uint8_t flags, uint32_t map_epoch,
-                        std::string_view value)
+Wal::setDurableFn(std::function<void(uint64_t)> fn)
+{
+    durableFn_ = std::move(fn);
+}
+
+WalStats
+Wal::stats() const
+{
+    WalStats out;
+    out.appends = appends_.load(std::memory_order_relaxed);
+    out.bytesAppended = bytesAppended_.load(std::memory_order_relaxed);
+    out.flushes = flushes_.load(std::memory_order_relaxed);
+    out.fsyncs = fsyncs_.load(std::memory_order_relaxed);
+    out.recordsRecovered = recordsRecovered_;
+    out.tornBytesDiscarded = tornBytesDiscarded_;
+    return out;
+}
+
+void
+Wal::encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
+                  uint32_t map_epoch, std::string_view value)
 {
     uint8_t payload_header[kPayloadHeaderBytes];
     leStore32(payload_header, shard);
@@ -229,75 +283,166 @@ Wal::encodeRecordHeader(uint32_t shard, Key key, Timestamp ts,
                                sizeof(payload_header));
     crc = crc32Final(crc32Update(crc, value.data(), value.size()));
 
-    size_t base = frame_.staging.size();
-    frame_.staging.resize(base + kFrameHeaderBytes
-                          + sizeof(payload_header));
-    leStore32(frame_.staging.data() + base,
+    size_t base = queue_.size();
+    queue_.resize(base + kFrameHeaderBytes + sizeof(payload_header));
+    leStore32(queue_.data() + base,
               static_cast<uint32_t>(kPayloadHeaderBytes + value.size()));
-    leStore32(frame_.staging.data() + base + 4, crc);
-    std::memcpy(frame_.staging.data() + base + kFrameHeaderBytes,
+    leStore32(queue_.data() + base + 4, crc);
+    std::memcpy(queue_.data() + base + kFrameHeaderBytes,
                 payload_header, sizeof(payload_header));
+    queue_.insert(queue_.end(), value.begin(), value.end());
 }
 
-void
+uint64_t
 Wal::append(Key key, Timestamp ts, uint8_t flags, const ValueRef &value)
 {
     hermes_assert(fd_ >= 0);
-    encodeRecordHeader(config_.shard, key, ts, flags, mapEpoch_,
-                       value.view());
-    if (value.size() > kZeroCopyThreshold) {
-        // The ValueRef is immutable and refcounted: holding it until
-        // the group-commit writev costs a refcount, not a copy.
-        frame_.segments.push_back({frame_.staging.size(), value});
-    } else if (!value.empty()) {
-        frame_.staging.insert(frame_.staging.end(), value.data(),
-                              value.data() + value.size());
-    }
+    encodeRecord(config_.shard, key, ts, flags, mapEpoch_, value.view());
 
     size_t record_bytes =
         kFrameHeaderBytes + kPayloadHeaderBytes + value.size();
-    ++stats_.appends;
-    stats_.bytesAppended += record_bytes;
+    appends_.fetch_add(1, std::memory_order_relaxed);
+    bytesAppended_.fetch_add(record_bytes, std::memory_order_relaxed);
     if (chargeFn_ && config_.appendPerByteNs > 0)
         chargeFn_(static_cast<DurationNs>(config_.appendPerByteNs
                                           * record_bytes));
 
+    uint64_t seq = ++appended_;
     if (config_.fsync == FsyncPolicy::Every) {
         // Strict durability: the record is on disk before the append
         // even returns to the protocol transition that produced it.
         writeQueued();
         fsyncNow();
+        durable_.store(seq, std::memory_order_release);
     }
+    return seq;
 }
 
 void
 Wal::flush()
 {
-    if (frame_.staging.empty() && frame_.segments.empty())
-        return; // nothing new since the last window: no write, no fsync
-    writeQueued();
-    if (config_.fsync == FsyncPolicy::Group)
-        fsyncNow();
+    if (writer_.joinable()) {
+        if (queue_.empty())
+            return;
+        std::unique_lock<std::mutex> lock(writerMutex_);
+        lagBytes_ += queue_.size();
+        handed_.push_back(std::move(queue_));
+        handedSeq_ = appended_;
+        queue_ = {};
+        if (!spare_.empty()) {
+            queue_ = std::move(spare_.back());
+            spare_.pop_back();
+        }
+        writerCv_.notify_one();
+        // A disk that stalls slows the owner down, as an inline fsync
+        // would: what the writer lags behind stays bounded.
+        durableCv_.wait(lock, [this] { return lagBytes_ <= kMaxLagBytes; });
+        return;
+    }
+    for (;;) {
+        if (!queue_.empty()) {
+            writeQueued();
+            if (config_.fsync == FsyncPolicy::Group)
+                fsyncNow();
+            durable_.store(appended_, std::memory_order_release);
+        }
+        if (durableSeq() <= delivered_)
+            return; // every durable record delivered
+        deliverDurable(durableSeq());
+    }
+}
+
+void
+Wal::deliverDurable(uint64_t seq)
+{
+    if (seq <= delivered_)
+        return;
+    delivered_ = seq;
+    if (durableFn_)
+        durableFn_(seq);
+}
+
+void
+Wal::startWriter(std::function<void()> wake)
+{
+    hermes_assert(fd_ >= 0 && !writer_.joinable());
+    wake_ = std::move(wake);
+    writer_ = std::thread([this] { writerLoop(); });
+}
+
+void
+Wal::writerLoop()
+{
+    std::vector<std::vector<uint8_t>> group;
+    for (;;) {
+        uint64_t up_to;
+        size_t group_bytes;
+        {
+            std::unique_lock<std::mutex> lock(writerMutex_);
+            writerCv_.wait(lock,
+                           [this] { return !handed_.empty() || writerStop_; });
+            if (handed_.empty())
+                return; // stopping, and every handed window is committed
+            group.swap(handed_);
+            up_to = handedSeq_;
+            group_bytes = lagBytes_;
+        }
+        // Windows handed while the last fsync ran commit together: the
+        // group grows with load instead of shrinking.
+        writeWindows(group.data(), group.size());
+        if (config_.fsync == FsyncPolicy::Group)
+            fsyncNow();
+        {
+            std::lock_guard<std::mutex> lock(writerMutex_);
+            durable_.store(up_to, std::memory_order_release);
+            lagBytes_ -= group_bytes;
+            // Keep the buffers for the owner's next windows.
+            for (std::vector<uint8_t> &window : group) {
+                if (spare_.size() < kSpareWindows) {
+                    window.clear();
+                    spare_.push_back(std::move(window));
+                }
+            }
+        }
+        group.clear();
+        durableCv_.notify_all();
+        wake_();
+    }
+}
+
+void
+Wal::waitDurable(uint64_t seq)
+{
+    std::unique_lock<std::mutex> lock(writerMutex_);
+    durableCv_.wait(lock, [this, seq] { return durableSeq() >= seq; });
 }
 
 void
 Wal::writeQueued()
 {
-    if (frame_.staging.empty() && frame_.segments.empty())
+    if (queue_.empty())
         return;
+    writeWindows(&queue_, 1);
+    queue_.clear();
+}
+
+void
+Wal::writeWindows(const std::vector<uint8_t> *windows, size_t count)
+{
     std::vector<iovec> iov;
-    iov.reserve(frame_.iovecCount());
-    frame_.forEachRun([&iov](const void *data, size_t len) {
-        iov.push_back(iovec{const_cast<void *>(data), len});
-    });
+    iov.reserve(count);
+    for (size_t w = 0; w < count; ++w) {
+        iov.push_back(iovec{const_cast<uint8_t *>(windows[w].data()),
+                            windows[w].size()});
+    }
     // writev caps the vector length (IOV_MAX, commonly 1024); chunk and
     // re-slice partial writes so every queued byte lands exactly once.
     constexpr size_t kMaxIovPerCall = 512;
     size_t idx = 0;
     while (idx < iov.size()) {
-        size_t count = std::min(iov.size() - idx, kMaxIovPerCall);
+        size_t n_iov = std::min(iov.size() - idx, kMaxIovPerCall);
         ssize_t n = ::writev(fd_, iov.data() + idx,
-                             static_cast<int>(count));
+                             static_cast<int>(n_iov));
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -317,18 +462,18 @@ Wal::writeQueued()
             }
         }
     }
-    frame_.staging.clear();
-    frame_.segments.clear();
-    ++stats_.flushes;
+    flushes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 Wal::fsyncNow()
 {
+    if (void (*hook)() = g_before_fsync.load())
+        hook();
     if (::fsync(fd_) != 0)
         panic("wal: fsync(%s) failed: %s", config_.path.c_str(),
               strerror(errno));
-    ++stats_.fsyncs;
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
     if (chargeFn_ && config_.fsyncNs > 0)
         chargeFn_(config_.fsyncNs);
 }

@@ -52,15 +52,26 @@
  * records against the *current* map (see ReplicaHandle::openAndReplayWal);
  * the epoch tag records which generation wrote each record.
  *
- * Appends stage into a scatter/gather WireFrame (values above
- * kZeroCopyThreshold ride as ValueRef segments — no copy between the KVS
- * and the disk queue) and group-commit at the same poll-boundary flush
- * the message batcher uses. The fsync policy spans the classic spectrum:
+ * Appends copy each record into one contiguous queue (a queued record
+ * never pins the receive buffer its value arrived in, however long the
+ * writer holds it), and each append returns the record's log sequence
+ * number (1, 2, 3 …). flush() closes a group-commit window. By default it
+ * writes and fsyncs the window itself (the sim charges fsyncNs for it);
+ * after startWriter() it hands the window to one writer thread and
+ * returns, unless the writer lags more than kMaxLagBytes behind (a
+ * stalled disk slows the loop as an inline fsync would). The writer
+ * commits every window handed to it since its last fsync as one group
+ * and publishes a cumulative durableSeq() ("durable up to here"). The
+ * TCP transport holds each outbound frame until durableSeq() covers the
+ * records the frame depends on (common/durable_log.hh), and
+ * deliverDurable() tells the log's owner — the Hermes coordinator
+ * counts its own durable record as one of a commit's ACKs. The fsync
+ * policy spans the classic spectrum:
  *
- *  - Never: write() at flush, no fsync — the OS decides when bytes hit
+ *  - Never: write() at commit, no fsync — the OS decides when bytes hit
  *    disk. Survives process crashes, not power loss.
- *  - Group: one fsync per poll-boundary flush window (default) — every
- *    record is durable before the reply riding the same flush leaves.
+ *  - Group: one fsync per group commit (default) — a record is durable
+ *    before any frame that depends on it leaves the node.
  *  - Every: write+fsync inside append() itself, before the protocol
  *    message that announces the write is even staged.
  *
@@ -80,12 +91,17 @@
 #define HERMES_STORE_WAL_HH
 
 #include <array>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
+#include "common/durable_log.hh"
 #include "common/random.hh"
 #include "common/serialize.hh"
 #include "common/timestamp.hh"
@@ -107,8 +123,8 @@ uint32_t crc32Final(uint32_t state);
 /** When (not whether) appended records reach the platters. */
 enum class FsyncPolicy : uint8_t
 {
-    Never, ///< write at flush, never fsync
-    Group, ///< one fsync per poll-boundary flush window
+    Never, ///< write at commit, never fsync
+    Group, ///< one fsync per group commit
     Every, ///< write + fsync inside every append
 };
 
@@ -135,8 +151,8 @@ struct WalStats
 {
     uint64_t appends = 0;
     uint64_t bytesAppended = 0; ///< wire bytes queued (header + payload)
-    uint64_t flushes = 0;       ///< flush() calls that wrote something
-    uint64_t fsyncs = 0;
+    uint64_t flushes = 0;       ///< groups written (one writev run each)
+    uint64_t fsyncs = 0;        ///< one per group under FsyncPolicy::Group
     uint64_t recordsRecovered = 0;
     uint64_t tornBytesDiscarded = 0;
 };
@@ -184,11 +200,20 @@ class KeyLockTable
 };
 
 /**
- * The per-replica write-ahead log. Single-writer: every call (append,
- * flush) must come from the replica's event-loop/job context, exactly
- * like the KVS write path it shadows.
+ * Test seam until a file-operations seam exists: when set, every Wal
+ * calls @p hook on the thread about to fsync, just before it does
+ * (tests hold writers inside their fsync with it). nullptr clears it.
  */
-class Wal
+void setBeforeFsyncHook(void (*hook)());
+
+/**
+ * The per-replica write-ahead log. Its owner (the replica's event-loop
+ * or job context, exactly like the KVS write path it shadows) makes
+ * every call except durableSeq(), stats() and waitDurable(), which any
+ * thread may make. After startWriter() one writer thread owns the file
+ * writes.
+ */
+class Wal : public DurableLog
 {
   public:
     /** File-header magic, "HWAL" loaded little-endian. */
@@ -215,15 +240,40 @@ class Wal
     Wal(const Wal &) = delete;
     Wal &operator=(const Wal &) = delete;
 
-    /** Queue one record; under FsyncPolicy::Every, also write+fsync it. */
-    void append(Key key, Timestamp ts, uint8_t flags, const ValueRef &value);
+    /**
+     * Queue one record; under FsyncPolicy::Every, also write+fsync it.
+     * @return its log sequence number.
+     */
+    uint64_t append(Key key, Timestamp ts, uint8_t flags,
+                    const ValueRef &value);
 
     /**
-     * Group commit: write every queued record in one gathered writev and
-     * fsync per policy. Wired to the Env's poll-boundary flush hook, so
-     * records persist before the replies staged in the same window leave.
+     * Close a group-commit window: wired to the Env's poll-boundary
+     * flush hook. Without a writer thread, write every queued record in
+     * one gathered writev, fsync per policy, and deliver the new
+     * durableSeq() (delivery may append more records: they commit in
+     * the same call). With one, hand the window to the writer.
      */
     void flush();
+
+    // ---- DurableLog ----
+    uint64_t appendedSeq() const override { return appended_; }
+    uint64_t
+    durableSeq() const override
+    {
+        return durable_.load(std::memory_order_acquire);
+    }
+    /** Run the durable hook once per advance of @p seq. */
+    void deliverDurable(uint64_t seq) override;
+    void startWriter(std::function<void()> wake) override;
+
+    /** Highest sequence passed to the durable hook so far. */
+    uint64_t deliveredSeq() const { return delivered_; }
+
+    /** Called with the new sequence each time deliverDurable advances. */
+    void setDurableFn(std::function<void(uint64_t)> fn);
+
+    void waitDurable(uint64_t seq) override;
 
     /** Cost-model charge hook (sim: Env::chargeCpu). */
     void setChargeFn(std::function<void(DurationNs)> fn);
@@ -236,11 +286,12 @@ class Wal
     void setMapEpoch(uint32_t epoch) { mapEpoch_ = epoch; }
     uint32_t mapEpoch() const { return mapEpoch_; }
 
-    const WalStats &stats() const { return stats_; }
+    /** A snapshot of the counters; safe while the writer runs. */
+    WalStats stats() const;
     const WalConfig &config() const { return config_; }
 
-    /** Bytes queued and not yet written (group-commit backlog). */
-    size_t pendingBytes() const { return frame_.size(); }
+    /** Bytes queued and not yet handed over or written. */
+    size_t pendingBytes() const { return queue_.size(); }
 
     struct ScanResult
     {
@@ -274,29 +325,62 @@ class Wal
     /** Initial size of the scan's read buffer. */
     static constexpr size_t kScanBufferBytes = 64 * 1024;
 
+    /** flush() waits while the writer lags further behind than this. */
+    static constexpr size_t kMaxLagBytes = 1 << 20;
+
   private:
     /** scan() into @p out, whose formatVersion is final before the
      *  first record reaches @p visit (the v1 upgrade keys off it). */
     static void scanInto(const std::string &path, const WalVisitor &visit,
                          ScanResult &out);
-    /** Frame one record's header (CRC over @p value included) into the
-     *  group-commit queue; the caller queues the value bytes after it. */
-    void encodeRecordHeader(uint32_t shard, Key key, Timestamp ts,
-                            uint8_t flags, uint32_t map_epoch,
-                            std::string_view value);
+    /** Frame one record (header, CRC, value bytes) into the
+     *  group-commit queue. */
+    void encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
+                      uint32_t map_epoch, std::string_view value);
     void writeFileHeader();
+    /** writev @p count queued windows in order, then ++flushes. */
+    void writeWindows(const std::vector<uint8_t> *windows, size_t count);
+    /** writeWindows the owner's queue and clear it. */
     void writeQueued();
     void fsyncNow();
     /** Finish a v1 upgrade: make the rewritten copy at @p upgrade_path
      *  durable and atomically replace the log with it. */
     void commitUpgrade(const std::string &upgrade_path);
+    /** Writer thread: commit every handed window as one group. */
+    void writerLoop();
 
     WalConfig config_;
     uint32_t mapEpoch_ = 1;
     int fd_ = -1;
-    WireFrame frame_; ///< group-commit queue (staging + value segments)
+    std::vector<uint8_t> queue_; ///< group-commit queue (encoded records)
     std::function<void(DurationNs)> chargeFn_;
-    WalStats stats_;
+    std::function<void(uint64_t)> durableFn_;
+    uint64_t appended_ = 0;  ///< owner thread
+    uint64_t delivered_ = 0; ///< owner thread
+    std::atomic<uint64_t> durable_{0};
+
+    // Counters the writer and the owner bump; stats() snapshots them.
+    std::atomic<uint64_t> appends_{0};
+    std::atomic<uint64_t> bytesAppended_{0};
+    std::atomic<uint64_t> flushes_{0};
+    std::atomic<uint64_t> fsyncs_{0};
+    uint64_t recordsRecovered_ = 0;
+    uint64_t tornBytesDiscarded_ = 0;
+
+    // Writer thread (startWriter): flush() moves queue_ into handed_.
+    std::thread writer_;
+    std::function<void()> wake_;
+    std::mutex writerMutex_;
+    std::condition_variable writerCv_;  ///< windows handed, or stop
+    std::condition_variable durableCv_; ///< durable_ advanced
+    std::vector<std::vector<uint8_t>> handed_; ///< guarded by writerMutex_
+    /** Written windows' buffers, for flush() to reuse (guarded). */
+    std::vector<std::vector<uint8_t>> spare_;
+    static constexpr size_t kSpareWindows = 8;
+    uint64_t handedSeq_ = 0;            ///< guarded by writerMutex_
+    /** Bytes handed and not yet durable (guarded by writerMutex_). */
+    size_t lagBytes_ = 0;
+    bool writerStop_ = false;           ///< guarded by writerMutex_
 };
 
 } // namespace hermes::store

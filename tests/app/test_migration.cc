@@ -786,6 +786,28 @@ TEST_F(MigrationFaults, WalRestartAfterCutoverSkipsMovedSlots)
               "moved");
 }
 
+TEST_F(MigrationFaults, WalRestartAfterCutoverLogsUnderTheLiveEpoch)
+{
+    // A new Wal starts at map epoch 1. A destination replica restarted
+    // after a cutover must log under the live map's epoch before it
+    // serves, not under 1 until the next map install.
+    test::TempDir dir("migration-wal-epoch");
+    SimCluster &cluster = makeCluster(durableSharded(dir.path(), 34));
+    cluster.migrateSlots(quarterOfShard0(), 0, 1);
+    for (int i = 0; i < 200 && cluster.migrationActive(); ++i)
+        cluster.runFor(1_ms);
+    ASSERT_FALSE(cluster.migrationActive());
+    ASSERT_EQ(cluster.slotMap().epoch, 2u);
+
+    const NodeId destination = 4;
+    ASSERT_EQ(cluster.shardMap().shardOfNode(destination), 1u);
+    EXPECT_EQ(cluster.replica(destination).wal()->mapEpoch(), 2u);
+    cluster.crashRestartNode(destination);
+    cluster.runFor(60_ms); // the rejoin: views, the stamp, the sync
+    EXPECT_FALSE(cluster.replica(destination).hermes()->isShadow());
+    EXPECT_EQ(cluster.replica(destination).wal()->mapEpoch(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Acceptance: >= 10k ops across a live migration + source crash-restart
 // ---------------------------------------------------------------------

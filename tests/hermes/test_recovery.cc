@@ -67,9 +67,12 @@ class FakeRestartHost : public app::ReplicaHost
     {
         if (job.view)
             steps.push_back(test::strCat("job ", id, ": ", show(*job.view)));
-        else
+        else if (job.syncSource != kInvalidNode)
             steps.push_back(
                 test::strCat("job ", id, ": sync from ", job.syncSource));
+        else
+            steps.push_back(
+                test::strCat("job ", id, ": map epoch ", job.mapEpoch));
     }
 
     Epoch
@@ -78,6 +81,8 @@ class FakeRestartHost : public app::ReplicaHost
         steps.push_back(test::strCat("epoch of ", id));
         return 7;
     }
+
+    uint32_t mapEpoch() override { return 3; }
 
     void
     rebuild(NodeId id, const membership::MembershipView &view) override
@@ -110,6 +115,7 @@ TEST(RecoveryChoreography, ShrinksRebuildsExtendsThenSyncsFromLowestSurvivor)
         "job 6: view 8 { 6 7 }",
         "job 7: view 8 { 6 7 }",
         "rebuild 5: view 8 { 6 7 }",
+        "job 5: map epoch 3",
         "job 5: view 9 { 5 6 7 }",
         "job 6: view 9 { 5 6 7 }",
         "job 7: view 9 { 5 6 7 }",
@@ -129,6 +135,7 @@ TEST(RecoveryChoreography, NodeAlreadyDownIsNotCrashedAgain)
         "job 1: view 8 { 1 2 }",
         "job 2: view 8 { 1 2 }",
         "rebuild 0: view 8 { 1 2 }",
+        "job 0: map epoch 3",
         "job 0: view 9 { 0 1 2 }",
         "job 1: view 9 { 0 1 2 }",
         "job 2: view 9 { 0 1 2 }",

@@ -5,7 +5,9 @@
  * over-real-sockets half of the acceptance bar), graceful drain() that
  * flushes group-commit buffers and stops accepting sessions, and the
  * client reconnect path — jittered capped exponential dial backoff with
- * a bounded attempt budget against a held-down shard.
+ * a bounded attempt budget against a held-down shard — and, with every
+ * WAL writer held inside fsync, writes that wait for their records while
+ * reads of Valid keys do not.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "common/random.hh"
 #include "store/wal.hh"
 #include "support/free_port.hh"
+#include "support/fsync_hold.hh"
 #include "support/str_cat.hh"
 #include "support/temp_dir.hh"
 
@@ -431,6 +434,142 @@ TEST(TcpRecovery, DrainFlushesWalAndStopsAccepting)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Writes wait for every log, reads for none
+// ---------------------------------------------------------------------
+
+struct HeldFsyncOutcome
+{
+    bool writeAnsweredWhileHeld = false;
+    int readsAnswered = 0;
+    int readsTried = 0;
+    bool writeAnsweredAfter = false;
+};
+
+/**
+ * One group with WALs; keys 1..4 written first. Then every replica's
+ * writer is held inside fsync while one session writes key 100 and
+ * another reads keys 1..4 from each replica; then the writers go on.
+ * With @p plant, TcpCluster::releaseFramesEarly is on throughout.
+ */
+HeldFsyncOutcome
+writeWhileFsyncHeld(uint16_t lane_start, bool plant)
+{
+    test::TempDir dir("tcp-held-fsync");
+    net::TcpConfig config;
+    test::PortLane lane(lane_start, 3);
+    config.basePort = lane.base();
+    ReplicaOptions options = tcpOptions();
+    options.wal.path = dir.path();
+    TcpKvService service(Protocol::Hermes, 3, options, config);
+    net::TcpCluster::releaseFramesEarly(plant);
+    service.start();
+
+    HeldFsyncOutcome out;
+    KvClient setup(service.portOf(0));
+    for (Key key = 1; key <= 4; ++key)
+        EXPECT_TRUE(setup.write(key, "before"));
+    std::vector<std::unique_ptr<KvClient>> readers;
+    for (NodeId n = 0; n < 3; ++n)
+        readers.push_back(std::make_unique<KvClient>(service.portOf(n)));
+    app::KvSessionClient writer(service.portOf(0));
+    writer.awaitHello();
+    // Let the last VALs land: every replica holds keys 1..4 Valid.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    {
+        test::FsyncHold hold;
+        uint64_t token = writer.writeAsync(100, "held", 10_s);
+        TimeNs until = wallNowNs() + 400_ms;
+        while (wallNowNs() < until) {
+            for (auto &reader : readers) {
+                for (Key key = 1; key <= 4; ++key) {
+                    ++out.readsTried;
+                    if (reader->read(key, 1_s).value_or("?") == "before")
+                        ++out.readsAnswered;
+                }
+            }
+            out.writeAnsweredWhileHeld |= writer.done(token);
+        }
+        hold.release();
+        auto result = writer.wait(token);
+        out.writeAnsweredAfter = result && result->completed;
+    }
+    net::TcpCluster::releaseFramesEarly(false);
+    return out;
+}
+
+TEST(TcpWalDurability, HeldFsyncHoldsTheWriteButNotReadsOfValidKeys)
+{
+    // A write is acknowledged only after its records are durable at the
+    // coordinator and at every follower, while a read of a Valid key
+    // waits for no log at all: hold every replica's WAL writer inside
+    // its fsync, and the new write must go unanswered while reads of
+    // keys written earlier keep answering from every replica.
+    HeldFsyncOutcome out = writeWhileFsyncHeld(kBasePort + 80, false);
+    EXPECT_FALSE(out.writeAnsweredWhileHeld)
+        << "a write was acknowledged before its records were durable";
+    EXPECT_GT(out.readsTried, 0);
+    EXPECT_EQ(out.readsAnswered, out.readsTried)
+        << "a read of a Valid key waited for the log";
+    EXPECT_TRUE(out.writeAnsweredAfter);
+}
+
+TEST(TcpWalDurability, PlantedEarlyReleaseIsCaught)
+{
+    // The same scenario with the planted bug: frames and the
+    // coordinator's own ACK are released at append, not at fsync. The
+    // held write's reply then arrives, which is exactly what the test
+    // above asserts never happens.
+    HeldFsyncOutcome out = writeWhileFsyncHeld(kBasePort + 96, true);
+    EXPECT_TRUE(out.writeAnsweredWhileHeld)
+        << "the durability test no longer notices an early release";
+}
+
+TEST(TcpWalDurability, AckBroadcastFollowerReadsNoValueHeldInALog)
+{
+    // O3 lets a follower validate on a complete ACK set that counts its
+    // own ACK at append and takes the INV for the coordinator's; in a
+    // 2-replica group the INV alone completes it. A read there must
+    // still not return a value that no replica has made durable: with
+    // every writer held inside fsync, the follower keeps answering the
+    // value written before the hold.
+    test::TempDir dir("tcp-o3-held-fsync");
+    net::TcpConfig config;
+    test::PortLane lane(kBasePort + 112, 2);
+    config.basePort = lane.base();
+    ReplicaOptions options = tcpOptions();
+    options.wal.path = dir.path();
+    options.hermesConfig.ackBroadcast = true;
+    TcpKvService service(Protocol::Hermes, 2, options, config);
+    service.start();
+
+    constexpr Key kKey = 7;
+    KvClient setup(service.portOf(0));
+    ASSERT_TRUE(setup.write(kKey, "before"));
+    KvClient reader(service.portOf(1));
+    app::KvSessionClient writer(service.portOf(0));
+    writer.awaitHello();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    int before = 0;
+    int held = 0;
+    {
+        test::FsyncHold hold;
+        uint64_t token = writer.writeAsync(kKey, "held", 10_s);
+        TimeNs until = wallNowNs() + 300_ms;
+        while (wallNowNs() < until) {
+            std::string value = reader.read(kKey, 1_s).value_or("?");
+            before += value == "before";
+            held += value == "held";
+        }
+        hold.release();
+        auto result = writer.wait(token);
+        EXPECT_TRUE(result && result->completed);
+    }
+    EXPECT_EQ(held, 0) << "a follower served a value durable nowhere";
+    EXPECT_GT(before, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -3,18 +3,23 @@
  * WAL unit suite: golden bytes freezing the record format, torn-tail
  * recovery (truncation at every byte offset, bit-flipped CRCs — discard
  * the tail, never crash, never replay garbage), fsync-policy accounting,
- * reopen-and-append cycles, and the per-key recovery lock table.
+ * reopen-and-append cycles, the per-key recovery lock table, and group
+ * commit on a writer thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "store/wal.hh"
+#include "support/fsync_hold.hh"
 #include "support/temp_dir.hh"
 
 namespace hermes::store
@@ -855,6 +860,90 @@ TEST(KeyLockTableTest, DistinctStripesDoNotBlockEachOther)
         }
     }
     FAIL() << "300 keys all hashed to one stripe";
+}
+
+// ---------------------------------------------------------------------
+// Group commit on a writer thread
+// ---------------------------------------------------------------------
+
+TEST(WalWriter, CommitsHandedWindowsAsGroupsAndWakesTheOwner)
+{
+    // The owner's flush hands each window over; the writer commits, one
+    // fsync per group, publishes durableSeq and calls the wake hook.
+    // deliverDurable reaches the owner's hook once per advance.
+    TempDir dir("wal-writer");
+    WalConfig config;
+    config.path = dir.file("writer.wal");
+    config.fsync = FsyncPolicy::Group;
+    std::atomic<int> wakes{0};
+    std::vector<uint64_t> delivered;
+    {
+        Wal wal(config);
+        wal.setDurableFn([&](uint64_t seq) { delivered.push_back(seq); });
+        wal.startWriter([&wakes] { ++wakes; });
+        EXPECT_EQ(wal.append(1, Timestamp{1, 0}, 0, ValueRef("a")), 1u);
+        EXPECT_EQ(wal.append(2, Timestamp{2, 0}, 0,
+                             ValueRef(std::string(300, 'b'))),
+                  2u);
+        wal.flush();
+        EXPECT_EQ(wal.append(3, Timestamp{3, 0}, 0, ValueRef("c")), 3u);
+        wal.flush();
+        wal.waitDurable(3);
+        EXPECT_EQ(wal.durableSeq(), 3u);
+        // The wake follows the publication that released waitDurable.
+        for (int i = 0; i < 1000 && wakes.load() == 0; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_GE(wakes.load(), 1);
+        WalStats stats = wal.stats();
+        EXPECT_GE(stats.flushes, 1u);
+        EXPECT_LE(stats.flushes, 2u);
+        EXPECT_EQ(stats.fsyncs, stats.flushes);
+        EXPECT_EQ(delivered, std::vector<uint64_t>{}); // the owner's call
+        wal.deliverDurable(2);
+        wal.deliverDurable(2);
+        wal.deliverDurable(3);
+        EXPECT_EQ(delivered, (std::vector<uint64_t>{2, 3}));
+        EXPECT_EQ(wal.deliveredSeq(), 3u);
+    }
+    Scanned result = scanAll(config.path);
+    ASSERT_EQ(result.records.size(), 3u);
+    EXPECT_EQ(result.records[1].value, std::string(300, 'b'));
+}
+
+TEST(WalWriter, OwnerWaitsWhileTheWriterLagsPastItsBound)
+{
+    // A stalled fsync must slow the owner down, as an inline fsync
+    // would, instead of letting handed windows pile up without bound.
+    TempDir dir("wal-writer-lag");
+    WalConfig config;
+    config.path = dir.file("lag.wal");
+    config.fsync = FsyncPolicy::Group;
+    Wal wal(config);
+    wal.startWriter([] {});
+    const std::string value(4096, 'v');
+    {
+        test::FsyncHold hold;
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef(value));
+        wal.flush(); // the writer takes it and stalls in fsync
+        auto owner = std::async(std::launch::async, [&] {
+            Key key = 2;
+            size_t handed = 0;
+            while (handed <= 2 * Wal::kMaxLagBytes) {
+                wal.append(key, Timestamp{1, 0}, 0, ValueRef(value));
+                wal.flush();
+                handed += value.size();
+                ++key;
+            }
+        });
+        EXPECT_EQ(owner.wait_for(std::chrono::milliseconds(200)),
+                  std::future_status::timeout)
+            << "the owner handed 2 MiB past a stalled fsync";
+        hold.release();
+        owner.get();
+    }
+    wal.flush();
+    wal.waitDurable(wal.appendedSeq());
+    EXPECT_EQ(wal.durableSeq(), wal.appendedSeq());
 }
 
 } // namespace
