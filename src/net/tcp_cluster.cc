@@ -468,6 +468,26 @@ class TcpCluster::NodeLoop
     /** True on this loop's own thread, while run() owns it. */
     bool onLoop() const { return t_current_loop == this; }
 
+    /** Loop-thread only: true if this loop routes to every node in
+     *  @p nodes but itself. */
+    bool
+    routesTo(const std::vector<NodeId> &nodes) const
+    {
+        return std::all_of(nodes.begin(), nodes.end(), [this](NodeId n) {
+            return n == id_ || peerFd_.count(n) > 0;
+        });
+    }
+
+    /** Loop-thread only: close the route to @p peer, whose loop is down
+     *  (its sockets died with it), before its EOF arrives. */
+    void
+    dropPeer(NodeId peer)
+    {
+        auto it = peerFd_.find(peer);
+        if (it != peerFd_.end())
+            closeConn(it->second);
+    }
+
     /** Queue @p fn for the loop's next poll boundary. Only the post that
      *  makes the queue non-empty signals: until the loop swaps the queue
      *  out, that one signal covers every post behind it. */
@@ -940,15 +960,14 @@ class TcpCluster::NodeLoop
     }
 
     /**
-     * Poll-boundary credit return: push out whatever recvSinceCredit
-     * accumulated below the creditReturnBatch threshold this iteration.
-     * Without this, a link receiving fewer than the batch and going
-     * quiescent would permanently run its partner on a shrunken window
-     * (the starvation bug) — batching still amortizes *within* an
-     * iteration, it just can no longer withhold across idle time.
-     * Runs after flushStaged(), which already led every peer batch with
-     * its credit frame: only peers this iteration sent nothing to are
-     * left, and they get a standalone credit frame.
+     * Poll-boundary credit return, for links whose withheld credits
+     * reached half the window. Runs after flushStaged(), which already
+     * led every peer batch with its credit frame: only peers this
+     * iteration sent nothing to are left, and such a link gets a
+     * standalone credit frame (a send, and a wakeup of the peer for a
+     * 9-byte read) only once half its partner's window waits on it.
+     * That never starves the partner: while its window is empty, every
+     * one of its credits is withheld here, so the half mark is reached.
      */
     void
     returnPendingCredits()
@@ -958,7 +977,9 @@ class TcpCluster::NodeLoop
             if (it == conns_.end())
                 continue;
             Conn &conn = it->second;
-            if (!conn.helloDone || conn.recvSinceCredit == 0)
+            if (!conn.helloDone
+                    || 2 * uint64_t{conn.recvSinceCredit}
+                           < config_.creditsPerLink)
                 continue;
             encodeCreditFrame(conn.recvSinceCredit, conn.tx);
             conn.recvSinceCredit = 0;
@@ -1470,13 +1491,47 @@ TcpCluster::start()
         loop->bindListener();
     for (auto &loop : loops_)
         loop->startThread();
-    // Wait until every loop finished dialing its peers: each loop only
-    // services injected calls after establishMesh(), so a round of no-op
-    // runOn calls doubles as a mesh barrier. Without it, a client request
-    // racing the mesh could have its protocol traffic silently dropped —
-    // fatal for protocols without retransmission (e.g. CRAQ forwards).
-    for (auto &loop : loops_)
-        loop->runOnAndWait([] {});
+    // Without the barrier, a client request racing the mesh could have
+    // its protocol traffic silently dropped — fatal for protocols
+    // without retransmission (e.g. CRAQ forwards).
+    awaitMesh();
+}
+
+void
+TcpCluster::awaitMesh()
+{
+    // A loop services injected calls only after establishMesh() and its
+    // replica's start(), so each query below also waits for those. A
+    // dialed link is routable at once; an accepted one only after the
+    // loop read the dialer's hello, hence the polling.
+    auto deadline = std::chrono::steady_clock::now() + kMeshDeadline;
+    for (;;) {
+        std::vector<NodeId> up;
+        for (auto &loop : loops_) {
+            if (loop->running())
+                up.push_back(loop->id_);
+        }
+        bool whole = true;
+        for (NodeId n : up) {
+            // Shared: a loop stopped mid-query may still run the call
+            // after runOnAndWait gave up on it.
+            auto routes = std::make_shared<std::atomic<bool>>(false);
+            NodeLoop &loop = *loops_[n];
+            loop.runOnAndWait([routes, &loop, up] {
+                routes->store(loop.routesTo(up));
+            });
+            whole = whole && routes->load();
+        }
+        if (whole)
+            return;
+        if (std::chrono::steady_clock::now() >= deadline) {
+            LOG_WARN("tcp: mesh of %zu nodes not whole after %lld s",
+                     up.size(),
+                     static_cast<long long>(kMeshDeadline.count()));
+            return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 }
 
 void
@@ -1518,11 +1573,14 @@ void
 TcpCluster::restart(NodeId id)
 {
     hermes_assert(started_);
+    // The survivors' links to the node's last life are dead: close them
+    // now, so the barrier below waits for the links its new life dials.
+    for (auto &loop : loops_) {
+        if (loop->id_ != id && loop->running())
+            loop->runOnAndWait([&l = *loop, id] { l.dropPeer(id); });
+    }
     loops_.at(id)->restartThread();
-    // Same barrier as start(): the loop services injected calls only
-    // after establishMesh() and the replica's start(), so a no-op runOn
-    // returning means the node is fully back in the mesh.
-    loops_.at(id)->runOnAndWait([] {});
+    awaitMesh();
 }
 
 bool

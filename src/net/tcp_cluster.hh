@@ -39,6 +39,7 @@
 #define HERMES_NET_TCP_CLUSTER_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -143,10 +144,12 @@ struct TcpConfig
     uint32_t creditsPerLink = 256;
     /**
      * Return credits after this many messages received from a peer
-     * *within one poll iteration* (a burst-amortization cap). Whatever
-     * is still outstanding gets flushed at the poll boundary, so a
-     * low-rate link that goes quiescent can never permanently shrink
-     * its partner's window.
+     * *within one poll iteration* (a burst-amortization cap). Below it,
+     * withheld credits ride on the next frame sent to that peer, or go
+     * out alone at a poll boundary once they reach half of
+     * creditsPerLink. A partner whose window runs dry has all of it
+     * withheld here, so a low-rate link that goes quiescent can never
+     * permanently shrink its partner's window.
      */
     uint32_t creditReturnBatch = 64;
     /**
@@ -200,7 +203,12 @@ class TcpCluster
     /** The Env to construct node @p id 's protocol object with. */
     Env &env(NodeId id);
 
-    /** Bind, connect the mesh, start loops, call Node::start(). */
+    /**
+     * Bind, connect the mesh, start loops, call Node::start(). Returns
+     * once every node routes to every other node (or, should the mesh
+     * not close, after kMeshDeadline with a warning): a frame sent
+     * right after start() reaches its peer.
+     */
     void start();
 
     /** Stop loops and join threads (idempotent). */
@@ -232,8 +240,9 @@ class TcpCluster
      * loop re-dials the FULL mesh itself (survivors dialed it once, at
      * their own startup, and never again — they learn the new socket
      * from its peer hello). Attach the replacement protocol replica
-     * BEFORE calling; returns once the mesh is re-established and the
-     * replica's start() ran (same barrier as start()).
+     * BEFORE calling; returns once the replica's start() ran and every
+     * running node routes to every other over the new sockets (same
+     * barrier as start()).
      */
     void restart(NodeId id);
 
@@ -301,6 +310,13 @@ class TcpCluster
 
   private:
     class NodeLoop;
+
+    /** How long start() and restart() wait for the mesh to close. */
+    static constexpr std::chrono::seconds kMeshDeadline{10};
+
+    /** The start()/restart() barrier: wait until every running loop
+     *  routes to every other running node, or kMeshDeadline passed. */
+    void awaitMesh();
 
     TcpConfig config_;
     std::vector<std::unique_ptr<NodeLoop>> loops_;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -56,6 +57,45 @@ crcTable()
 
 /** See setBeforeFsyncHook. */
 std::atomic<void (*)()> g_before_fsync{nullptr};
+
+/** The one source of the zeros the log writes ahead of itself. */
+const std::array<uint8_t, 64 * 1024> kZeros{};
+
+/** pwritev all of @p iov to @p fd at file offset @p offset. */
+void
+writeAt(int fd, const std::string &path, std::vector<iovec> &iov,
+        uint64_t offset)
+{
+    // pwritev caps the vector length (IOV_MAX, commonly 1024); chunk and
+    // re-slice partial writes so every byte lands exactly once.
+    constexpr size_t kMaxIovPerCall = 512;
+    size_t idx = 0;
+    while (idx < iov.size()) {
+        size_t n_iov = std::min(iov.size() - idx, kMaxIovPerCall);
+        ssize_t n = ::pwritev(fd, iov.data() + idx,
+                              static_cast<int>(n_iov),
+                              static_cast<off_t>(offset));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            panic("wal: pwritev(%s) failed: %s", path.c_str(),
+                  strerror(errno));
+        }
+        auto written = static_cast<size_t>(n);
+        offset += written;
+        while (written > 0 && idx < iov.size()) {
+            if (written >= iov[idx].iov_len) {
+                written -= iov[idx].iov_len;
+                ++idx;
+            } else {
+                iov[idx].iov_base =
+                    static_cast<uint8_t *>(iov[idx].iov_base) + written;
+                iov[idx].iov_len -= written;
+                written = 0;
+            }
+        }
+    }
+}
 
 } // namespace
 
@@ -154,27 +194,26 @@ Wal::Wal(WalConfig config, const WalVisitor &visit)
 
     if (scanned.formatVersion < kFormatVersion) {
         commitUpgrade(upgrade_path);
-    } else {
-        fd_ = ::open(config_.path.c_str(), O_CREAT | O_RDWR, 0644);
-        if (fd_ < 0)
-            panic("wal: open(%s) failed: %s", config_.path.c_str(),
-                  strerror(errno));
-        if (scanned.tornBytes > 0) {
-            // Drop the torn tail so the next append starts a well-formed
-            // record at the clean prefix instead of gluing onto garbage.
-            if (::ftruncate(fd_, static_cast<off_t>(scanned.cleanBytes))
-                    != 0)
-                panic("wal: ftruncate(%s) failed: %s",
-                      config_.path.c_str(), strerror(errno));
-        }
-        // A brand-new log — or one torn inside the header itself, just
-        // truncated to nothing — starts with the format header.
-        if (scanned.cleanBytes == 0)
-            writeFileHeader();
+        return;
     }
-    if (::lseek(fd_, 0, SEEK_END) < 0)
-        panic("wal: lseek(%s) failed: %s", config_.path.c_str(),
+    fd_ = ::open(config_.path.c_str(), O_CREAT | O_RDWR, 0644);
+    if (fd_ < 0)
+        panic("wal: open(%s) failed: %s", config_.path.c_str(),
               strerror(errno));
+    if (scanned.tornBytes > 0) {
+        // Drop the torn tail so the next append starts a well-formed
+        // record at the clean prefix instead of gluing onto garbage.
+        if (::ftruncate(fd_, static_cast<off_t>(scanned.cleanBytes)) != 0)
+            panic("wal: ftruncate(%s) failed: %s", config_.path.c_str(),
+                  strerror(errno));
+    }
+    // Appends start at the clean end; a zero tail stays zeroed space.
+    writePos_ = scanned.cleanBytes;
+    fileEnd_ = scanned.cleanBytes + scanned.zeroTailBytes;
+    // A brand-new log — or one torn inside the header itself, just
+    // truncated to nothing — starts with the format header.
+    if (scanned.cleanBytes == 0)
+        writeFileHeader();
 }
 
 void
@@ -208,17 +247,10 @@ Wal::writeFileHeader()
     uint8_t header[kFileHeaderBytes];
     leStore32(header, kFileMagic);
     leStore32(header + 4, kFormatVersion);
-    size_t off = 0;
-    while (off < sizeof(header)) {
-        ssize_t n = ::write(fd_, header + off, sizeof(header) - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            panic("wal: write(%s) failed: %s", config_.path.c_str(),
-                  strerror(errno));
-        }
-        off += static_cast<size_t>(n);
-    }
+    std::vector<iovec> iov{iovec{header, sizeof(header)}};
+    writeAt(fd_, config_.path, iov, 0);
+    writePos_ = kFileHeaderBytes;
+    fileEnd_ = std::max<uint64_t>(fileEnd_, kFileHeaderBytes);
 }
 
 Wal::~Wal()
@@ -238,6 +270,11 @@ Wal::~Wal()
         writerCv_.notify_one();
         writer_.join(); // after it committed every handed window
     }
+    // A closed log holds exactly its records. Should this fail, the
+    // zero tail left behind is what recovery expects after a crash.
+    if (::ftruncate(fd_, static_cast<off_t>(writePos_)) != 0)
+        LOG_WARN("wal: ftruncate(%s) failed: %s", config_.path.c_str(),
+                 strerror(errno));
     ::close(fd_);
 }
 
@@ -261,6 +298,7 @@ Wal::stats() const
     out.bytesAppended = bytesAppended_.load(std::memory_order_relaxed);
     out.flushes = flushes_.load(std::memory_order_relaxed);
     out.fsyncs = fsyncs_.load(std::memory_order_relaxed);
+    out.extensionSyncs = extensionSyncs_.load(std::memory_order_relaxed);
     out.recordsRecovered = recordsRecovered_;
     out.tornBytesDiscarded = tornBytesDiscarded_;
     return out;
@@ -308,22 +346,25 @@ Wal::append(Key key, Timestamp ts, uint8_t flags, const ValueRef &value)
                                           * record_bytes));
 
     uint64_t seq = ++appended_;
-    if (config_.fsync == FsyncPolicy::Every) {
-        // Strict durability: the record is on disk before the append
-        // even returns to the protocol transition that produced it.
-        writeQueued();
-        fsyncNow();
-        durable_.store(seq, std::memory_order_release);
-    }
+    // Strict durability: the record is on disk before the append even
+    // returns to the protocol transition that produced it.
+    if (config_.fsync == FsyncPolicy::Every)
+        commitQueued();
     return seq;
 }
 
 void
 Wal::flush()
 {
-    if (writer_.joinable()) {
+    if (wake_) {
         if (queue_.empty())
             return;
+        // Started by the owner's first hand-over, the writer inherits
+        // the owner's CPU placement, not that of whichever thread built
+        // the log (a deployment that pins its loops after start() keeps
+        // each writer beside its loop instead of on the builder's CPU).
+        if (!writer_.joinable())
+            writer_ = std::thread([this] { writerLoop(); });
         std::unique_lock<std::mutex> lock(writerMutex_);
         lagBytes_ += queue_.size();
         handed_.push_back(std::move(queue_));
@@ -340,12 +381,8 @@ Wal::flush()
         return;
     }
     for (;;) {
-        if (!queue_.empty()) {
-            writeQueued();
-            if (config_.fsync == FsyncPolicy::Group)
-                fsyncNow();
-            durable_.store(appended_, std::memory_order_release);
-        }
+        if (!queue_.empty())
+            commitQueued();
         if (durableSeq() <= delivered_)
             return; // every durable record delivered
         deliverDurable(durableSeq());
@@ -365,9 +402,8 @@ Wal::deliverDurable(uint64_t seq)
 void
 Wal::startWriter(std::function<void()> wake)
 {
-    hermes_assert(fd_ >= 0 && !writer_.joinable());
+    hermes_assert(fd_ >= 0 && !wake_ && wake);
     wake_ = std::move(wake);
-    writer_ = std::thread([this] { writerLoop(); });
 }
 
 void
@@ -390,7 +426,7 @@ Wal::writerLoop()
         // Windows handed while the last fsync ran commit together: the
         // group grows with load instead of shrinking.
         writeWindows(group.data(), group.size());
-        if (config_.fsync == FsyncPolicy::Group)
+        if (config_.fsync != FsyncPolicy::Never)
             fsyncNow();
         {
             std::lock_guard<std::mutex> lock(writerMutex_);
@@ -407,6 +443,9 @@ Wal::writerLoop()
         group.clear();
         durableCv_.notify_all();
         wake_();
+        // Extend after the group is published, not on its path: the
+        // windows handed meanwhile commit right behind the extension.
+        keepZeroedAhead();
     }
 }
 
@@ -427,42 +466,58 @@ Wal::writeQueued()
 }
 
 void
+Wal::commitQueued()
+{
+    writeQueued();
+    if (config_.fsync != FsyncPolicy::Never)
+        fsyncNow();
+    durable_.store(appended_, std::memory_order_release);
+    keepZeroedAhead();
+}
+
+void
 Wal::writeWindows(const std::vector<uint8_t> *windows, size_t count)
 {
     std::vector<iovec> iov;
     iov.reserve(count);
+    uint64_t bytes = 0;
     for (size_t w = 0; w < count; ++w) {
         iov.push_back(iovec{const_cast<uint8_t *>(windows[w].data()),
                             windows[w].size()});
+        bytes += windows[w].size();
     }
-    // writev caps the vector length (IOV_MAX, commonly 1024); chunk and
-    // re-slice partial writes so every queued byte lands exactly once.
-    constexpr size_t kMaxIovPerCall = 512;
-    size_t idx = 0;
-    while (idx < iov.size()) {
-        size_t n_iov = std::min(iov.size() - idx, kMaxIovPerCall);
-        ssize_t n = ::writev(fd_, iov.data() + idx,
-                             static_cast<int>(n_iov));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            panic("wal: writev(%s) failed: %s", config_.path.c_str(),
-                  strerror(errno));
-        }
-        auto written = static_cast<size_t>(n);
-        while (written > 0 && idx < iov.size()) {
-            if (written >= iov[idx].iov_len) {
-                written -= iov[idx].iov_len;
-                ++idx;
-            } else {
-                iov[idx].iov_base =
-                    static_cast<uint8_t *>(iov[idx].iov_base) + written;
-                iov[idx].iov_len -= written;
-                written = 0;
-            }
-        }
-    }
+    // Rare once the log runs: keepZeroedAhead leaves half a chunk.
+    if (config_.fsync == FsyncPolicy::Group && writePos_ + bytes > fileEnd_)
+        extendZeroed(writePos_ + bytes);
+    writeAt(fd_, config_.path, iov, writePos_);
+    writePos_ += bytes;
+    fileEnd_ = std::max(fileEnd_, writePos_); // Every and Never append
     flushes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+Wal::extendZeroed(uint64_t end)
+{
+    end = (end + kZeroChunkBytes - 1) / kZeroChunkBytes * kZeroChunkBytes;
+    std::vector<iovec> iov;
+    for (uint64_t off = fileEnd_; off < end; off += kZeros.size()) {
+        iov.push_back(iovec{const_cast<uint8_t *>(kZeros.data()),
+                            std::min<uint64_t>(kZeros.size(), end - off)});
+    }
+    writeAt(fd_, config_.path, iov, fileEnd_);
+    if (::fdatasync(fd_) != 0)
+        panic("wal: fdatasync(%s) failed: %s", config_.path.c_str(),
+              strerror(errno));
+    extensionSyncs_.fetch_add(1, std::memory_order_relaxed);
+    fileEnd_ = end;
+}
+
+void
+Wal::keepZeroedAhead()
+{
+    if (config_.fsync == FsyncPolicy::Group
+            && fileEnd_ - writePos_ < kZeroChunkBytes / 2)
+        extendZeroed(writePos_ + kZeroChunkBytes);
 }
 
 void
@@ -470,8 +525,10 @@ Wal::fsyncNow()
 {
     if (void (*hook)() = g_before_fsync.load())
         hook();
-    if (::fsync(fd_) != 0)
-        panic("wal: fsync(%s) failed: %s", config_.path.c_str(),
+    // Data only: the zeroed space a group overwrites was allocated, and
+    // the file size made durable, by its extension's own sync.
+    if (::fdatasync(fd_) != 0)
+        panic("wal: fdatasync(%s) failed: %s", config_.path.c_str(),
               strerror(errno));
     fsyncs_.fetch_add(1, std::memory_order_relaxed);
     if (chargeFn_ && config_.fsyncNs > 0)
@@ -537,6 +594,24 @@ class LogReader
         return filled_ >= len ? buf_.data() : nullptr;
     }
 
+    /** True if every byte from @p off to the end of the file is zero.
+     *  Invalidates every earlier window. */
+    bool
+    zeroFrom(size_t off)
+    {
+        while (off < size_) {
+            size_t len = std::min(Wal::kScanBufferBytes, size_ - off);
+            const uint8_t *bytes = window(off, len);
+            if (!bytes)
+                continue; // the file ended short: size_ shrank to it
+            if (std::any_of(bytes, bytes + len,
+                            [](uint8_t b) { return b != 0; }))
+                return false;
+            off += len;
+        }
+        return true;
+    }
+
   private:
     int fd_;
     std::vector<uint8_t> buf_;
@@ -571,11 +646,20 @@ Wal::scanInto(const std::string &path, const WalVisitor &visit,
     } closer{fd};
     LogReader reader(fd);
 
+    // Everything past the last good record at @p off is either zeroed
+    // space the log had not written yet or a torn tail.
+    auto endAt = [&](size_t off) {
+        out.cleanBytes = off;
+        size_t torn = reader.zeroFrom(off) ? 0 : reader.size() - off;
+        out.tornBytes = torn;
+        out.zeroTailBytes = reader.size() - off - torn;
+    };
+
     // Decode records of one format generation starting at @p start.
     // @p payload_header_bytes distinguishes the generations: 29 for the
     // current format, 25 for the headerless v1 layout (no slot-map
     // epoch; those records predate elastic sharding, so their epoch is
-    // the initial map's, 1). Every early exit is the torn-tail exit.
+    // the initial map's, 1). Every early exit is the end-of-log exit.
     auto scanRecords = [&](size_t start, size_t payload_header_bytes,
                            uint32_t map_epoch_default) {
         size_t off = start;
@@ -616,8 +700,7 @@ Wal::scanInto(const std::string &path, const WalVisitor &visit,
                 visit(rec);
             off += kFrameHeaderBytes + payload_len;
         }
-        out.cleanBytes = off;
-        out.tornBytes = reader.size() - off;
+        endAt(off);
     };
 
     const uint8_t *header = reader.window(0, kFileHeaderBytes);
@@ -626,8 +709,7 @@ Wal::scanInto(const std::string &path, const WalVisitor &visit,
         // creation): no record fits in fewer bytes under ANY format, so
         // the whole file is a torn tail. The constructor truncates it
         // and writes a fresh header.
-        out.cleanBytes = 0;
-        out.tornBytes = reader.size();
+        endAt(0);
         return;
     }
 
@@ -645,15 +727,27 @@ Wal::scanInto(const std::string &path, const WalVisitor &visit,
         return;
     }
 
+    // No magic, and nothing but zeros: a log zero-filled ahead before
+    // its header reached the disk. It holds no record.
+    bool zero_head = std::all_of(header, header + kFileHeaderBytes,
+                                 [](uint8_t b) { return b == 0; });
+    if (zero_head && reader.zeroFrom(0)) {
+        out.zeroTailBytes = reader.size();
+        return;
+    }
+
     // No magic: the only headerless format ever released is v1 (25-byte
     // record payload header, no slot-map epoch). If the head of the file
     // decodes as v1, it is a pre-upgrade log — stream its records up and
-    // let the constructor rewrite it in the current format.
-    constexpr size_t kV1PayloadHeaderBytes = 25;
-    out.formatVersion = 1;
-    scanRecords(0, kV1PayloadHeaderBytes, 1);
-    if (out.records > 0)
-        return;
+    // let the constructor rewrite it in the current format. (A v1 log
+    // never starts with a zero length word.)
+    if (!zero_head) {
+        constexpr size_t kV1PayloadHeaderBytes = 25;
+        out.formatVersion = 1;
+        scanRecords(0, kV1PayloadHeaderBytes, 1);
+        if (out.records > 0)
+            return;
+    }
 
     // Neither a current header nor a v1 prefix: this is not a WAL this
     // build knows how to read. Truncating it to nothing would silently

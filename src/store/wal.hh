@@ -75,11 +75,39 @@
  *  - Every: write+fsync inside append() itself, before the protocol
  *    message that announces the write is even staged.
  *
+ * Every sync of records is an fdatasync, for the reason below.
+ *
+ * The zero tail. Records are written at a write position, and under
+ * Group into space the log zero-filled ahead of itself. Before a group
+ * would cross the zeroed frontier, whoever writes the group (the owner
+ * without a writer thread, else the writer) writes zeros up to the next
+ * kZeroChunkBytes boundary from one small static buffer and makes them
+ * durable with their own fdatasync; after each committed group it tops
+ * the headroom up to at least half a chunk, so a group rarely waits for
+ * an extension. A group then overwrites blocks that are already
+ * allocated and written, and the file size does not move, so its
+ * fdatasync flushes only data: no group commits the filesystem journal
+ * for a block allocation or a new size, as an appending fsync does.
+ * fallocate is not enough: on ext4 a write into an unwritten extent
+ * converts the extent, which is again a journalled metadata change.
+ * The extension's sync is neither charged to the cost model nor counted
+ * in WalStats::fsyncs (it has WalStats::extensionSyncs), and the
+ * before-fsync test hook does not see it. Never has no sync to make
+ * cheaper and Every no writer to hide an extension behind, so both
+ * append past the end of the file instead (Every with an fdatasync per
+ * record); a zero tail a Group log left is still used first. The file
+ * layout is unchanged: a crash image is the records followed by zeros,
+ * and ~Wal truncates the file to its write position, so a closed log
+ * holds exactly its records.
+ *
  * Recovery: scan() streams the log from the start in one pass and stops
  * at the first record that is truncated, length-corrupt or CRC-failing —
  * the torn tail a crash mid-write leaves behind is discarded, never
- * replayed and never fatal. Each surviving record goes to a visitor as a
- * view into the read buffer, so recovery holds one read buffer
+ * replayed and never fatal. An all-zero tail after the last good record
+ * is zeroed space, not a torn write: the constructor keeps it and
+ * appends at the clean end (a record cut short before the zeros is
+ * still torn, and truncated). Each surviving record goes to a visitor
+ * as a view into the read buffer, so recovery holds one read buffer
  * (kScanBufferBytes, grown only to fit one larger record) plus one
  * record, never the log: the Hermes handle replays each view straight
  * into the KVS (as Invalid: a logged write was not necessarily
@@ -153,6 +181,9 @@ struct WalStats
     uint64_t bytesAppended = 0; ///< wire bytes queued (header + payload)
     uint64_t flushes = 0;       ///< groups written (one writev run each)
     uint64_t fsyncs = 0;        ///< one per group under FsyncPolicy::Group
+    /** fdatasyncs of zero-filled extensions (Group only): not in
+     *  fsyncs, never charged. */
+    uint64_t extensionSyncs = 0;
     uint64_t recordsRecovered = 0;
     uint64_t tornBytesDiscarded = 0;
 };
@@ -201,8 +232,9 @@ class KeyLockTable
 
 /**
  * Test seam until a file-operations seam exists: when set, every Wal
- * calls @p hook on the thread about to fsync, just before it does
- * (tests hold writers inside their fsync with it). nullptr clears it.
+ * calls @p hook on the thread about to sync a group (or an Every
+ * append), just before it does (tests hold writers inside their fsync
+ * with it); zero-fill extensions do not call it. nullptr clears it.
  */
 void setBeforeFsyncHook(void (*hook)());
 
@@ -211,7 +243,7 @@ void setBeforeFsyncHook(void (*hook)());
  * or job context, exactly like the KVS write path it shadows) makes
  * every call except durableSeq(), stats() and waitDurable(), which any
  * thread may make. After startWriter() one writer thread owns the file
- * writes.
+ * writes; the owner's first flush() that hands it a window starts it.
  */
 class Wal : public DurableLog
 {
@@ -231,8 +263,9 @@ class Wal : public DurableLog
      * Open (creating if absent) the log at config.path, stream every
      * surviving record to @p visit (if set) in one pass over the file,
      * and truncate any torn tail so new appends start from the clean
-     * prefix. A headerless v1 log is upgraded to the current format on
-     * the way (see the file comment).
+     * prefix (an all-zero tail is kept as zeroed space). A headerless
+     * v1 log is upgraded to the current format on the way (see the file
+     * comment).
      */
     explicit Wal(WalConfig config, const WalVisitor &visit = {});
     ~Wal();
@@ -298,6 +331,9 @@ class Wal : public DurableLog
         size_t records = 0;    ///< intact records visited
         size_t cleanBytes = 0; ///< prefix ending at the last good record
         size_t tornBytes = 0;  ///< discarded tail (0 for a clean log)
+        /** All-zero tail after cleanBytes: zeroed space the log had not
+         *  written yet, kept (tornBytes is 0 then). */
+        size_t zeroTailBytes = 0;
         /** Format the log was written in: kFormatVersion for a current
          *  (or missing/empty) log, 1 for a headerless legacy log whose
          *  records were decoded with the v1 layout. The constructor
@@ -328,6 +364,11 @@ class Wal : public DurableLog
     /** flush() waits while the writer lags further behind than this. */
     static constexpr size_t kMaxLagBytes = 1 << 20;
 
+    /** Under Group the log zero-fills ahead of its write position up
+     *  to multiples of this. Small: a group that must wait for an
+     *  extension waits for about one chunk. */
+    static constexpr size_t kZeroChunkBytes = 256 * 1024;
+
   private:
     /** scan() into @p out, whose formatVersion is final before the
      *  first record reaches @p visit (the v1 upgrade keys off it). */
@@ -338,10 +379,20 @@ class Wal : public DurableLog
     void encodeRecord(uint32_t shard, Key key, Timestamp ts, uint8_t flags,
                       uint32_t map_epoch, std::string_view value);
     void writeFileHeader();
-    /** writev @p count queued windows in order, then ++flushes. */
+    /** Write @p count queued windows in order at the write position,
+     *  zero-filling ahead first if they would cross the frontier, then
+     *  ++flushes. */
     void writeWindows(const std::vector<uint8_t> *windows, size_t count);
     /** writeWindows the owner's queue and clear it. */
     void writeQueued();
+    /** The owner's commit: writeQueued, sync per policy, publish. */
+    void commitQueued();
+    /** Zero-fill from the frontier to the kZeroChunkBytes boundary at
+     *  or past @p end, and fdatasync it. */
+    void extendZeroed(uint64_t end);
+    /** After a committed group (Group only): keep half a chunk zeroed
+     *  ahead. */
+    void keepZeroedAhead();
     void fsyncNow();
     /** Finish a v1 upgrade: make the rewritten copy at @p upgrade_path
      *  durable and atomically replace the log with it. */
@@ -352,6 +403,9 @@ class Wal : public DurableLog
     WalConfig config_;
     uint32_t mapEpoch_ = 1;
     int fd_ = -1;
+    // Whoever writes the file (see the file comment) owns these two.
+    uint64_t writePos_ = 0; ///< where the next record goes
+    uint64_t fileEnd_ = 0;  ///< file size; zeros from writePos_ to here
     std::vector<uint8_t> queue_; ///< group-commit queue (encoded records)
     std::function<void(DurationNs)> chargeFn_;
     std::function<void(uint64_t)> durableFn_;
@@ -364,12 +418,13 @@ class Wal : public DurableLog
     std::atomic<uint64_t> bytesAppended_{0};
     std::atomic<uint64_t> flushes_{0};
     std::atomic<uint64_t> fsyncs_{0};
+    std::atomic<uint64_t> extensionSyncs_{0};
     uint64_t recordsRecovered_ = 0;
     uint64_t tornBytesDiscarded_ = 0;
 
     // Writer thread (startWriter): flush() moves queue_ into handed_.
     std::thread writer_;
-    std::function<void()> wake_;
+    std::function<void()> wake_; ///< set: commit on the writer thread
     std::mutex writerMutex_;
     std::condition_variable writerCv_;  ///< windows handed, or stop
     std::condition_variable durableCv_; ///< durable_ advanced

@@ -3,8 +3,10 @@
  * WAL unit suite: golden bytes freezing the record format, torn-tail
  * recovery (truncation at every byte offset, bit-flipped CRCs — discard
  * the tail, never crash, never replay garbage), fsync-policy accounting,
- * reopen-and-append cycles, the per-key recovery lock table, and group
- * commit on a writer thread.
+ * reopen-and-append cycles, the zero-filled space group commits write
+ * into (crash images, torn records before the zeros, multi-chunk
+ * replays), the per-key recovery lock table, and group commit on a
+ * writer thread.
  */
 
 #include <gtest/gtest.h>
@@ -823,6 +825,236 @@ TEST(WalPolicy, DestructorFlushesQueuedRecords)
         // No explicit flush: an orderly shutdown must not drop records.
     }
     EXPECT_EQ(scanAll(path).records.size(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The zero tail: group commits into space zero-filled ahead
+// ---------------------------------------------------------------------
+
+/** A Group-policy log at @p path. */
+WalConfig
+groupConfig(const std::string &path)
+{
+    WalConfig config;
+    config.path = path;
+    config.fsync = FsyncPolicy::Group;
+    return config;
+}
+
+TEST(WalZeroTail, CrashImageScansCleanAndReopensAtTheLastRecord)
+{
+    // A copy of the file taken while the log is open is what a crash
+    // leaves: the records, then the zeros written ahead of them.
+    TempDir dir("wal-zero-tail");
+    const std::string path = dir.file("live.wal");
+    const std::string image = dir.file("image.wal");
+    const size_t clean = Wal::kFileHeaderBytes + 3 * kRecordOverhead
+                         + strlen("one") + strlen("two") + strlen("three");
+    {
+        Wal wal(groupConfig(path));
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("one"));
+        wal.append(2, Timestamp{2, 0}, 0, ValueRef("two"));
+        wal.flush();
+        wal.append(3, Timestamp{3, 0}, 0, ValueRef("three"));
+        wal.flush();
+        writeBytes(image, fileBytes(path));
+    }
+    EXPECT_EQ(fileBytes(path).size(), clean); // closed: records only
+
+    Wal::ScanResult scanned = Wal::scan(image);
+    EXPECT_EQ(scanned.records, 3u);
+    EXPECT_EQ(scanned.cleanBytes, clean);
+    EXPECT_EQ(scanned.tornBytes, 0u);
+    EXPECT_GE(scanned.zeroTailBytes, Wal::kZeroChunkBytes / 2);
+    EXPECT_EQ(scanned.cleanBytes + scanned.zeroTailBytes,
+              fileBytes(image).size());
+
+    {
+        std::vector<Recovered> recovered;
+        Wal wal(groupConfig(image), collectInto(recovered));
+        ASSERT_EQ(recovered.size(), 3u);
+        EXPECT_EQ(recovered[2].value, "three");
+        EXPECT_EQ(wal.stats().tornBytesDiscarded, 0u);
+        // The zeros are kept: the reopened log has room already.
+        EXPECT_EQ(fileBytes(image).size(),
+                  scanned.cleanBytes + scanned.zeroTailBytes);
+        wal.append(4, Timestamp{4, 0}, 0, ValueRef("four"));
+        wal.flush();
+        EXPECT_EQ(wal.stats().extensionSyncs, 0u);
+    }
+    // The new record starts right at the old clean end: no gap.
+    Scanned after = scanAll(image);
+    ASSERT_EQ(after.records.size(), 4u);
+    EXPECT_EQ(after.records[3].value, "four");
+    EXPECT_EQ(after.cleanBytes, clean + kRecordOverhead + strlen("four"));
+    EXPECT_EQ(after.tornBytes, 0u);
+    EXPECT_EQ(fileBytes(image).size(), after.cleanBytes);
+}
+
+TEST(WalZeroTail, RecordCutMidPayloadBeforeTheZerosIsTorn)
+{
+    // A crash inside a group's write can leave the head of a record
+    // followed by the zeros it was meant to cover: that is a torn
+    // record, not zeroed space, and the open truncates it.
+    TempDir dir("wal-zero-torn");
+    const std::string path = dir.file("live.wal");
+    const std::string image = dir.file("image.wal");
+    const size_t prefix2 = Wal::kFileHeaderBytes + 2 * kRecordOverhead
+                           + strlen("first") + strlen("second");
+    const std::string last(40, 'x');
+    {
+        Wal wal(groupConfig(path));
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("first"));
+        wal.append(2, Timestamp{2, 0}, 0, ValueRef("second"));
+        wal.append(3, Timestamp{3, 0}, 0, ValueRef(last));
+        wal.flush();
+        std::vector<unsigned char> bytes = fileBytes(path);
+        // Zero the final record from the middle of its payload on.
+        std::fill(bytes.begin() + static_cast<ptrdiff_t>(
+                                      prefix2 + kRecordOverhead + 20),
+                  bytes.end(), 0);
+        writeBytes(image, bytes);
+    }
+    const size_t image_size = fileBytes(image).size();
+    ASSERT_GT(image_size, prefix2 + kRecordOverhead + last.size());
+
+    Scanned torn = scanAll(image);
+    ASSERT_EQ(torn.records.size(), 2u);
+    EXPECT_EQ(torn.cleanBytes, prefix2);
+    EXPECT_EQ(torn.tornBytes, image_size - prefix2);
+
+    {
+        std::vector<Recovered> recovered;
+        Wal wal(groupConfig(image), collectInto(recovered));
+        EXPECT_EQ(recovered.size(), 2u);
+        EXPECT_EQ(wal.stats().tornBytesDiscarded, image_size - prefix2);
+        EXPECT_EQ(fileBytes(image).size(), prefix2);
+        wal.append(4, Timestamp{4, 0}, 0, ValueRef("after"));
+    }
+    Scanned after = scanAll(image);
+    ASSERT_EQ(after.records.size(), 3u);
+    EXPECT_EQ(after.records[2].value, "after");
+    EXPECT_EQ(after.tornBytes, 0u);
+}
+
+TEST(WalZeroTail, ZeroFilledFileWithoutAHeaderOpensEmpty)
+{
+    // The zeros of a first extension can reach the disk while the page
+    // holding the header does not: no magic, but nothing else either.
+    // That is an empty log with zeroed space, not an unknown format.
+    TempDir dir("wal-zero-only");
+    const std::string path = dir.file("zeros.wal");
+    writeBytes(path, std::vector<unsigned char>(4096, 0));
+    Wal::ScanResult scanned = Wal::scan(path);
+    EXPECT_EQ(scanned.records, 0u);
+    EXPECT_EQ(scanned.cleanBytes, 0u);
+    EXPECT_EQ(scanned.tornBytes, 0u);
+    EXPECT_EQ(scanned.zeroTailBytes, 4096u);
+    {
+        Wal wal(groupConfig(path));
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("first"));
+    }
+    Scanned after = scanAll(path);
+    ASSERT_EQ(after.records.size(), 1u);
+    EXPECT_EQ(after.records[0].value, "first");
+    EXPECT_EQ(after.formatVersion, Wal::kFormatVersion);
+}
+
+TEST(WalZeroTail, ExtensionSyncIsNeitherChargedNorCounted)
+{
+    TempDir dir("wal-zero-sync");
+    WalConfig config = groupConfig(dir.file("group.wal"));
+    config.fsyncNs = 1000;
+    DurationNs charged = 0;
+    {
+        Wal wal(config);
+        wal.setChargeFn([&charged](DurationNs ns) { charged += ns; });
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("a"));
+        wal.flush(); // the first group extends the log, then syncs
+        WalStats stats = wal.stats();
+        EXPECT_EQ(stats.fsyncs, 1u);
+        EXPECT_EQ(stats.extensionSyncs, 1u);
+        EXPECT_EQ(charged, 1000);
+        EXPECT_GE(fileBytes(config.path).size(), Wal::kZeroChunkBytes);
+    }
+
+    // Never syncs nothing, the extension included; Every extends
+    // nothing: both append past the end of the file.
+    for (FsyncPolicy policy : {FsyncPolicy::Never, FsyncPolicy::Every}) {
+        WalConfig plain = config;
+        plain.path = dir.file(toString(policy));
+        plain.fsync = policy;
+        Wal wal(plain);
+        wal.append(1, Timestamp{1, 0}, 0, ValueRef("a"));
+        wal.flush();
+        EXPECT_EQ(wal.stats().fsyncs,
+                  policy == FsyncPolicy::Every ? 1u : 0u)
+            << toString(policy);
+        EXPECT_EQ(wal.stats().extensionSyncs, 0u) << toString(policy);
+        EXPECT_EQ(fileBytes(plain.path).size(),
+                  Wal::kFileHeaderBytes + kRecordOverhead + 1)
+            << toString(policy);
+    }
+}
+
+TEST(WalZeroTail, MultiChunkLogReopenedTwiceReplaysInOrder)
+{
+    // Three lives of one log, each writing about 1.5 chunks: the first
+    // closes cleanly, the second is cut off open (its zeros stay), and
+    // the third replays both lives' records in append order.
+    TempDir dir("wal-zero-chunks");
+    const std::string path = dir.file("chunks.wal");
+    const std::string image = dir.file("image.wal");
+    std::vector<Recovered> expect;
+    auto writeLife = [&expect](Wal &wal) {
+        const size_t target = Wal::kZeroChunkBytes * 3 / 2;
+        for (size_t bytes = 0; bytes < target;) {
+            Recovered rec{0, expect.size(),
+                          Timestamp{static_cast<uint32_t>(expect.size()), 0},
+                          0, wal.mapEpoch(),
+                          std::string(500 + expect.size() % 1000,
+                                      static_cast<char>('a'
+                                                        + expect.size() % 26))};
+            wal.append(rec.key, rec.ts, rec.flags, ValueRef(rec.value));
+            bytes += kRecordOverhead + rec.value.size();
+            expect.push_back(std::move(rec));
+            if (expect.size() % 16 == 0)
+                wal.flush();
+            // After a group, half a chunk stays zeroed ahead.
+            if (expect.size() % 128 == 0) {
+                ASSERT_GE(Wal::scan(wal.config().path).zeroTailBytes,
+                          Wal::kZeroChunkBytes / 2);
+            }
+        }
+        wal.flush();
+    };
+    auto sameAsExpected = [&expect](const std::vector<Recovered> &got) {
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].key, expect[i].key) << "record " << i;
+            ASSERT_EQ(got[i].ts, expect[i].ts) << "record " << i;
+            ASSERT_EQ(got[i].value, expect[i].value) << "record " << i;
+        }
+    };
+    {
+        Wal wal(groupConfig(path));
+        writeLife(wal);
+        EXPECT_GE(wal.stats().extensionSyncs, 2u);
+    }
+    {
+        std::vector<Recovered> recovered;
+        Wal wal(groupConfig(path), collectInto(recovered));
+        sameAsExpected(recovered);
+        writeLife(wal);
+        writeBytes(image, fileBytes(path));
+    }
+    Wal::ScanResult cut = Wal::scan(image);
+    EXPECT_EQ(cut.tornBytes, 0u);
+    EXPECT_GT(cut.zeroTailBytes, 0u);
+    std::vector<Recovered> recovered;
+    Wal wal(groupConfig(image), collectInto(recovered));
+    sameAsExpected(recovered);
+    EXPECT_EQ(wal.stats().tornBytesDiscarded, 0u);
 }
 
 // ---------------------------------------------------------------------
