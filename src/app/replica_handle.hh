@@ -35,6 +35,11 @@ namespace hermes::app
 struct ReplicaOptions
 {
     size_t storeCapacity = 1 << 17;
+    /**
+     * The largest value this replica's store accepts (store::KvStore's
+     * `max_value_size`). It is not the memory each key takes: an entry's
+     * room follows the values it holds.
+     */
     size_t maxValueSize = 64;
     bool enableRm = false;               ///< run the RM agent (heartbeats)
     membership::RmConfig rmConfig{};

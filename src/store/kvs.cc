@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <memory>
-#include <new>
 
 #include "store/wal.hh"
 
@@ -24,18 +24,24 @@ roundUpPow2(size_t v)
 {
     return std::bit_ceil(v == 0 ? size_t{1} : v);
 }
+
+/** @p bytes rounded up to whole words (seqlock copies move 8 bytes at a
+ *  time), and at least one word: the room of an out-of-line value holds
+ *  its block's address. */
+size_t
+roomFor(size_t bytes)
+{
+    return std::max<size_t>(8, (bytes + 7) / 8 * 8);
+}
 } // namespace
 
 KvStore::KvStore(size_t capacity_keys, size_t max_value_size)
     : numBuckets_(roundUpPow2(capacity_keys)),
       maxValueSize_(max_value_size),
-      // Room for whole words: the seqlock copies move 8 bytes at a time.
-      stride_(sizeof(Entry) + (max_value_size + 7) / 8 * 8),
-      slabBytes_(std::max(stride_, kSlabTarget / stride_ * stride_)),
       buckets_(numBuckets_),
       stripes_(kNumStripes)
 {
-    hermes_assert(max_value_size <= UINT32_MAX); // Entry::len is 32 bits
+    hermes_assert(max_value_size < kOutOfLine); // len's top bit is a flag
     for (auto &bucket : buckets_)
         bucket.store(nullptr, std::memory_order_relaxed);
 }
@@ -44,23 +50,54 @@ size_t
 KvStore::arenaBytes() const
 {
     SpinGuard guard(arenaLock_);
-    return slabs_.size() * slabBytes_;
+    return arenaBytes_;
 }
 
-void *
-KvStore::carveEntry()
+char *
+KvStore::carve(size_t bytes)
 {
     SpinGuard guard(arenaLock_);
-    if (slabNext_ == slabEnd_) {
-        // Left uninitialized, so a slab's pages become resident only as
-        // entries are carved from them.
-        slabs_.push_back(std::make_unique_for_overwrite<char[]>(slabBytes_));
-        slabNext_ = slabs_.back().get();
-        slabEnd_ = slabNext_ + slabBytes_;
+    SlabCursor &cursor = cursors_[bytes];
+    if (cursor.next == cursor.end) {
+        // A whole number of pieces, or one piece if that is larger. Left
+        // uninitialized, so a slab's pages become resident only as
+        // pieces are carved from them.
+        size_t slab_bytes = std::max(bytes, kSlabTarget / bytes * bytes);
+        auto slab = std::make_unique_for_overwrite<char[]>(slab_bytes);
+        char *start = slab.get();
+        slabs_.emplace(start, Slab{std::move(slab), bytes});
+        cursor = {start, start + slab_bytes};
+        arenaBytes_ += slab_bytes;
     }
-    void *mem = slabNext_;
-    slabNext_ += stride_;
-    return mem;
+    char *piece = cursor.next;
+    cursor.next += bytes;
+    return piece;
+}
+
+size_t
+KvStore::pieceBytes(const void *piece) const
+{
+    SpinGuard guard(arenaLock_);
+    // The piece's slab is the last one that starts at or before it.
+    auto slab = slabs_.upper_bound(static_cast<const char *>(piece));
+    return std::prev(slab)->second.pieceBytes;
+}
+
+char *
+KvStore::growSlot(Entry &entry, size_t size)
+{
+    uint32_t len = entry.len.load(std::memory_order_relaxed);
+    char *at = valueOf(entry, len);
+    size_t capacity = (len & kOutOfLine) ? pieceBytes(at)
+                                         : pieceBytes(&entry) - sizeof(Entry);
+    if (size <= capacity)
+        return at;
+    // Geometric growth bounds the blocks a key ever leaves behind to
+    // about twice the largest value accepted.
+    char *block = carve(std::max(
+        roomFor(size), std::min(2 * capacity, roomFor(maxValueSize_))));
+    seqlockStore(roomOf(entry), &block, sizeof block);
+    return block;
 }
 
 KvStore::Entry *
@@ -77,10 +114,13 @@ KvStore::findEntry(Key key) const
 }
 
 KvStore::Entry *
-KvStore::insertLocked(Key key)
+KvStore::insertLocked(Key key, size_t size)
 {
-    auto *entry = new (carveEntry()) Entry();
+    auto *entry = new (carve(sizeof(Entry) + roomFor(size))) Entry();
     entry->key = key;
+    // Write-locked until the caller's writeEnd(): a reader that finds the
+    // entry waits for its first value and metadata.
+    entry->lock.writeBegin();
     std::atomic<Entry *> &head = buckets_[bucketOf(key)];
     entry->next = head.load(std::memory_order_relaxed);
     // Release-publish after the entry is fully initialized so lock-free
@@ -100,8 +140,13 @@ KvStore::copyEntry(const Entry &entry, CopyValue &&copy_value) const
             continue; // writer in progress; spin, writes are short
         KeyMeta meta;
         seqlockLoad(&meta, &entry.meta, sizeof(KeyMeta));
-        copy_value(entryData(&entry),
-                   entry.len.load(std::memory_order_relaxed));
+        uint32_t len = entry.len.load(std::memory_order_relaxed);
+        const char *data = valueOf(entry, len);
+        // An out-of-line length is only good with the block it was
+        // stored with: check the pair before reading through the block.
+        if ((len & kOutOfLine) && !entry.lock.readValidate(snapshot))
+            continue;
+        copy_value(data, len & kLenMask);
         if (entry.lock.readValidate(snapshot))
             return meta;
     }

@@ -21,17 +21,32 @@
  *    entry's memory lives as long as the store;
  *  - the seqlock-guarded bytes (length, metadata, value) move only by
  *    seqlockStore()/seqlockLoad() words.
- * Values live inline in the entry (capacity fixed at construction) so a
- * reader's copy can never chase storage a writer is reallocating.
+ * No value storage is freed or handed to another key before the store
+ * either, so a reader's copy can never chase storage a writer released:
+ * at worst it copies stale bytes, and its seqlock validation fails.
  *
- * Memory layout: an entry is a 40-byte header followed by the value
- * capacity rounded up to whole words; that stride is a multiple of 8.
- * Since no entry is ever freed before the store, entries are not
- * allocated one by one: they are carved, in insertion order, from
- * store-owned slabs of about 256 KiB (a whole number of strides, or one
- * stride if that is larger), and the slabs are freed all at once with
- * the store. The store's footprint is therefore bounded by construction:
- * at most size() strides plus one partly carved slab (arenaBytes()).
+ * Memory layout: an entry is a 40-byte header followed by its inline
+ * room, sized to the first value the entry stores, rounded up to whole
+ * words (at least one word: a key inserted without a value gets one).
+ * `max_value_size` caps the values accepted, not the room. A later value
+ * that does not fit moves to an out-of-line block: the top bit of the
+ * entry's length marks it, and the room's first word holds the block's
+ * address. A block grows geometrically, at least doubling up to
+ * `max_value_size` (in whole words), when a larger value arrives, and an
+ * entry keeps its block once it has one, so a value that crosses its
+ * room back and forth carves nothing more. Relocating the entry instead
+ * would prepend a second entry to its chain and change scan order.
+ *
+ * Since nothing is freed before the store, entries and blocks are not
+ * allocated one by one: they are carved, in order, from store-owned
+ * slabs of about 256 KiB, each a whole number of pieces of one size (an
+ * entry header plus its room, or a block), or one piece if that is
+ * larger. The arena maps each slab's address to its piece size, so a
+ * writer finds an entry's room or a block's capacity from the piece's
+ * address, without a field in the entry. The slabs are freed all at
+ * once with the store. The store's footprint is therefore bounded by
+ * construction: the pieces carved plus one partly carved slab per piece
+ * size in use (arenaBytes()).
  */
 
 #ifndef HERMES_STORE_KVS_HH
@@ -41,10 +56,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -76,52 +93,6 @@ struct KeyMeta
 };
 static_assert(sizeof(KeyMeta) == 16, "KeyMeta is copied under seqlocks");
 
-/** Writer-side view of one entry, valid only inside withKey's closure. */
-class KeyRecord
-{
-  public:
-    /** Protocol metadata (mutable; published when withKey returns). */
-    KeyMeta &meta() { return meta_; }
-
-    /** Current value bytes. */
-    std::string_view
-    value() const
-    {
-        return {data_, len_->load(std::memory_order_relaxed)};
-    }
-
-    /** Replace the value (must fit the store's value capacity). */
-    void
-    setValue(std::string_view v)
-    {
-        hermes_assert(v.size() <= cap_);
-        // On the zero-copy receive path this is the value's ONLY copy
-        // after the wire: the decoded message aliases the transport slab
-        // and the bytes land here, under the seqlock, exactly once. An
-        // empty value (possibly a null data()) copies no word.
-        ValueCopyCounters::countStoreCopy();
-        seqlockStore(data_, v.data(), v.size());
-        len_->store(static_cast<uint32_t>(v.size()),
-                    std::memory_order_relaxed);
-    }
-
-    /** @return true if the key existed before this access. */
-    bool existed() const { return existed_; }
-
-  private:
-    friend class KvStore;
-    KeyRecord(const KeyMeta &meta, char *data, std::atomic<uint32_t> *len,
-              size_t cap, bool existed)
-        : meta_(meta), data_(data), len_(len), cap_(cap), existed_(existed)
-    {}
-
-    KeyMeta meta_;
-    char *data_;
-    std::atomic<uint32_t> *len_;
-    size_t cap_;
-    bool existed_;
-};
-
 /** Result of a lock-free read. */
 struct ReadResult
 {
@@ -149,16 +120,88 @@ struct ScanStep
 };
 
 /**
- * Concurrent chained hash table with inline values.
+ * Concurrent chained hash table; each value lives in its entry's inline
+ * room or, once it outgrows that room, in a block the entry points to.
  */
 class KvStore
 {
+    struct Entry
+    {
+        Entry *next = nullptr; // immutable after publication
+        Key key = 0;
+        Seqlock lock;
+        // Seqlock-guarded: len, meta and the value bytes. The room
+        // follows the struct inline, padded to whole words for
+        // seqlockStore(); when len has kOutOfLine set, the room's first
+        // word holds the address of the block the value lives in.
+        std::atomic<uint32_t> len{0};
+        alignas(8) KeyMeta meta{};
+    };
+    static_assert(sizeof(Entry) == 40, "lock and len share one word");
+    static_assert(std::is_trivially_destructible_v<Entry>,
+                  "slabs are freed without destroying their entries");
+
   public:
+    /**
+     * Writer-side view of one entry, valid only inside withKey's closure.
+     */
+    class KeyRecord
+    {
+      public:
+        /** Protocol metadata (mutable; published when withKey returns). */
+        KeyMeta &meta() { return meta_; }
+
+        /** Current value bytes. */
+        std::string_view
+        value() const
+        {
+            if (!entry_)
+                return {};
+            uint32_t len = entry_->len.load(std::memory_order_relaxed);
+            return {valueOf(*entry_, len), len & kLenMask};
+        }
+
+        /** Replace the value (at most the store's maxValueSize()). */
+        void
+        setValue(std::string_view v)
+        {
+            hermes_assert(v.size() <= store_.maxValueSize_);
+            // On the zero-copy receive path this is the value's ONLY copy
+            // after the wire: the decoded message aliases the transport
+            // slab and the bytes land here, under the seqlock, exactly
+            // once. An empty value (possibly a null data()) copies no
+            // word.
+            ValueCopyCounters::countStoreCopy();
+            char *dst = store_.valueSlot(key_, entry_, v.size());
+            seqlockStore(dst, v.data(), v.size());
+            uint32_t out_of_line = dst == roomOf(*entry_) ? 0 : kOutOfLine;
+            entry_->len.store(static_cast<uint32_t>(v.size()) | out_of_line,
+                              std::memory_order_relaxed);
+        }
+
+        /** @return true if the key existed before this access. */
+        bool existed() const { return existed_; }
+
+      private:
+        friend class KvStore;
+        KeyRecord(KvStore &store, Key key, Entry *entry)
+            : store_(store), key_(key), entry_(entry),
+              meta_(entry ? entry->meta : KeyMeta{}), existed_(entry != nullptr)
+        {}
+
+        KvStore &store_;
+        Key key_;
+        Entry *entry_; ///< null until a missing key's entry is carved
+        KeyMeta meta_;
+        bool existed_;
+    };
+
     /**
      * @param capacity_keys   expected number of distinct keys (sizes the
      *                        bucket array; exceeding it only lengthens
      *                        chains, it does not break the store)
-     * @param max_value_size  inline value capacity per entry (< 4 GiB)
+     * @param max_value_size  largest value accepted (< 2 GiB); an entry's
+     *                        room follows the values it holds, not this
      */
     KvStore(size_t capacity_keys, size_t max_value_size);
 
@@ -178,7 +221,8 @@ class KvStore
      *
      * This is the primitive every protocol transition uses: compare the
      * local timestamp, maybe update value/state, all atomically with
-     * respect to readers and other writers.
+     * respect to readers and other writers. A missing key is inserted
+     * whether or not @p fn sets a value.
      */
     template <typename F>
     auto
@@ -193,18 +237,18 @@ class KvStore
                 recoveryLocks_.load(std::memory_order_acquire))
             recovery_guard = lockRecovery(*locks, key);
         SpinGuard guard(stripes_[stripeOf(key)]);
-        bool existed = true;
         Entry *entry = findEntry(key);
-        if (!entry) {
-            entry = insertLocked(key);
-            existed = false;
-        }
-        entry->lock.writeBegin();
-        KeyRecord rec(entry->meta, entryData(entry), &entry->len,
-                      maxValueSize_, existed);
+        if (entry)
+            entry->lock.writeBegin();
+        // A missing key's entry is carved once its room is known: at
+        // the closure's first setValue(), or here with one word of room
+        // when the closure sets no value.
+        KeyRecord rec(*this, key, entry);
         auto publish = [&] {
-            seqlockStore(&entry->meta, &rec.meta_, sizeof(KeyMeta));
-            entry->lock.writeEnd();
+            if (!rec.entry_)
+                rec.entry_ = insertLocked(key, 0);
+            seqlockStore(&rec.entry_->meta, &rec.meta_, sizeof(KeyMeta));
+            rec.entry_->lock.writeEnd();
         };
         if constexpr (std::is_void_v<decltype(fn(rec))>) {
             fn(rec);
@@ -253,10 +297,10 @@ class KvStore
     /** Number of distinct keys inserted so far. */
     size_t size() const { return size_.load(std::memory_order_relaxed); }
 
-    /** Inline value capacity. */
+    /** Largest value accepted. */
     size_t maxValueSize() const { return maxValueSize_; }
 
-    /** Bytes of entry slabs the store holds (see the layout note above). */
+    /** Bytes of slabs the store holds (see the layout note above). */
     size_t arenaBytes() const;
 
     /**
@@ -279,31 +323,55 @@ class KvStore
     }
 
   private:
-    struct Entry
-    {
-        Entry *next = nullptr; // immutable after publication
-        Key key = 0;
-        Seqlock lock;
-        // Seqlock-guarded: len, meta and the value bytes, which follow
-        // the struct inline, padded to whole words for seqlockStore().
-        std::atomic<uint32_t> len{0};
-        alignas(8) KeyMeta meta{};
-    };
-    static_assert(sizeof(Entry) == 40, "lock and len share one word");
-    static_assert(std::is_trivially_destructible_v<Entry>,
-                  "slabs are freed without destroying their entries");
+    /** Set in Entry::len while the value lives in an out-of-line block. */
+    static constexpr uint32_t kOutOfLine = uint32_t{1} << 31;
+    static constexpr uint32_t kLenMask = kOutOfLine - 1;
 
+    /** The room behind @p entry 's header (never const storage). */
+    static char *
+    roomOf(const Entry &entry)
+    {
+        return const_cast<char *>(reinterpret_cast<const char *>(&entry))
+               + sizeof(Entry);
+    }
+
+    /**
+     * Where the value of @p entry lives while its length word reads
+     * @p len: the room, or the block whose address the room holds. A
+     * reader pairs the two under its seqlock before reading a block.
+     */
+    static char *
+    valueOf(const Entry &entry, uint32_t len)
+    {
+        char *room = roomOf(entry);
+        if (!(len & kOutOfLine))
+            return room;
+        char *block;
+        seqlockLoad(&block, room, sizeof block);
+        return block;
+    }
+
+    /**
+     * Where a @p size -byte value of @p key goes (entry write-locked, or
+     * null for a missing key, which this carves): where the value lives
+     * now if it fits there, else a block from growSlot().
+     */
     char *
-    entryData(Entry *entry) const
+    valueSlot(Key key, Entry *&entry, size_t size)
     {
-        return reinterpret_cast<char *>(entry) + sizeof(Entry);
+        if (!entry) {
+            entry = insertLocked(key, size);
+            return roomOf(*entry);
+        }
+        uint32_t len = entry->len.load(std::memory_order_relaxed);
+        if (size <= (len & kLenMask))
+            return valueOf(*entry, len);
+        return growSlot(*entry, size);
     }
 
-    const char *
-    entryData(const Entry *entry) const
-    {
-        return reinterpret_cast<const char *>(entry) + sizeof(Entry);
-    }
+    /** valueSlot() for a value longer than the current one: the room or
+     *  block if it still fits, else a larger block the room now names. */
+    char *growSlot(Entry &entry, size_t size);
 
     size_t
     bucketOf(Key key) const
@@ -327,7 +395,7 @@ class KvStore
 
     /**
      * Copy @p entry 's metadata (returned) and value (through
-     * @p copy_value, called with the entry's bytes) under its seqlock,
+     * @p copy_value, called with the value's bytes) under its seqlock,
      * retrying until a copy validates. The one seqlock reader loop.
      */
     template <typename CopyValue>
@@ -340,35 +408,57 @@ class KvStore
     template <typename Visit>
     ScanStep walk(ScanCursor from, size_t max_entries, Visit &&visit) const;
 
-    /** Carve, initialize and publish a new entry (stripe lock held). */
-    Entry *insertLocked(Key key);
+    /**
+     * Carve an entry with room for a @p size -byte value, then initialize
+     * and publish it write-locked (stripe lock held; the caller's
+     * writeEnd() releases it).
+     */
+    Entry *insertLocked(Key key, size_t size);
 
-    /** Carve one entry stride from the current slab, starting a new slab
-     *  when it is used up. */
-    void *carveEntry();
+    /** Carve @p bytes (a whole number of words) from the slab of that
+     *  piece size, starting a new slab when it is used up. */
+    char *carve(size_t bytes);
+
+    /** Bytes of the piece at @p piece: its slab's piece size. */
+    size_t pieceBytes(const void *piece) const;
+
+    /** Where the next piece of one size is carved. */
+    struct SlabCursor
+    {
+        char *next = nullptr;
+        char *end = nullptr;
+    };
+
+    /** One slab and the size of the pieces carved from it. */
+    struct Slab
+    {
+        std::unique_ptr<char[]> bytes;
+        size_t pieceBytes;
+    };
 
     size_t numBuckets_;
     size_t maxValueSize_;
-    size_t stride_;    ///< bytes per entry: header + value words
-    size_t slabBytes_; ///< a whole number of strides
     std::vector<std::atomic<Entry *>> buckets_;
     mutable std::vector<Spinlock> stripes_;
     std::atomic<size_t> size_{0};
     Wal *wal_ = nullptr;
     std::atomic<KeyLockTable *> recoveryLocks_{nullptr};
 
-    // The entry arena. Inserters under different stripes carve from it
-    // concurrently, so the bump pointer and the slab list sit behind
-    // their own lock; readers never touch it.
+    // The arena. Writers under different stripes carve from it
+    // concurrently, so the cursors and the slabs sit behind their own
+    // lock; readers never touch it.
     mutable Spinlock arenaLock_;
-    std::vector<std::unique_ptr<char[]>> slabs_; ///< freed with the store
-    char *slabNext_ = nullptr;
-    char *slabEnd_ = nullptr;
+    std::map<const char *, Slab> slabs_; ///< by address; freed with the store
+    std::unordered_map<size_t, SlabCursor> cursors_; ///< by piece size
+    size_t arenaBytes_ = 0;
 
     static constexpr size_t kNumStripes = 1024;
     static constexpr size_t kSlabTarget = 256 << 10;
 };
 
+using KeyRecord = KvStore::KeyRecord;
+
 } // namespace hermes::store
 
 #endif // HERMES_STORE_KVS_HH
+

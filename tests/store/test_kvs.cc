@@ -10,11 +10,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "store/kvs.hh"
+#include "support/str_cat.hh"
 
 namespace hermes::store
 {
@@ -243,10 +245,8 @@ TEST(KvStore, ChunkedScanRacingWritersNeverSeesTornValues)
                 ScanStep step = kvs.scan(
                     cursor, 3, [&](Key, const KeyMeta &meta, ValueRef v) {
                         ++scanned;
-                        // A key is published before its first write
-                        // lands: empty at version 0 is whole, not torn.
-                        if (v.empty() && meta.ts.version == 0)
-                            return;
+                        // A fresh key is published write-locked, with
+                        // its first value: no scan sees it empty.
                         char expected = 'A' + static_cast<char>(
                             meta.ts.version % 26);
                         if (v.size() != 48
@@ -365,10 +365,10 @@ TEST(KvStore, ConcurrentInsertions)
     std::atomic<uint64_t> wrong{0};
     std::atomic<uint64_t> scanned{0};
     std::thread reader([&] {
-        // A key is published before its first write lands: a visible
-        // entry holds either nothing yet or its own key's value.
+        // A fresh key is published write-locked, with its first value:
+        // a visible entry holds its own key's value.
         auto check = [&wrong](Key k, std::string_view v) {
-            if (k >= kKeys || (!v.empty() && v != std::to_string(k)))
+            if (k >= kKeys || v != std::to_string(k))
                 ++wrong;
         };
         reading.store(true, std::memory_order_release);
@@ -421,12 +421,13 @@ TEST(KvStore, ConcurrentInsertions)
     EXPECT_GT(scanned.load(), 0u);
 }
 
-/** Bytes one entry takes in the arena: the 40-byte header plus the
- *  value capacity in whole words. */
+/** Bytes one entry takes in the arena: the 40-byte header plus room for
+ *  the first value it held, @p value_size bytes, in whole words (at
+ *  least one). */
 size_t
-entryStride(size_t max_value_size)
+entryStride(size_t value_size)
 {
-    return 40 + (max_value_size + 7) / 8 * 8;
+    return 40 + std::max<size_t>(8, (value_size + 7) / 8 * 8);
 }
 
 constexpr size_t kSlab = 256 << 10;
@@ -434,7 +435,8 @@ constexpr size_t kSlab = 256 << 10;
 TEST(KvStore, KeysAcrossManySlabsReadBackAndScanOnce)
 {
     KvStore kvs(64, 64); // 64 buckets: long chains through every slab
-    const Key keys = 6 * kSlab / entryStride(64); // > 5 slabs of entries
+    // Each value, k * 31 in decimal, fits one word of room.
+    const Key keys = 6 * kSlab / entryStride(8); // > 5 slabs of entries
     for (Key k = 0; k < keys; ++k)
         kvs.withKey(k, [k](KeyRecord &rec) {
             rec.setValue(std::to_string(k * 31));
@@ -479,13 +481,208 @@ TEST(KvStore, ArenaBytesBoundedBySizeTimesStridePlusOneSlab)
                        size_t{1000}, size_t{4096}}) {
         KvStore kvs(1024, cap);
         EXPECT_EQ(kvs.arenaBytes(), 0u) << "an empty store holds no slab";
+        // Every key holds a value of the store's maximum size.
         const size_t stride = entryStride(cap);
+        const std::string value(cap, 'v');
         for (Key k = 0; k < 5000; ++k) {
-            kvs.withKey(k, [](KeyRecord &) {});
+            kvs.withKey(k, [&value](KeyRecord &rec) { rec.setValue(value); });
             size_t entries = kvs.size() * stride;
             ASSERT_GE(kvs.arenaBytes(), entries) << "cap " << cap;
             ASSERT_LE(kvs.arenaBytes(), entries + kSlab) << "cap " << cap;
         }
+    }
+}
+
+/** Entries hold the room their values take, not the store's maximum. */
+TEST(KvStore, EntriesAreSizedToTheirValuesNotTheMaximum)
+{
+    constexpr Key kKeys = 10000;
+    KvStore kvs(kKeys, 1024);
+    for (Key k = 0; k < kKeys; ++k)
+        kvs.withKey(k, [](KeyRecord &rec) {
+            rec.setValue(std::string(32, 'v'));
+        });
+    EXPECT_LE(kvs.arenaBytes(), kKeys * (40 + 32) + kSlab);
+
+    // A key inserted without a value takes one word of room.
+    KvStore bare(kKeys, 1024);
+    for (Key k = 0; k < kKeys; ++k)
+        bare.withKey(k, [](KeyRecord &) {});
+    EXPECT_EQ(bare.size(), kKeys);
+    EXPECT_LE(bare.arenaBytes(), kKeys * (40 + 8) + kSlab);
+}
+
+/** Keys of a full forEach, in visiting order. */
+std::vector<Key>
+forEachKeys(const KvStore &kvs)
+{
+    std::vector<Key> keys;
+    kvs.forEach([&keys](Key k) { keys.push_back(k); });
+    return keys;
+}
+
+/**
+ * A value outgrows its entry's room, moves to an out-of-line block that
+ * grows with it, then shrinks back. Every view of the store returns the
+ * latest value, the table keeps its order and size, and the arena counts
+ * each block the moment it is carved.
+ */
+TEST(KvStore, ValueGrowsPastItsRoomAndShrinksBack)
+{
+    constexpr size_t kMax = 1000;
+    static constexpr Key kKeys = 64;
+    KvStore kvs(16, kMax); // 16 buckets for 64 keys: long chains
+    auto initial = [](Key k) {
+        return std::string(12, static_cast<char>('a' + k % 26));
+    };
+    for (Key k = 0; k < kKeys; ++k)
+        kvs.withKey(k, [&](KeyRecord &rec) { rec.setValue(initial(k)); });
+    const std::vector<Key> order = scanKeys(kvs);
+    ASSERT_EQ(order.size(), kKeys);
+    ASSERT_EQ(forEachKeys(kvs), order);
+    const size_t entries = kKeys * entryStride(12); // 16 bytes of room
+    ASSERT_GE(kvs.arenaBytes(), entries);
+    ASSERT_LE(kvs.arenaBytes(), entries + kSlab);
+
+    constexpr Key kKey = 37;
+    // The bytes each step carves: a block at least doubles (in whole
+    // words, up to the maximum) when a value outgrows the room or block
+    // it is in, and nothing when it fits.
+    struct Step
+    {
+        size_t size;
+        size_t carved;
+    };
+    const Step steps[] = {{16, 0},    {17, 32},  {32, 0},   {33, 64},
+                          {900, 904}, {1000, 1000}, {5, 0}, {16, 0},
+                          {0, 0},     {1000, 0}, {12, 0}};
+    char fill = 'A';
+    for (const Step &step : steps) {
+        const std::string value(step.size, fill++);
+        const size_t before = kvs.arenaBytes();
+        kvs.withKey(kKey, [&](KeyRecord &rec) {
+            rec.setValue(value);
+            EXPECT_EQ(rec.value(), value);
+        });
+        const std::string at = test::strCat("value of ", step.size, " B");
+        if (step.carved == 0)
+            EXPECT_EQ(kvs.arenaBytes(), before) << at;
+        else
+            EXPECT_GE(kvs.arenaBytes(), before + step.carved) << at;
+
+        auto expected = [&](Key k) {
+            return k == kKey ? value : initial(k);
+        };
+        EXPECT_EQ(kvs.size(), kKeys) << at;
+        for (Key k = 0; k < kKeys; ++k)
+            ASSERT_EQ(kvs.read(k).value, expected(k)) << at << " key " << k;
+
+        std::vector<int> seen(kKeys, 0);
+        std::vector<Key> visited;
+        kvs.scan({}, SIZE_MAX, [&](Key k, const KeyMeta &, ValueRef v) {
+            ASSERT_LT(k, kKeys);
+            EXPECT_EQ(v, expected(k)) << at << " key " << k;
+            ++seen[k];
+            visited.push_back(k);
+        });
+        EXPECT_EQ(visited, order) << at;
+        for (Key k = 0; k < kKeys; ++k)
+            EXPECT_EQ(seen[k], 1) << at << " key " << k;
+        EXPECT_EQ(forEachKeys(kvs), order) << at;
+        for (size_t p : {size_t{0}, size_t{17}, size_t{40}, size_t{kKeys}}) {
+            ScanStep seek = kvs.seek(p);
+            EXPECT_EQ(seek.visited, p) << at;
+            std::vector<Key> rest = scanKeys(kvs, seek.next);
+            EXPECT_TRUE(std::equal(rest.begin(), rest.end(),
+                                   order.begin() + p, order.end()))
+                << at << " position " << p;
+        }
+    }
+}
+
+/**
+ * Point readers and 64-entry chunked scans race a writer whose values
+ * cross their entries' 16-byte room both ways and make blocks grow.
+ * Each value names its key and derives its size and fill from its
+ * version, so no reader may see a torn value or another key's value.
+ */
+TEST(KvStore, ValuesCrossingTheRoomRacingReadsAndScansNeverTear)
+{
+    static constexpr size_t kSizes[] = {16, 9, 17, 40, 12, 100, 16, 250, 8};
+    static constexpr uint32_t kSteps = std::size(kSizes);
+    auto makeValue = [](Key k, uint32_t version) {
+        std::string v(kSizes[version % kSteps],
+                      static_cast<char>('a' + version % 26));
+        std::memcpy(v.data(), &k, sizeof k);
+        return v;
+    };
+    KvStore kvs(8, 256); // 8 buckets: scans walk chains of ~25 entries
+    static constexpr Key kKeys = 200;
+    for (Key k = 0; k < kKeys; ++k)
+        kvs.withKey(k, [&](KeyRecord &rec) { rec.setValue(makeValue(k, 0)); });
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> started{0};
+    std::atomic<uint64_t> wrong{0};
+    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> scanned{0};
+    auto check = [&](Key k, const KeyMeta &meta, std::string_view v) {
+        if (k >= kKeys || v != makeValue(k, meta.ts.version))
+            ++wrong;
+    };
+    std::thread reader([&] {
+        started.fetch_add(1, std::memory_order_release);
+        Key probe = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+            probe = (probe + 7) % kKeys;
+            ReadResult r = kvs.read(probe);
+            if (!r.found)
+                ++wrong;
+            check(probe, r.meta, r.value);
+            ++reads;
+        }
+    });
+    std::thread scanner([&] {
+        started.fetch_add(1, std::memory_order_release);
+        while (!stop.load(std::memory_order_acquire)) {
+            ScanCursor cursor;
+            size_t visited = 0;
+            for (bool more = true; more;) {
+                ScanStep step = kvs.scan(
+                    cursor, 64, [&](Key k, const KeyMeta &meta, ValueRef v) {
+                        check(k, meta, v.view());
+                        ++scanned;
+                    });
+                visited += step.visited;
+                more = step.more;
+                cursor = step.next;
+            }
+            if (visited != kKeys)
+                ++wrong;
+        }
+    });
+    std::thread writer([&] {
+        while (started.load(std::memory_order_acquire) < 2) {
+        }
+        for (uint32_t v = 1; v <= 200000; ++v) {
+            Key key = v % kKeys;
+            kvs.withKey(key, [&](KeyRecord &rec) {
+                rec.meta().ts.version = v;
+                rec.setValue(makeValue(key, v));
+            });
+        }
+    });
+    writer.join();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+    scanner.join();
+
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_GT(scanned.load(), 0u);
+    for (Key k = 0; k < kKeys; ++k) {
+        ReadResult r = kvs.read(k);
+        EXPECT_EQ(r.value, makeValue(k, r.meta.ts.version)) << "key " << k;
     }
 }
 
