@@ -170,7 +170,7 @@ ablationLscFree()
 void
 ablationBatching()
 {
-    // The per-peer batching layer (net/batcher.hh) amortizes the fixed
+    // Per-peer coalescing (the sim runtime's windows) amortizes the fixed
     // per-message send/recv costs that dominate the broadcast-heavy
     // write path at small values. Sweep the window cap on Hermes and
     // both non-offloaded baselines, with batching off (maxBatchMsgs=0)

@@ -78,9 +78,6 @@ SimCluster::optionsForNode(uint32_t shard, NodeId id) const
 {
     ReplicaOptions options = config_.replica;
     options.hermesConfig.nodeBase = shardMap_.baseOf(shard);
-    // Batching policy follows the cost model's knobs so one config
-    // drives both the coalescing behavior and its charged costs.
-    options.batch = config_.cost.batchPolicy();
     if (!config_.walDir.empty()) {
         options.wal.path = config_.walDir;
         options.wal.fsync = config_.walFsync;
@@ -121,8 +118,8 @@ SimCluster::rebuild(NodeId id, const membership::MembershipView &view)
 {
     // Revive the CPU first — the replacement's construction then runs
     // against the fresh timer epoch — and destroy the old handle BEFORE
-    // building the new one: its dtor clears the Env flush hook, which
-    // would otherwise erase the replacement's registration.
+    // building the new one: its dtor detaches its log from the Env,
+    // which would otherwise detach the replacement's.
     runtime_->restart(id);
     replicas_[id].reset();
     replicas_[id] =

@@ -247,7 +247,7 @@ class SimCluster : private MigrationRuntime, private ReplicaHost
     bool converged(Key key) const;
 
   private:
-    /** Per-node ReplicaOptions: shard-group base, batching, and the
+    /** Per-node ReplicaOptions: shard-group base and the
      *  durable wiring (durableOptions) when walDir is set. */
     ReplicaOptions optionsForNode(uint32_t shard, NodeId id) const;
 

@@ -15,11 +15,6 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
                              std::optional<uint8_t> wal_restore_state)
     : env_(env), store_(options.storeCapacity, options.maxValueSize)
 {
-    // The protocol engine's data path coalesces per peer; the RM agent
-    // below deliberately keeps the raw env so heartbeats and m-update
-    // rounds never wait out a batching window.
-    if (options.batch.enabled())
-        batcher_ = std::make_unique<net::Batcher>(env, options.batch);
     if (!options.wal.path.empty()) {
         if (wal_restore_state)
             openAndReplayWal(options, *wal_restore_state);
@@ -31,18 +26,12 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
                 engine->onLogDurable(seq);
         });
         store_.setWal(wal_.get());
-        // TCP: group commit moves to a writer thread, and each frame
-        // waits for the records appended before it (the replicate-and-
-        // persist-before-replying contract). The sim keeps committing
-        // at the flush below, WAL BEFORE the batcher's message flush.
-        // This replaces the hook the Batcher registered for itself; the
-        // handle's dtor (and the Batcher's) clears it.
+        // The Env's poll-boundary flush commits the log. TCP: group
+        // commit moves to a writer thread, and each frame waits for the
+        // records appended before it (the replicate-and-persist-before-
+        // replying contract). The sim commits at the job's flush, before
+        // its coalesced messages depart.
         env_.attachLog(wal_.get());
-        env_.setFlushHook([this] {
-            wal_->flush();
-            if (batcher_)
-                batcher_->flush();
-        });
     }
     if (options.enableRm)
         rm_ = std::make_unique<membership::RmNode>(env, std::move(initial),
@@ -51,14 +40,12 @@ ReplicaHandle::ReplicaHandle(net::Env &env, const ReplicaOptions &options,
 
 ReplicaHandle::~ReplicaHandle()
 {
-    // The combined WAL+batcher hook captures `this`; a transport flush
-    // after destruction must find nothing. (When a replacement handle is
-    // built on the same Env — crash-restart — destroy the old handle
-    // FIRST, or this clear would erase the new handle's hook.)
-    if (wal_) {
-        env_.setFlushHook(nullptr);
+    // A transport flush after destruction must find no log. (When a
+    // replacement handle is built on the same Env — crash-restart —
+    // destroy the old handle FIRST, or this would detach the new
+    // handle's log.)
+    if (wal_)
         env_.attachLog(nullptr);
-    }
 }
 
 void
@@ -132,7 +119,7 @@ ReplicaHandle::applyMigratedEntry(Key key, const ValueRef &value,
 bool
 ReplicaHandle::routeRm(const net::MessagePtr &msg)
 {
-    if (!membership::isRmMessage(msg->type()))
+    if (!net::isRmMessage(msg->type()))
         return false;
     if (rm_)
         rm_->onMessage(msg);
@@ -216,7 +203,7 @@ class HermesHandle : public HandleBase<proto::HermesReplica, Protocol::Hermes>
                      static_cast<uint8_t>(proto::KeyState::Invalid))
     {
         engine_ = std::make_unique<proto::HermesReplica>(
-            protoEnv(), store_, initial, options.hermesConfig);
+            env_, store_, initial, options.hermesConfig);
         if (rm_) {
             engine_->setOperationalCheck(
                 [rm = rm_.get()] { return rm->operational(); });
@@ -240,7 +227,7 @@ class CraqHandle : public HandleBase<craq::CraqReplica, Protocol::Craq>
                const ReplicaOptions &options)
         : HandleBase(env, options, initial)
     {
-        engine_ = std::make_unique<craq::CraqReplica>(protoEnv(), store_,
+        engine_ = std::make_unique<craq::CraqReplica>(env_, store_,
                                                       initial);
     }
 
@@ -254,7 +241,7 @@ class ZabHandle : public HandleBase<zab::ZabReplica, Protocol::Zab>
               const ReplicaOptions &options)
         : HandleBase(env, options, initial)
     {
-        engine_ = std::make_unique<zab::ZabReplica>(protoEnv(), store_,
+        engine_ = std::make_unique<zab::ZabReplica>(env_, store_,
                                                     initial);
     }
 
@@ -270,7 +257,7 @@ class LockstepHandle
         : HandleBase(env, options, initial)
     {
         engine_ = std::make_unique<lockstep::LockstepReplica>(
-            protoEnv(), store_, initial, options.lockstepConfig);
+            env_, store_, initial, options.lockstepConfig);
     }
 
     lockstep::LockstepReplica *lockstep() override { return engine_.get(); }

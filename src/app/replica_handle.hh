@@ -23,10 +23,24 @@
 #include "baselines/zab/replica.hh"
 #include "hermes/replica.hh"
 #include "membership/rm_node.hh"
-#include "net/batcher.hh"
 #include "net/env.hh"
 #include "store/kvs.hh"
 #include "store/wal.hh"
+
+namespace hermes::net
+{
+/** Counters only, held for bench_e2e/bench_e2e.cc's net.batcher.* reads
+ *  until ROADMAP item 1 drops them: no replica has a Batcher (the sim
+ *  runtime and the TCP loop coalesce per peer), so batcher() is null. */
+struct Batcher
+{
+    struct Stats
+    {
+        uint64_t staged = 0, batchesFlushed = 0, messagesBatched = 0;
+    };
+    Stats stats() const { return {}; }
+};
+} // namespace hermes::net
 
 namespace hermes::app
 {
@@ -45,18 +59,6 @@ struct ReplicaOptions
     membership::RmConfig rmConfig{};
     proto::HermesConfig hermesConfig{};  ///< protocol == Hermes only
     lockstep::LockstepConfig lockstepConfig{}; ///< protocol == Lockstep
-    /**
-     * Per-peer coalescing of the protocol engine's data-path traffic
-     * (INV/ACK/VAL, chain writes, proposes/acks/rounds). RM/membership
-     * traffic always bypasses the batcher: failure-detection latency must
-     * not ride behind a coalescing window. Disabled (the default) = the
-     * engine sends on the raw transport Env. The sim sets it from its
-     * cost model; over TCP it stays off: the loop coalesces each
-     * iteration's frames per connection already, and a shared envelope
-     * would hold an INV behind the ACKs packed with it until their log
-     * records are durable.
-     */
-    net::BatchPolicy batch{.maxBatchMsgs = 0};
     /**
      * Write-ahead log (store/wal.hh). An empty path = no durability (the
      * default, matching the paper's in-memory Hermes). With a path set,
@@ -119,8 +121,8 @@ class ReplicaHandle : public net::Node
     virtual zab::ZabReplica *zab() { return nullptr; }
     virtual lockstep::LockstepReplica *lockstep() { return nullptr; }
 
-    /** The engine's coalescing layer; nullptr when batching is off. */
-    net::Batcher *batcher() { return batcher_.get(); }
+    /** Always nullptr: see net::Batcher above. */
+    const net::Batcher *batcher() const { return nullptr; }
 
     /** The write-ahead log; nullptr when durability is off. */
     store::Wal *wal() { return wal_.get(); }
@@ -154,13 +156,9 @@ class ReplicaHandle : public net::Node
     /** Route one message to RM or the protocol engine. */
     bool routeRm(const net::MessagePtr &msg);
 
-    /** The Env the protocol engine sends on (batched when configured). */
-    net::Env &protoEnv() { return batcher_ ? *batcher_ : env_; }
-
     net::Env &env_;
     store::KvStore store_;
-    std::unique_ptr<store::Wal> wal_;       ///< outlives batcher_'s dtor
-    std::unique_ptr<net::Batcher> batcher_; ///< before rm_: RM stays raw
+    std::unique_ptr<store::Wal> wal_;
     std::unique_ptr<membership::RmNode> rm_;
 
   private:

@@ -130,8 +130,8 @@ void
 TcpKvService::rebuild(NodeId id, const membership::MembershipView &view)
 {
     // Destroy the old handle BEFORE building the new one: its dtor
-    // clears the loop Env's flush hook (which would otherwise erase the
-    // replacement's registration) and flushes + closes the old WAL
+    // detaches its log from the loop Env (which would otherwise detach
+    // the replacement's) and flushes + closes the old WAL
     // before the new one scans the same file. The loop thread is down,
     // so constructing against its Env from this thread is safe.
     replicas_[id].reset();

@@ -27,6 +27,13 @@ class DurableLog
     /** Number of the last record appended (0: none). Owner thread only. */
     virtual uint64_t appendedSeq() const = 0;
 
+    /**
+     * Owner thread, at the transport's poll boundary (Env::flush): close
+     * the group-commit window, committing its records or handing them
+     * to the writer thread.
+     */
+    virtual void flush() = 0;
+
     /** Every record up to this number is durable. Any thread. */
     virtual uint64_t durableSeq() const = 0;
 

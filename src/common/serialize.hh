@@ -249,11 +249,8 @@ class BufReader
 
     size_t remaining() const { return len_ - pos_; }
 
-    /** Current read position (nested-frame decoding, e.g. MsgBatch). */
+    /** Current read position (nested-frame decoding: batch frames). */
     const uint8_t *cursor() const { return data_ + pos_; }
-
-    /** The slab pin, for handing to nested decoders. */
-    const std::shared_ptr<const void> &pin() const { return pin_; }
 
     /** Mark the frame malformed (e.g. a count the bytes cannot hold). */
     void fail() { ok_ = false; }

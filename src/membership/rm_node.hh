@@ -48,15 +48,6 @@ struct RmConfig
     DurationNs proposalRetry = 10_ms;
 };
 
-/** Decides whether a message type belongs to the RM service. */
-inline bool
-isRmMessage(net::MsgType type)
-{
-    auto v = static_cast<uint8_t>(type);
-    return v >= static_cast<uint8_t>(net::MsgType::RmHeartbeat)
-           && v <= static_cast<uint8_t>(net::MsgType::RmDecide);
-}
-
 /**
  * The RM agent colocated with each replica. Single-threaded: all entry
  * points must be called from the owning node's execution context.
@@ -71,7 +62,7 @@ class RmNode
     /** Arm the heartbeat/failure-detector timer. */
     void start();
 
-    /** Feed an RM message (caller dispatches via isRmMessage). */
+    /** Feed an RM message (caller dispatches via net::isRmMessage). */
     void onMessage(const net::MessagePtr &msg);
 
     /** The current view this node executes in. */

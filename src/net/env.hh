@@ -82,34 +82,31 @@ class Env
 
     /**
      * Poll-end flush point. Transports call flush() on their own Env at
-     * the end of every poll/job iteration (once all handlers that could
-     * produce sends have run); any coalescing layer stacked on top of
-     * this Env (net::Batcher) registers itself via setFlushHook() and
-     * emits its per-peer batches here. Wings' opportunistic batching
-     * policy (§4.2): coalesce whatever one iteration produced, never
-     * stall to fill a batch.
+     * the end of every poll/job iteration, once all handlers that could
+     * produce sends have run; it closes the attached log's group-commit
+     * window. Each transport then coalesces the iteration's messages per
+     * peer (the TCP loop's batch frames, the sim runtime's windows):
+     * Wings' opportunistic batching policy (§4.2), coalesce whatever one
+     * iteration produced, never stall to fill a batch.
      */
-    virtual void
+    void
     flush()
     {
-        if (flushHook_)
-            flushHook_();
+        if (log_)
+            log_->flush();
     }
 
     /**
-     * Register the stacked coalescing layer's flush. One layer per Env;
-     * re-registering replaces, nullptr clears (Batcher dtor).
+     * Attach the replica's write-ahead log (nullptr detaches it); flush()
+     * commits it. A transport that holds frames for the log (TCP) also
+     * moves the log's group commit to a writer thread, stamps each frame
+     * with the last record appended before it, and sends it once the log
+     * is durable up to there. The sim commits at the job's flush.
      */
-    void setFlushHook(std::function<void()> fn) { flushHook_ = std::move(fn); }
+    virtual void attachLog(DurableLog *log) { log_ = log; }
 
-    /**
-     * The replica's write-ahead log (nullptr detaches it). A transport
-     * that holds frames for the log (TCP) moves the log's group commit
-     * to a writer thread, stamps each frame with the last record
-     * appended before it, and sends it once the log is durable up to
-     * there. The sim ignores it: its log commits at the job's flush.
-     */
-    virtual void attachLog(DurableLog *log) { (void)log; }
+    /** The attached log, or nullptr. */
+    DurableLog *log() const { return log_; }
 
     /** False while a NoLogWait scope is open on this Env. */
     bool framesWaitForLog() const { return noLogWait_ == 0; }
@@ -117,7 +114,7 @@ class Env
   private:
     friend class NoLogWait;
 
-    std::function<void()> flushHook_;
+    DurableLog *log_ = nullptr;
     unsigned noLogWait_ = 0;
 };
 

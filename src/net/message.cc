@@ -38,13 +38,21 @@ msgTypeName(MsgType type)
       case MsgType::RmDecide: return "RM_DECIDE";
       case MsgType::ClientRequest: return "CLIENT_REQ";
       case MsgType::ClientReply: return "CLIENT_REP";
-      case MsgType::MsgBatch: return "BATCH";
     }
     return "UNKNOWN";
 }
 
 namespace
 {
+void
+encodeMessageInto(const Message &msg, BufWriter &writer)
+{
+    writer.putU8(static_cast<uint8_t>(msg.type()));
+    writer.putU32(msg.src);
+    writer.putU32(msg.epoch);
+    msg.serializePayload(writer);
+}
+
 // A fixed table of atomic pointers, not a map: every service/client
 // constructor re-runs its family's registerCodecs() while other
 // threads' event loops may be decoding other families concurrently,
@@ -78,15 +86,6 @@ const MessageDecoder *
 findDecoder(MsgType type)
 {
     return decoderSlot(type).load(std::memory_order_acquire);
-}
-
-void
-encodeMessageInto(const Message &msg, BufWriter &writer)
-{
-    writer.putU8(static_cast<uint8_t>(msg.type()));
-    writer.putU32(msg.src);
-    writer.putU32(msg.epoch);
-    msg.serializePayload(writer);
 }
 
 void

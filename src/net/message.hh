@@ -16,9 +16,8 @@
  * A message's layout is its `wire` field list, defined once: the fields
  * in wire order, `template <typename Ar> void wire(Ar &ar) { ar(a, b); }`.
  * WireMsg derives payloadSize(), valueBytes(), serializePayload() and the
- * decoder from it, so the size the cost model and the batch framing trust
- * is the size the encoder writes. BatchMsg (net/batcher.hh), whose body
- * is nested encoded frames, is the one hand-framed type.
+ * decoder from it, so the size the cost model and the TCP batch frames
+ * trust is the size the encoder writes.
  */
 
 #ifndef HERMES_NET_MESSAGE_HH
@@ -82,17 +81,28 @@ enum class MsgType : uint8_t
     ClientRequest = 96,  ///< read/write/RMW from an external client
     ClientReply = 97,    ///< completion back to the client
 
-    // --- Transport-level coalescing (net/batcher.hh, §4.2 Wings) ---
-    MsgBatch = 112,      ///< per-peer batch of protocol messages
+    // 112 stays unassigned: older peers sent per-peer batch envelopes
+    // under it, and those must decode to nothing like any unknown type.
 };
 
 /** @return a short mnemonic, e.g. "INV", for traces. */
 const char *msgTypeName(MsgType type);
 
 /**
+ * Membership (RM) traffic: heartbeats and m-update rounds. It is never
+ * held in a coalescing window (failure detection must not wait behind
+ * data-path batching), and replicas route it to their RM agent.
+ */
+constexpr bool
+isRmMessage(MsgType type)
+{
+    return type >= MsgType::RmHeartbeat && type <= MsgType::RmDecide;
+}
+
+/**
  * Encoded envelope bytes (type u8 + src u32 + epoch u32), as written by
- * encodeMessageInto(). Anything that computes an encoded frame's length
- * up front (batch framing, wireSize) must use this, not a literal.
+ * encodeMessage(). Anything that computes an encoded frame's length up
+ * front (batch framing, wireSize) must use this, not a literal.
  */
 constexpr size_t kEnvelopeBytes = 9;
 
@@ -146,8 +156,8 @@ using MessageDecoder =
     std::function<std::shared_ptr<Message>(BufReader &)>;
 
 /**
- * Register the payload decoder for a message type: registerMessage<T>()
- * for field-list messages, registerBatchCodec() for BatchMsg. Duplicate
+ * Register the payload decoder for a message type (registerMessage<T>()
+ * for field-list messages). Duplicate
  * registration of a type is a no-op (first wins — families always
  * re-register identical decoders). Thread-safe against concurrent
  * registration and decoding.
@@ -167,9 +177,6 @@ void encodeMessage(const Message &msg, std::vector<uint8_t> &out);
  * bytes the vector overload produces.
  */
 void encodeMessage(const Message &msg, WireFrame &frame);
-
-/** Serialize envelope + payload through an existing writer (MsgBatch). */
-void encodeMessageInto(const Message &msg, BufWriter &writer);
 
 // ---------------------------------------------------------------------
 // Field lists

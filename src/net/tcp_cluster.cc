@@ -18,7 +18,6 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "net/batcher.hh"
 #include "net/client_msgs.hh"
 
 namespace hermes::net
@@ -358,7 +357,7 @@ class TcpCluster::NodeLoop
         void
         attachLog(DurableLog *log) override
         {
-            loop_.log_ = log;
+            Env::attachLog(log);
             if (log)
                 log->startWriter([&loop = loop_] { loop.wake(); });
         }
@@ -893,18 +892,20 @@ class TcpCluster::NodeLoop
     uint64_t
     logStamp() const
     {
-        return log_ && env_.framesWaitForLog() ? log_->appendedSeq() : 0;
+        DurableLog *log = env_.log();
+        return log && env_.framesWaitForLog() ? log->appendedSeq() : 0;
     }
 
     /** The log is durable up to here, for releasing frames. */
     uint64_t
     releasableSeq() const
     {
-        if (!log_)
+        DurableLog *log = env_.log();
+        if (!log)
             return UINT64_MAX;
         return g_release_early.load(std::memory_order_relaxed)
-                   ? log_->appendedSeq()
-                   : log_->durableSeq();
+                   ? log->appendedSeq()
+                   : log->durableSeq();
     }
 
     /** Queue @p staged on @p conn behind its earlier frames. */
@@ -1270,19 +1271,8 @@ class TcpCluster::NodeLoop
                     conn.recvSinceCredit = 0;
                     tryWrite(conn);
                 }
-                if (!node)
-                    continue;
-                // A coalesced envelope (net::Batcher) delivers all its
-                // inner protocol messages in order; it consumed one
-                // credit and counts as one frame message, which is the
-                // flow-control amortization it was built for.
-                if (msg->type() == MsgType::MsgBatch) {
-                    const auto &batch = static_cast<const BatchMsg &>(*msg);
-                    for (const MessagePtr &inner : batch.msgs)
-                        node->onMessage(inner);
-                } else {
+                if (node)
                     node->onMessage(msg);
-                }
             } else if (clientHandler) {
                 // Session credit accounting: every delivered request
                 // costs one credit, returned when the service's reply
@@ -1366,15 +1356,13 @@ class TcpCluster::NodeLoop
             // Records the writer made durable since the last iteration
             // reach the replica (a Hermes coordinator's own ACKs), whose
             // commits stage their VALs and replies here.
-            if (log_)
-                log_->deliverDurable(releasableSeq());
+            if (DurableLog *log = env_.log())
+                log->deliverDurable(releasableSeq());
 
             // Wings opportunistic batching: everything the handlers above
             // produced goes out coalesced, once per loop iteration, as
             // far as the log allows. The Env flush first hands this
-            // window's records to the log's writer and closes any
-            // protocol-level coalescing window (net::Batcher) so its
-            // envelopes join the staged frames. Credit returns that
+            // window's records to the log's writer. Credit returns that
             // accumulated below the batch threshold flush here too — a
             // quiescent link must not withhold its partner's window (the
             // starvation fix).
@@ -1384,13 +1372,13 @@ class TcpCluster::NodeLoop
         }
 
         // Final best-effort flush on the way out: a graceful drain()
-        // must commit the Env flush hook's records (WAL group-commit
+        // must commit the Env flush's records (WAL group-commit
         // buffers) and push every staged reply before the sockets close.
         // A crash-style stop loses whatever a real crash would lose —
         // the WAL's recovery path owns that case.
         env_.flush();
-        if (log_)
-            log_->waitDurable(log_->appendedSeq());
+        if (DurableLog *log = env_.log())
+            log->waitDurable(log->appendedSeq());
         flushStaged();
 
         for (auto &kv : conns_)
@@ -1427,8 +1415,6 @@ class TcpCluster::NodeLoop
     std::vector<ClientConnId> resumable_;
     std::vector<iovec> iovScratch_;      ///< writeStaged's gather list
     std::vector<uint8_t> lensScratch_;   ///< writeStaged's length prefixes
-    /** The replica's log (Env::attachLog); frames wait for its records. */
-    DurableLog *log_ = nullptr;
     ClientConnId nextClientId_ = 1;
 
     std::mutex injectMutex_;
@@ -1448,9 +1434,6 @@ class TcpCluster::NodeLoop
 
 TcpCluster::TcpCluster(size_t nodes, TcpConfig config) : config_(config)
 {
-    // Peers may deliver coalesced envelopes whether or not this side
-    // runs a Batcher of its own.
-    registerBatchCodec();
     for (size_t i = 0; i < nodes; ++i) {
         loops_.push_back(std::make_unique<NodeLoop>(
             *this, static_cast<NodeId>(i), nodes, config_));

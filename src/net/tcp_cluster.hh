@@ -255,7 +255,7 @@ class TcpCluster
 
     /**
      * Graceful shutdown: every loop first stops accepting new
-     * connections, then runs one final flush (the Env flush hook —
+     * connections, then runs one final flush (the Env flush —
      * WAL group-commit buffers included — waits until the log is
      * durable, and sends every staged frame) before its thread stops
      * and joins. Terminal: use instead of stop().

@@ -19,7 +19,6 @@
 
 #include "common/random.hh"
 #include "common/types.hh"
-#include "net/batcher.hh"
 
 namespace hermes::sim
 {
@@ -67,24 +66,19 @@ struct CostModel
      */
     bool multicastOffload = false;
 
-    // ---- Per-peer message batching (net/batcher.hh) ----
+    // ---- Per-peer message coalescing (sim/runtime.hh) ----
     //
     // The software analogue of Wings' one-doorbell broadcast posting
-    // (§4.2): messages produced within one poll/job window coalesce per
-    // destination and ship as one MsgBatch envelope, paying the base
-    // send/recv cost once plus a per-message marginal — exactly the shape
-    // of broadcastPerExtraCopyNs, but across *different* messages to the
-    // same peer instead of copies of one message to different peers.
-    //
-    // The caps are deliberately signed: any non-positive value (and
-    // maxBatchMsgs <= 1) disables batching and every send takes the
-    // plain unbatched path. Negative or zero knobs therefore degrade to
-    // correct-but-unbatched behavior instead of wrapping around to an
-    // effectively unbounded window (see BatchPolicy::enabled()).
+    // (§4.2): a node's messages coalesce per destination and each window
+    // departs as one delivery, paying the base send/recv cost once plus
+    // a per-message marginal — the shape of broadcastPerExtraCopyNs, but
+    // across *different* messages to the same peer. The caps are signed
+    // on purpose: any non-positive value (or maxBatchMsgs <= 1) turns
+    // coalescing off rather than wrapping to an unbounded window.
 
-    /** Messages per destination window; <= 1 turns batching off. */
+    /** Messages per destination window; <= 1 turns coalescing off. */
     int maxBatchMsgs = 16;
-    /** Wire bytes per destination window; <= 0 turns batching off. */
+    /** Wire bytes per destination window; <= 0 turns coalescing off. */
     long maxBatchBytes = 16384;
     /**
      * Marginal posting cost of each additional message riding an already
@@ -159,28 +153,6 @@ struct CostModel
      * orders worse and is not what the paper's testbed would deploy.
      */
     DurationNs fsyncNs = 20000;
-
-    /** True when the knobs describe a usable batching window. */
-    bool
-    batchingEnabled() const
-    {
-        return maxBatchMsgs > 1 && maxBatchBytes > 0;
-    }
-
-    /**
-     * The bounds-checked BatchPolicy these knobs describe. Broadcasts
-     * bypass software batching when the NIC offloads multicast (the
-     * hardware already amortizes fan-out better).
-     */
-    net::BatchPolicy
-    batchPolicy() const
-    {
-        net::BatchPolicy policy;
-        policy.maxBatchMsgs = maxBatchMsgs;
-        policy.maxBatchBytes = maxBatchBytes;
-        policy.batchBroadcasts = !multicastOffload;
-        return policy;
-    }
 
     /** Service time to receive a message of @p wire_bytes. */
     DurationNs

@@ -375,7 +375,7 @@ dropClassBit(net::MsgType type)
       case net::MsgType::HermesStateChunk:
         return 1ull << static_cast<int>(DropClass::State);
       default:
-        if (membership::isRmMessage(type))
+        if (net::isRmMessage(type))
             return 1ull << static_cast<int>(DropClass::Rm);
         return 0;
     }

@@ -1,7 +1,6 @@
 #include "sim/network.hh"
 
 #include "common/logging.hh"
-#include "net/batcher.hh"
 
 namespace hermes::sim
 {
@@ -13,18 +12,23 @@ SimNetwork::SimNetwork(EventQueue &events, const CostModel &cost,
 {
 }
 
-void
-SimNetwork::countDrop(const net::MessagePtr &msg)
+size_t
+groupWireSize(const Group &group)
 {
-    // Batches dropped whole attribute a drop to every inner message:
-    // the coverage consumer cares which *protocol* messages died.
-    if (msg->type() == net::MsgType::MsgBatch) {
-        for (const net::MessagePtr &inner :
-             static_cast<const net::BatchMsg &>(*msg).msgs)
-            countDrop(inner);
-        return;
-    }
-    ++dropsByType_[static_cast<size_t>(msg->type())];
+    if (group.size() == 1)
+        return group.front()->wireSize();
+    size_t bytes = net::kEnvelopeBytes + 7 + 2;
+    for (const net::MessagePtr &msg : group)
+        bytes += 4 + net::kEnvelopeBytes + msg->payloadSize();
+    return bytes;
+}
+
+void
+SimNetwork::countDrop(const Group &group)
+{
+    // The coverage consumer cares which *protocol* messages died.
+    for (const net::MessagePtr &msg : group)
+        ++dropsByType_[static_cast<size_t>(msg->type())];
 }
 
 void
@@ -54,84 +58,71 @@ SimNetwork::reachable(NodeId src, NodeId dst) const
 }
 
 void
-SimNetwork::scheduleDelivery(NodeId dst, net::MessagePtr msg, TimeNs depart)
+SimNetwork::scheduleDelivery(NodeId src, NodeId dst, Group group,
+                             TimeNs depart)
 {
-    DurationNs delay = cost_.netDelay(rng_, msg->wireSize());
+    DurationNs delay = cost_.netDelay(rng_, groupWireSize(group));
     if (spikeProb_ > 0.0 && rng_.nextBool(spikeProb_)) {
         delay += static_cast<DurationNs>(
             rng_.nextExponential(static_cast<double>(spikeMeanNs_)));
     }
-    events_.scheduleAt(depart + delay, [this, dst, msg = std::move(msg)] {
+    events_.scheduleAt(depart + delay, [this, src, dst,
+                                        group = std::move(group)]() mutable {
         // Re-check reachability at arrival: a node that crashed or got
-        // partitioned while the message was in flight never hears it.
-        if (msg->src < nodeDown_.size() && reachable(msg->src, dst)) {
+        // partitioned while the group was in flight never hears it.
+        if (reachable(src, dst)) {
             ++delivered_;
-            deliver_(dst, msg);
+            deliver_(dst, std::move(group));
         } else {
             ++dropped_;
-            countDrop(msg);
+            countDrop(group);
         }
     });
 }
 
 void
-SimNetwork::send(NodeId src, NodeId dst, net::MessagePtr msg, TimeNs depart)
+SimNetwork::send(NodeId src, NodeId dst, Group group, TimeNs depart)
 {
     hermes_assert(deliver_ != nullptr);
-    hermes_assert(msg->src == src);
+    hermes_assert(!group.empty() && group.front()->src == src);
     ++sent_;
-    sentBytes_ += msg->wireSize();
+    sentBytes_ += groupWireSize(group);
 
     if (dropFilter_) {
-        // Targeted fault injection sees *protocol* messages: apply the
-        // filter to each inner message of a batch envelope and rebuild
-        // the batch from the survivors, so a test dropping "the first
-        // INV to node 2" keeps working when that INV rides a batch.
-        if (msg->type() == net::MsgType::MsgBatch) {
-            const auto &batch = static_cast<const net::BatchMsg &>(*msg);
-            std::vector<net::MessagePtr> kept;
-            kept.reserve(batch.msgs.size());
-            for (const net::MessagePtr &inner : batch.msgs) {
-                if (dropFilter_(src, dst, inner)) {
-                    ++dropped_;
-                    countDrop(inner);
-                } else {
-                    kept.push_back(inner);
-                }
+        // Targeted fault injection sees *protocol* messages: a test
+        // dropping "the first INV to node 2" keeps working when that INV
+        // shares a delivery. The survivors travel on as the group.
+        size_t kept = 0;
+        for (net::MessagePtr &msg : group) {
+            if (dropFilter_(src, dst, msg)) {
+                ++dropped_;
+                ++dropsByType_[static_cast<size_t>(msg->type())];
+            } else {
+                group[kept++] = std::move(msg);
             }
-            if (kept.size() != batch.msgs.size()) {
-                if (kept.empty())
-                    return;
-                if (kept.size() == 1) {
-                    msg = kept.front(); // no point re-wrapping one message
-                } else {
-                    auto rebuilt = std::make_shared<net::BatchMsg>();
-                    rebuilt->msgs = std::move(kept);
-                    rebuilt->src = msg->src;
-                    rebuilt->epoch = msg->epoch;
-                    msg = std::move(rebuilt);
-                }
-            }
-        } else if (dropFilter_(src, dst, msg)) {
-            ++dropped_;
-            countDrop(msg);
-            return;
         }
+        if (kept == 0)
+            return;
+        group.resize(kept);
     }
     if (!reachable(src, dst)) {
         ++dropped_;
-        countDrop(msg);
+        countDrop(group);
         return;
     }
     if (lossProb_ > 0.0 && rng_.nextBool(lossProb_)) {
         ++dropped_;
-        countDrop(msg);
+        countDrop(group);
         return;
     }
-    scheduleDelivery(dst, msg, depart);
-    if (dupProb_ > 0.0 && rng_.nextBool(dupProb_)) {
+    if (dupProb_ == 0.0) {
+        scheduleDelivery(src, dst, std::move(group), depart);
+        return;
+    }
+    scheduleDelivery(src, dst, group, depart);
+    if (rng_.nextBool(dupProb_)) {
         ++duplicated_;
-        scheduleDelivery(dst, msg, depart);
+        scheduleDelivery(src, dst, std::move(group), depart);
     }
 }
 

@@ -33,8 +33,24 @@ using DropFilter =
     std::function<bool(NodeId src, NodeId dst, const net::MessagePtr &)>;
 
 /**
- * Unreliable full-mesh network. Delivery hands (dst, msg) to the sink the
- * runtime registers; the sink is responsible for charging receive CPU.
+ * What one delivery carries: a lone message, or the window of messages
+ * the runtime coalesced for one peer, dispatched in order in one receive
+ * job. Sim-internal: no wire type, no codec.
+ */
+using Group = std::vector<net::MessagePtr>;
+
+/**
+ * The wire bytes one delivery of @p group is charged: a lone message's
+ * own size; a coalesced group, the size of a batch envelope holding it
+ * (envelope + 7-byte transport header + u16 count, then each message
+ * encoded behind a u32 length), which the sim's charges are fitted to.
+ */
+size_t groupWireSize(const Group &group);
+
+/**
+ * Unreliable full-mesh network. Delivery hands (dst, group) to the sink
+ * the runtime registers; the sink is responsible for charging receive
+ * CPU.
  */
 class SimNetwork
 {
@@ -50,23 +66,32 @@ class SimNetwork
 
     /** Register the delivery sink (called once by the runtime). */
     void
-    setDeliverFn(std::function<void(NodeId, net::MessagePtr)> fn)
+    setDeliverFn(std::function<void(NodeId, Group)> fn)
     {
         deliver_ = std::move(fn);
     }
 
     /**
-     * Inject @p msg from @p src to @p dst at time @p depart. Applies the
-     * loss/duplication/partition knobs and schedules delivery.
+     * Inject @p group from @p src to @p dst at time @p depart as one
+     * delivery: one loss draw, one duplication draw and one delay sample
+     * (from groupWireSize()). The drop filter sees each message alone;
+     * the rest of the group travels on.
      */
-    void send(NodeId src, NodeId dst, net::MessagePtr msg, TimeNs depart);
+    void send(NodeId src, NodeId dst, Group group, TimeNs depart);
+
+    /** Inject one message (a group of one). */
+    void
+    send(NodeId src, NodeId dst, net::MessagePtr msg, TimeNs depart)
+    {
+        send(src, dst, Group{std::move(msg)}, depart);
+    }
 
     // ---- Fault knobs (all default to a healthy network) ----
 
-    /** Probability each message copy is silently dropped. */
+    /** Probability each delivery is silently dropped. */
     void setLossProbability(double p) { lossProb_ = p; }
 
-    /** Probability a message is delivered twice (independent delays). */
+    /** Probability a delivery happens twice (independent delays). */
     void setDuplicateProbability(double p) { dupProb_ = p; }
 
     /**
@@ -95,7 +120,7 @@ class SimNetwork
     /** Disconnect a node entirely (crashed nodes neither send nor hear). */
     void setNodeDown(NodeId node, bool down);
 
-    // ---- Introspection for tests ----
+    // ---- Introspection for tests (counts are per delivery) ----
     uint64_t sentCount() const { return sent_; }
     uint64_t droppedCount() const { return dropped_; }
     uint64_t duplicatedCount() const { return duplicated_; }
@@ -104,22 +129,24 @@ class SimNetwork
     uint64_t sentBytes() const { return sentBytes_; }
 
     /**
-     * Drops broken down by message type (index = MsgType value) — a
-     * coverage signal for the fault-schedule explorer: a schedule that
-     * first manages to kill, say, a StateChunk mid-transfer has reached
-     * behavior no drop counter total would reveal.
+     * Drops broken down by message type (index = MsgType value; a group
+     * dropped whole counts each of its messages) — a coverage signal for
+     * the fault-schedule explorer: a schedule that first manages to kill,
+     * say, a StateChunk mid-transfer has reached behavior no drop counter
+     * total would reveal.
      */
     const std::vector<uint64_t> &dropsByType() const { return dropsByType_; }
 
   private:
     bool reachable(NodeId src, NodeId dst) const;
-    void scheduleDelivery(NodeId dst, net::MessagePtr msg, TimeNs depart);
-    void countDrop(const net::MessagePtr &msg);
+    void scheduleDelivery(NodeId src, NodeId dst, Group group,
+                          TimeNs depart);
+    void countDrop(const Group &group);
 
     EventQueue &events_;
     const CostModel &cost_;
     Rng rng_;
-    std::function<void(NodeId, net::MessagePtr)> deliver_;
+    std::function<void(NodeId, Group)> deliver_;
 
     double lossProb_ = 0.0;
     double dupProb_ = 0.0;

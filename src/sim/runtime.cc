@@ -1,10 +1,24 @@
 #include "sim/runtime.hh"
 
 #include "common/logging.hh"
-#include "net/batcher.hh"
 
 namespace hermes::sim
 {
+
+namespace
+{
+
+/** Value payload bytes a group carries (the copy charges' input). */
+size_t
+valueBytes(const Group &group)
+{
+    size_t bytes = 0;
+    for (const net::MessagePtr &msg : group)
+        bytes += msg->valueBytes();
+    return bytes;
+}
+
+} // namespace
 
 /**
  * Env implementation backing one simulated node. Sends are only legal from
@@ -87,30 +101,20 @@ SimRuntime::SimRuntime(size_t nodes, const CostModel &cost, uint64_t seed)
         envs_.push_back(std::make_unique<NodeEnv>(
             *this, static_cast<NodeId>(i), mix64(seed + 1 + i)));
     }
-    network_.setDeliverFn([this](NodeId dst, net::MessagePtr msg) {
-        // A batch envelope is one network delivery but dispatches all its
-        // inner messages in a single job: one base receive cost plus a
-        // per-message marginal — the receive-side half of the doorbell
-        // amortization (§4.2).
-        if (msg->type() == net::MsgType::MsgBatch) {
-            const auto &batch = static_cast<const net::BatchMsg &>(*msg);
-            DurationNs svc =
-                cost_.batchedRecvCost(msg->wireSize(), batch.msgs.size())
-                + cost_.recvCopyCost(msg->valueBytes());
-            submit(dst, svc, [this, dst, msg = std::move(msg)] {
-                if (!nodes_[dst])
-                    return;
-                const auto &b = static_cast<const net::BatchMsg &>(*msg);
-                for (const net::MessagePtr &inner : b.msgs)
-                    nodes_[dst]->onMessage(inner);
-            });
-            return;
-        }
-        DurationNs svc = cost_.recvCost(msg->wireSize())
-                         + cost_.recvCopyCost(msg->valueBytes());
-        submit(dst, svc, [this, dst, msg = std::move(msg)] {
-            if (nodes_[dst])
-                nodes_[dst]->onMessage(msg);
+    for (NodeCpu &cpu : cpus_)
+        cpu.windows.resize(nodes);
+    network_.setDeliverFn([this](NodeId dst, Group group) {
+        // One delivery is one receive job: a coalesced group pays one
+        // base receive cost plus a per-message marginal — the
+        // receive-side half of the doorbell amortization (§4.2).
+        DurationNs svc =
+            cost_.batchedRecvCost(groupWireSize(group), group.size())
+            + cost_.recvCopyCost(valueBytes(group));
+        submit(dst, svc, [this, dst, group = std::move(group)] {
+            for (const net::MessagePtr &msg : group) {
+                if (nodes_[dst])
+                    nodes_[dst]->onMessage(msg);
+            }
         });
     });
 }
@@ -190,14 +194,16 @@ SimRuntime::execJob(NodeId node, Job job, TimeNs exec_time)
     job.fn();
 
     // Poll-end analogue of the simulated worker: when no further job is
-    // queued this busy burst is over, so any coalescing layer stacked on
-    // the node's Env flushes now (its send-posting costs extend this
-    // job's occupancy, below). While jobs remain queued the window stays
-    // open and batches keep filling — bounded by the policy caps — which
-    // is exactly the opportunistic policy: batch under load, never stall
-    // an idle node to fill a batch.
-    if (cpu.queue.empty())
+    // queued this busy burst is over, so the node's log commits and then
+    // its windows depart (their posting costs extend this job's
+    // occupancy, below). While jobs remain queued the windows stay open
+    // and keep filling — bounded by the caps — which is exactly the
+    // opportunistic policy: batch under load, never stall an idle node
+    // to fill a batch.
+    if (cpu.queue.empty()) {
         envs_[node]->flush();
+        postWindows(node);
+    }
 
     inJob_ = false;
     DurationNs send_extra = jobSendAccum_;
@@ -231,19 +237,11 @@ void
 SimRuntime::sendFromNode(NodeId src, NodeId dst, net::MessagePtr msg)
 {
     hermes_assert(inJob_ && jobNode_ == src);
-    // The message occupies the sender's worker for its posting cost and
-    // departs when its serialization slot ends. A batch envelope posts
-    // once and its inner messages ride the same doorbell.
-    if (msg->type() == net::MsgType::MsgBatch) {
-        const auto &batch = static_cast<const net::BatchMsg &>(*msg);
-        jobSendAccum_ +=
-            cost_.batchedSendCost(msg->wireSize(), batch.msgs.size());
-    } else {
-        jobSendAccum_ += cost_.sendCost(msg->wireSize());
-    }
-    jobSendAccum_ += cost_.sendCopyCost(msg->valueBytes());
     const_cast<net::Message &>(*msg).src = src;
-    network_.send(src, dst, std::move(msg), jobExecTime_ + jobSendAccum_);
+    if (coalesces(*msg))
+        hold(src, dst, std::move(msg));
+    else
+        post(src, dst, Group{std::move(msg)});
 }
 
 void
@@ -252,6 +250,82 @@ SimRuntime::broadcastFromNode(NodeId src, const NodeSet &dsts,
 {
     hermes_assert(inJob_ && jobNode_ == src);
     const_cast<net::Message &>(*msg).src = src;
+    if (!coalesces(*msg) || cost_.multicastOffload) {
+        broadcastNow(src, dsts, std::move(msg));
+        return;
+    }
+    for (NodeId dst : dsts) {
+        if (dst != src)
+            hold(src, dst, msg);
+    }
+}
+
+bool
+SimRuntime::coalesces(const net::Message &msg) const
+{
+    return cost_.maxBatchMsgs > 1 && cost_.maxBatchBytes > 0
+           && !net::isRmMessage(msg.type());
+}
+
+void
+SimRuntime::hold(NodeId src, NodeId dst, net::MessagePtr msg)
+{
+    NodeCpu &cpu = cpus_[src];
+    hermes_assert(dst < cpu.windows.size());
+    Window &window = cpu.windows[dst];
+    window.bytes += msg->wireSize();
+    window.msgs.push_back(std::move(msg));
+    // A full window departs at once, so one hot peer can neither grow an
+    // unbounded group nor delay its own traffic past the cap.
+    if (static_cast<int>(window.msgs.size()) >= cost_.maxBatchMsgs
+            || static_cast<long>(window.bytes) >= cost_.maxBatchBytes)
+        post(src, dst, window.take());
+}
+
+void
+SimRuntime::postWindows(NodeId src)
+{
+    std::vector<Window> &windows = cpus_[src].windows;
+    for (NodeId dst = 0; dst < windows.size(); ++dst) {
+        Group msgs = windows[dst].take();
+        if (msgs.size() == 1) {
+            // Lone copies of one broadcast depart as that broadcast
+            // again, keeping its shared-payload fan-out when no window
+            // filled up (the idle-cluster case).
+            NodeSet fused{dst};
+            for (NodeId peer = dst + 1; peer < windows.size(); ++peer) {
+                const Group &other = windows[peer].msgs;
+                if (other.size() == 1 && other.front() == msgs.front()) {
+                    fused.push_back(peer);
+                    windows[peer].take();
+                }
+            }
+            if (fused.size() > 1) {
+                broadcastNow(src, fused, std::move(msgs.front()));
+                continue;
+            }
+        }
+        if (!msgs.empty())
+            post(src, dst, std::move(msgs));
+    }
+}
+
+void
+SimRuntime::post(NodeId src, NodeId dst, Group group)
+{
+    // The group occupies the sender's worker for its posting cost — one
+    // doorbell plus a per-message marginal — and departs when its
+    // serialization slot ends.
+    jobSendAccum_ +=
+        cost_.batchedSendCost(groupWireSize(group), group.size())
+        + cost_.sendCopyCost(valueBytes(group));
+    network_.send(src, dst, std::move(group), jobExecTime_ + jobSendAccum_);
+}
+
+void
+SimRuntime::broadcastNow(NodeId src, const NodeSet &dsts,
+                         net::MessagePtr msg)
+{
     size_t fanout = 0;
     for (NodeId dst : dsts)
         fanout += dst != src;
@@ -278,6 +352,9 @@ SimRuntime::crash(NodeId node)
     cpu.alive = false;
     cpu.queue.clear();
     cpu.idleWorkers = 0;
+    // Staged messages die unsent: a crashed node's traffic is lost.
+    for (Window &window : cpu.windows)
+        window.take();
     ++crashes_;
     nodes_[node] = nullptr; // the handle is typically destroyed next
     network_.setNodeDown(node, true);

@@ -11,6 +11,15 @@
  * effect behind the paper's throughput/latency curves (the ZAB leader and
  * the CRAQ tail bottleneck; Hermes stays load-balanced).
  *
+ * Sends coalesce per destination, like the TCP loop's per-peer batch
+ * frames (Wings' opportunistic batching, §4.2): while a node's job queue
+ * is busy its messages wait in per-destination windows; when the queue
+ * drains, right after the node's log commits (Env::flush), each window
+ * departs as one delivery, in NodeId order, or earlier once it fills a
+ * cap. A window of one is a plain send; lone copies of one broadcast
+ * depart as that broadcast. Membership traffic (net::isRmMessage) and
+ * multicastOffload broadcasts never wait.
+ *
  * The runtime is single-threaded and deterministic given a seed.
  */
 
@@ -20,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -82,8 +92,9 @@ class SimRuntime
     void submit(NodeId node, DurationNs cpu_cost, std::function<void()> fn);
 
     /**
-     * Crash-stop @p node : pending jobs are discarded, future messages to
-     * and from it vanish, timers never fire. Recovery is restart() with a
+     * Crash-stop @p node : pending jobs and coalescing windows are
+     * discarded, future messages to and from it vanish, timers never
+     * fire. Recovery is restart() with a
      * fresh replica (WAL replay + §3.4 shadow rejoin), or a permanent
      * view change that excludes the node.
      */
@@ -125,6 +136,21 @@ class SimRuntime
         std::function<void()> fn;
     };
 
+    /** Messages held for one destination, and their summed wire size. */
+    struct Window
+    {
+        Group msgs;
+        size_t bytes = 0;
+
+        /** Empty the window, returning what it held. */
+        Group
+        take()
+        {
+            bytes = 0;
+            return std::exchange(msgs, {});
+        }
+    };
+
     struct NodeCpu
     {
         std::deque<Job> queue;
@@ -133,6 +159,8 @@ class SimRuntime
         uint64_t busyNs = 0;
         /** Bumped by restart(); orphans the prior life's queued events. */
         uint64_t incarnation = 0;
+        /** Coalescing windows by destination NodeId. */
+        std::vector<Window> windows;
     };
 
     void startJob(NodeId node, TimeNs at);
@@ -143,6 +171,15 @@ class SimRuntime
     void sendFromNode(NodeId src, NodeId dst, net::MessagePtr msg);
     void broadcastFromNode(NodeId src, const NodeSet &dsts,
                            net::MessagePtr msg);
+
+    /** Whether @p msg waits in a window rather than departing at once. */
+    bool coalesces(const net::Message &msg) const;
+    void hold(NodeId src, NodeId dst, net::MessagePtr msg);
+    /** Post every window of @p src (the job queue drained). */
+    void postWindows(NodeId src);
+    /** Post @p group as one delivery, charging its sending job. */
+    void post(NodeId src, NodeId dst, Group group);
+    void broadcastNow(NodeId src, const NodeSet &dsts, net::MessagePtr msg);
 
     CostModel cost_;
     EventQueue events_;

@@ -280,16 +280,15 @@ class Wal : public DurableLog
     uint64_t append(Key key, Timestamp ts, uint8_t flags,
                     const ValueRef &value);
 
+    // ---- DurableLog ----
     /**
-     * Close a group-commit window: wired to the Env's poll-boundary
-     * flush hook. Without a writer thread, write every queued record in
-     * one gathered writev, fsync per policy, and deliver the new
+     * Close a group-commit window (the Env's poll-boundary flush).
+     * Without a writer thread, write every queued record in one
+     * gathered writev, fsync per policy, and deliver the new
      * durableSeq() (delivery may append more records: they commit in
      * the same call). With one, hand the window to the writer.
      */
-    void flush();
-
-    // ---- DurableLog ----
+    void flush() override;
     uint64_t appendedSeq() const override { return appended_; }
     uint64_t
     durableSeq() const override

@@ -498,6 +498,7 @@ TEST(Tcp, ReplyDrainingPausedSessionResumesAtPollBoundary)
 class StubLog : public DurableLog
 {
   public:
+    void flush() override {}
     uint64_t appendedSeq() const override { return appended; }
     uint64_t durableSeq() const override { return durable.load(); }
     void deliverDurable(uint64_t) override {}

@@ -18,7 +18,6 @@
 #include "baselines/zab/replica.hh"
 #include "hermes/messages.hh"
 #include "membership/messages.hh"
-#include "net/batcher.hh"
 #include "net/client_msgs.hh"
 #include "net/message.hh"
 
@@ -33,7 +32,6 @@ registerAllCodecs()
     proto::registerHermesCodecs();
     membership::registerRmCodecs();
     net::registerClientCodecs();
-    net::registerBatchCodec();
     craq::registerCraqCodecs();
     zab::registerZabCodecs();
     lockstep::registerLockstepCodecs();
@@ -353,26 +351,6 @@ goldens()
          "610d0c0b0a443322112a0000000000000001000600000003000000020000"
          "00600000000300020068426942000001006e420300000003000200010000"
          "00040000007365656e"},
-        {"MsgBatch",
-         [] {
-             net::BatchMsg m;
-             auto inv = std::make_shared<proto::InvMsg>();
-             inv->key = 9;
-             inv->ts = {3, 1};
-             inv->value = "v";
-             inv->src = 2;
-             inv->epoch = 4;
-             auto ack = std::make_shared<proto::AckMsg>();
-             ack->key = 9;
-             ack->ts = {3, 1};
-             ack->src = 2;
-             ack->epoch = 4;
-             m.msgs = {inv, ack};
-             return stamped(std::move(m));
-         },
-         "700d0c0b0a4433221102001f000000000200000004000000090000000000"
-         "000003000000010000000001000000761900000001020000000400000009"
-         "000000000000000300000001000000"},
     };
     return table;
 }
@@ -383,7 +361,7 @@ TEST(WireGolden, EveryMessageTypeIsPinned)
     std::set<net::MsgType> seen;
     for (const Golden &g : goldens())
         seen.insert(g.make()->type());
-    EXPECT_EQ(seen.size(), 28u);
+    EXPECT_EQ(seen.size(), 27u);
 }
 
 TEST(WireGolden, EveryMessageEncodesToItsPinnedBytes)

@@ -16,7 +16,6 @@
 #include "common/serialize.hh"
 #include "common/value_ref.hh"
 #include "hermes/messages.hh"
-#include "net/batcher.hh"
 #include "net/message.hh"
 #include "store/kvs.hh"
 #include "support/free_port.hh"
@@ -125,36 +124,6 @@ TEST(ZeroCopyEncode, GatherFrameFlattensToCopyPathBytes)
     }
 }
 
-TEST(ZeroCopyEncode, BatchEnvelopeGathersInnerValues)
-{
-    proto::registerHermesCodecs();
-    net::registerBatchCodec();
-    net::BatchMsg batch;
-    auto big = std::make_shared<proto::InvMsg>(makeInv(patternValue(2048)));
-    auto small = std::make_shared<proto::InvMsg>(makeInv(patternValue(16)));
-    auto ack = std::make_shared<proto::AckMsg>();
-    ack->key = 5;
-    ack->ts = {1, 1};
-    batch.msgs = {big, ack, small};
-    batch.src = 2;
-    batch.epoch = 3;
-
-    std::vector<uint8_t> copyPath;
-    net::encodeMessage(batch, copyPath);
-
-    WireFrame frame;
-    net::encodeMessage(batch, frame);
-    std::vector<uint8_t> gathered;
-    frame.flattenTo(gathered);
-
-    EXPECT_EQ(copyPath, gathered);
-    // Only the big inner value rides as a segment; batching composes
-    // with the zero-copy path instead of re-copying inner frames.
-    ASSERT_EQ(frame.segments.size(), 1u);
-    EXPECT_EQ(frame.segments[0].ref.size(), 2048u);
-    EXPECT_EQ(batch.valueBytes(), 2048u + 16u);
-}
-
 // ---------------------------------------------------------------------
 // Large-value round-trips + truncation
 // ---------------------------------------------------------------------
@@ -227,28 +196,6 @@ TEST(ZeroCopySlab, DecodedMessageOutlivesTransportRecycle)
     EXPECT_FALSE(static_cast<const proto::InvMsg &>(*tinyDecoded)
                      .value.aliasesExternalBuffer());
     EXPECT_EQ(tinySlab.use_count(), 1); // nothing pins a copied value
-}
-
-TEST(ZeroCopySlab, BatchInnerValuesAliasTheOuterSlab)
-{
-    proto::registerHermesCodecs();
-    net::registerBatchCodec();
-    const std::string payload = patternValue(3000, 'B');
-    net::BatchMsg batch;
-    batch.msgs = {std::make_shared<proto::InvMsg>(makeInv(payload))};
-    batch.src = 4;
-    batch.epoch = 3;
-
-    auto slab = std::make_shared<std::vector<uint8_t>>();
-    net::encodeMessage(batch, *slab);
-    auto decoded = net::decodeMessage(slab->data(), slab->size(), slab);
-    ASSERT_NE(decoded, nullptr);
-    const auto &out = static_cast<const net::BatchMsg &>(*decoded);
-    ASSERT_EQ(out.msgs.size(), 1u);
-    const auto &inv = static_cast<const proto::InvMsg &>(*out.msgs[0]);
-    EXPECT_TRUE(inv.value.aliasesExternalBuffer());
-    slab.reset();
-    EXPECT_EQ(inv.value, payload);
 }
 
 // ---------------------------------------------------------------------

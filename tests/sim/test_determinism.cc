@@ -144,11 +144,11 @@ TEST_F(SimDeterminism, ShardedClusterHistoryIsByteIdentical)
 
 TEST_F(SimDeterminism, ShardedBatchingHistoryIsByteIdentical)
 {
-    // Per-peer batching (net/batcher.hh) coalesces and flushes on purely
-    // structural triggers — poll/job boundaries and fixed caps, never
+    // Per-peer coalescing (sim/runtime.hh) holds and posts windows on
+    // purely structural triggers — job-queue drains and fixed caps, never
     // wall-clock state — so a seeded sharded run with batching enabled
     // must stay byte-identical across runs, loss and delay spikes
-    // included (the drop filter reaches inside batch envelopes).
+    // included (the drop filter sees each message of a group).
     auto [first, first_result] = runOnce(Protocol::Hermes, 11, 43,
                                          /*cas_ratio=*/0.2, /*shards=*/4,
                                          /*max_batch_msgs=*/16);

@@ -2,15 +2,14 @@
  * @file
  * SimNetwork fault-knob gap-fill: exact accounting of duplication,
  * mid-run partition healing, the interaction of partition + drop-filter
- * on droppedCount, and the per-message-type drop breakdown (including
- * recursion into batch envelopes) that the fault-schedule explorer uses
- * as a coverage signal.
+ * on droppedCount, and the per-message-type drop breakdown (counting each
+ * message of a coalesced group) that the fault-schedule explorer uses as
+ * a coverage signal.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/serialize.hh"
-#include "net/batcher.hh"
 #include "sim/cost_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/network.hh"
@@ -42,15 +41,19 @@ class NetworkFaults : public ::testing::Test
   protected:
     NetworkFaults() : net_(events_, cost_, 4, 99)
     {
-        net_.setDeliverFn([this](NodeId dst, net::MessagePtr msg) {
-            deliveries_.emplace_back(dst, msg->type());
+        net_.setDeliverFn([this](NodeId dst, Group group) {
+            std::vector<net::MsgType> types;
+            for (const net::MessagePtr &msg : group)
+                types.push_back(msg->type());
+            deliveries_.emplace_back(dst, std::move(types));
         });
     }
 
     EventQueue events_;
     CostModel cost_;
     SimNetwork net_;
-    std::vector<std::pair<NodeId, net::MsgType>> deliveries_;
+    /** Per delivery: destination and the types of its messages. */
+    std::vector<std::pair<NodeId, std::vector<net::MsgType>>> deliveries_;
 };
 
 TEST_F(NetworkFaults, DuplicationDeliversTwiceAndCountsOnce)
@@ -135,47 +138,67 @@ TEST_F(NetworkFaults, DroppedCountExactUnderPartitionPlusDropFilter)
 
 TEST_F(NetworkFaults, DropFilterUnwrapsBatchesAndCountsInnerTypes)
 {
-    // A batch carrying INV + VAL + ACK with a VAL-killing filter: the
-    // VAL dies (attributed to its own type), the rest still arrive.
-    auto batch = std::make_shared<net::BatchMsg>();
-    batch->msgs.push_back(probe(net::MsgType::HermesInv, 0));
-    batch->msgs.push_back(probe(net::MsgType::HermesVal, 0));
-    batch->msgs.push_back(probe(net::MsgType::HermesAck, 0));
-    batch->src = 0;
-
-    net_.setDropFilter([](NodeId, NodeId, const net::MessagePtr &msg) {
-        return msg->type() == net::MsgType::HermesVal;
+    // A coalesced group carrying INV + VAL + ACK with a VAL-killing
+    // filter: the filter sees each message alone, the VAL dies
+    // (attributed to its own type), and the rest arrive as one delivery.
+    // A group filtered down to one message arrives as a plain message,
+    // its delay sampled from that message's own size.
+    using net::MsgType;
+    Group three{probe(MsgType::HermesInv, 0), probe(MsgType::HermesVal, 0),
+                probe(MsgType::HermesAck, 0)};
+    Group two{probe(MsgType::HermesInv, 0), probe(MsgType::HermesVal, 0)};
+    std::vector<MsgType> seen;
+    net_.setDropFilter([&](NodeId, NodeId, const net::MessagePtr &msg) {
+        seen.push_back(msg->type());
+        return msg->type() == MsgType::HermesVal;
     });
-    net_.send(0, 1, batch, events_.now());
+    net_.send(0, 1, three, events_.now());
+    net_.send(0, 2, two, events_.now());
     events_.runAll();
 
-    EXPECT_EQ(net_.droppedCount(), 1u);
-    EXPECT_EQ(net_.dropsByType()[static_cast<size_t>(
-                  net::MsgType::HermesVal)],
-              1u);
-    ASSERT_EQ(deliveries_.size(), 1u);
-    EXPECT_EQ(deliveries_[0].second, net::MsgType::MsgBatch);
+    EXPECT_EQ(seen, (std::vector<MsgType>{MsgType::HermesInv,
+                                          MsgType::HermesVal,
+                                          MsgType::HermesAck,
+                                          MsgType::HermesInv,
+                                          MsgType::HermesVal}));
+    EXPECT_EQ(net_.sentCount(), 2u);
+    EXPECT_EQ(net_.sentBytes(), groupWireSize(three) + groupWireSize(two))
+        << "bytes are accepted into the fabric before the filter runs";
+    EXPECT_EQ(net_.droppedCount(), 2u);
+    EXPECT_EQ(net_.dropsByType()[static_cast<size_t>(MsgType::HermesVal)],
+              2u);
+    EXPECT_EQ(net_.deliveredCount(), 2u);
+    ASSERT_EQ(deliveries_.size(), 2u);
+    for (const auto &[dst, types] : deliveries_) {
+        if (dst == 1)
+            EXPECT_EQ(types, (std::vector<MsgType>{MsgType::HermesInv,
+                                                   MsgType::HermesAck}));
+        else
+            EXPECT_EQ(types, (std::vector<MsgType>{MsgType::HermesInv}));
+    }
 }
 
 TEST_F(NetworkFaults, BatchDroppedWholeAttributesEveryInnerMessage)
 {
-    // A whole batch lost to a partition books one aggregate drop but
-    // one per-type drop per inner protocol message.
-    auto batch = std::make_shared<net::BatchMsg>();
-    batch->msgs.push_back(probe(net::MsgType::HermesInv, 0));
-    batch->msgs.push_back(probe(net::MsgType::HermesInv, 0));
-    batch->msgs.push_back(probe(net::MsgType::HermesAck, 0));
-    batch->src = 0;
+    // A whole group lost to a partition books one aggregate drop but
+    // one per-type drop per protocol message it carried.
+    Group group{probe(net::MsgType::HermesInv, 0),
+                probe(net::MsgType::HermesInv, 0),
+                probe(net::MsgType::HermesAck, 0)};
 
     net_.setPartition({0, 1, 1, 1});
-    net_.send(0, 1, batch, events_.now());
+    net_.send(0, 1, group, events_.now());
     events_.runAll();
 
+    EXPECT_EQ(net_.sentCount(), 1u);
     EXPECT_EQ(net_.droppedCount(), 1u);
     const std::vector<uint64_t> &drops = net_.dropsByType();
     EXPECT_EQ(drops[static_cast<size_t>(net::MsgType::HermesInv)], 2u);
     EXPECT_EQ(drops[static_cast<size_t>(net::MsgType::HermesAck)], 1u);
-    EXPECT_EQ(drops[static_cast<size_t>(net::MsgType::MsgBatch)], 0u);
+    uint64_t total = 0;
+    for (uint64_t n : drops)
+        total += n;
+    EXPECT_EQ(total, 3u);
 }
 
 } // namespace
